@@ -70,6 +70,6 @@ from .config import (
     load_config_file,
     resolve_config,
 )
-from .sweep import SweepRow, critical_rho_from_rows, critical_rho_scan, run_sweep, sweep_report
+from .sweep import SweepRow, critical_rho_from_rows, run_sweep, sweep_report
 
 __version__ = "0.1.0"

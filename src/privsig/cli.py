@@ -29,7 +29,7 @@ from .dynamics import (
     trajectory_rows,
 )
 from .game import expected_distortion, leakage, potential, receiver_cost, sender_cost
-from .solve import epsilon_nash_check, explicit_equilibrium, sender_best_response
+from .solve import _identity_best_response, _nash_report, epsilon_nash_check
 from .sweep import run_sweep, sweep_report
 
 EXIT_CONFIG = 2
@@ -136,23 +136,22 @@ def solve(config_path, out, seed, log_base, method):
         _fail_config(exc)
     out = _outdir(out)
 
-    converged = True
-    iterations = 0
     if method == "explicit":
         try:
-            alpha, beta = explicit_equilibrium(g, cfg.solver)
+            br, beta = _identity_best_response(g, cfg.solver)
         except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        res = sender_best_response(g, beta, cfg.solver)
-        converged, iterations = res.converged, res.iterations
+        alpha = br.policy
+        converged, iterations = br.converged, br.iterations
+        # the best response just computed is the one the check needs
+        check = _nash_report(g, alpha, beta, cfg.dynamics.epsilon, br)
     else:
         a0, b0 = default_initial_pair(g)
         rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
         alpha, beta = rep.final_pair
         converged, iterations = rep.reached_eps_nash, rep.iterations_used
-
-    check = epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
+        check = epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
     xi = expected_distortion(g, alpha, beta)
     zeta_nats = leakage(g, alpha)
     _write(out, "alpha.json", sender_policy_to_json(alpha))

@@ -30,7 +30,7 @@ from .solve import (
     SolverSettings,
     _minimize_over_blocks,
 )
-from .dynamics import DynamicsReport, TrajectoryRecord
+from .dynamics import DynamicsReport, TrajectoryRecord, _inner_settings
 
 #: Dense joint tensors larger than this are rejected.
 MAX_JOINT_ENTRIES = 10_000_000
@@ -370,10 +370,7 @@ def random_best_response_dynamics(
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     g.check_policies(alphas0, beta0)
-    want = min(settings.grad_tol, epsilon / 10.0)
-    inner = settings if want == settings.grad_tol else SolverSettings(
-        settings.max_iters, want, settings.obj_tol, settings.step_init, settings.seed
-    )
+    inner = _inner_settings(settings, epsilon)
 
     rng = np.random.default_rng(seed)
     alphas, beta = alphas0, beta0

@@ -2,8 +2,9 @@
 
 The receiver's best response is exact (per-message posterior minimization).
 The sender's best response minimizes a convex objective over a product of
-message simplices, one per (measurement, secret) pair, with exponentiated
-gradient steps and a backtracking line search. Stationarity is measured by
+message simplices, one per (measurement, secret) pair: exponentiated
+gradient steps shape the support, and on problems small enough for a dense
+solve an active-set Newton phase closes the gap. Stationarity is measured by
 the worst simplex-block gap, which certifies optimality for convex costs.
 """
 from __future__ import annotations
@@ -38,13 +39,11 @@ _POLISH_AT = 1e-5
 _POLISH_ITERS = 100
 _POLISH_MAX_VARS = 2000
 _PHASE_ONE_CAP = 600
-# below this mass a coordinate is held fixed by the Newton phase unless its
-# gradient drops under the block minimum, which marks it for a lift
+# below this mass a coordinate is held fixed by the Newton phase unless it
+# wants to grow, which lifts it; it always counts in the stationarity gap
 _FREEZE_MASS = 1e-10
-_LIFT_CAP = 8
-_RESHAPE_CAP = 200
-# rows carrying less than this much probability get the scale-free
-# rebalancing treatment instead of per-coordinate crossing moves
+# a row carrying less than this much probability is re-profiled whole by the
+# row rebalance instead of moving single coordinates to their crossings
 _LIGHT_ROW = 1e-3
 
 
@@ -190,14 +189,6 @@ def _cost_slack(cost: float) -> float:
     return 1e-15 * max(1.0, abs(cost))
 
 
-def _with_mass(a: np.ndarray, y: int, z: int, w: int, m: float) -> np.ndarray:
-    """Copy of the encoder with one coordinate set, its block renormalized."""
-    cand = a.copy()
-    cand[:, z, w] *= (1.0 - m) / (1.0 - cand[y, z, w])
-    cand[y, z, w] = m
-    return cand
-
-
 def _rescale_crossings(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     ys: np.ndarray, zs: np.ndarray, ws: np.ndarray, blocks: np.ndarray,
@@ -208,38 +199,37 @@ def _rescale_crossings(
     A coordinate many orders of magnitude away from the mass where its
     gradient meets the block minimum either holds the gap open (too small)
     or forces boundary-pinned micro steps (too large), while its effect on
-    the objective can sit below float resolution. Each move bisects in log
-    mass for that crossing, rescaling the rest of the block to stay
-    normalized; the gradient of a coordinate rises strictly with its own
-    mass, so the crossing is unique when it exists and the floor end means
-    the coordinate wants zero mass. Acceptance is on a no-worse cost basis
+    the objective can sit below float resolution. Each move sets the
+    coordinate to that crossing, clipped to [floor, 1/2], and rescales the
+    rest of its block to stay normalized. The coordinate's gradient depends
+    on its own mass only through P{Y=y, W=w} and P{Y=y}, both affine in it,
+    so the crossing solves a linear equation; the floor end means the
+    coordinate wants zero mass. Acceptance is on a no-worse cost basis
     rather than strict descent, which float resolution could never certify;
     a move that lands where the coordinate already sits does not count.
     """
     moved = False
     for i in coords:
         y, z, w = int(ys[i]), int(zs[i]), int(ws[i])
-        target = float(lam_b[blocks[i]])
-
-        def grad_at(logm: float) -> float:
-            g = _sender_gradient_raw(c, pzw, pw, rho, _with_mass(a, y, z, w, float(np.exp(logm))))
-            return float(g[y, z, w])
-
-        lo = float(np.log(_MASS_FLOOR))
-        hi = float(np.log(0.5))
-        if grad_at(lo) < target:
-            if grad_at(hi) > target:
-                for _ in range(45):
-                    mid = 0.5 * (lo + hi)
-                    if grad_at(mid) > target:
-                        hi = mid
-                    else:
-                        lo = mid
-            else:
-                lo = hi
-        if abs(lo - float(np.log(max(a[y, z, w], _MASS_FLOOR)))) < 1e-9:
+        p = pzw[z, w]
+        if p <= 0.0 or pw[w] <= 0.0:
             continue
-        cand = _with_mass(a, y, z, w, float(np.exp(lo)))
+        jy = _joint_yw(pzw, a)[y]
+        own = p * a[y, z, w]
+        j0, p0 = jy[w] - own, jy.sum() - own
+        # the crossing is where P{Y=y, W=w} / P{Y=y} reaches k, which no
+        # mass does when k >= 1
+        with np.errstate(over="ignore"):
+            k = pw[w] * np.exp((float(lam_b[blocks[i]]) - c[y, z, w]) / (rho * p))
+        if k >= 1.0:
+            m = 0.5
+        else:
+            m = min(max((k * p0 - j0) / (p * (1.0 - k)), _MASS_FLOOR), 0.5)
+        if abs(np.log(m) - np.log(max(a[y, z, w], _MASS_FLOOR))) < 1e-9:
+            continue
+        cand = a.copy()
+        cand[:, z, w] *= (1.0 - m) / (1.0 - cand[y, z, w])
+        cand[y, z, w] = m
         cand_cost = _sender_objective(c, pzw, pw, rho, cand)
         if cand_cost <= cost + _cost_slack(cost):
             a, cost, moved = cand, cand_cost, True
@@ -346,16 +336,17 @@ def _row_rebalance(
 
 def _newton_polish(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    settings: SolverSettings,
+    settings: SolverSettings, budget: int,
 ):
     """Active-set Newton refinement on the product of simplex blocks.
 
-    Coordinates below the freeze mass are held fixed unless marked for a
-    lift; the rest take damped Newton steps constrained to conserve each
-    block's mass, with a fraction-to-boundary rule keeping the iterate
-    strictly positive. The stationarity gap is always measured over all
-    coordinates, so freezing cannot fake convergence. Returns
-    (encoder, cost, gap, iterations, converged).
+    Coordinates below the freeze mass are held fixed unless they want to
+    grow, which lifts them (a light row by a whole-row rebalance); the rest
+    take damped Newton steps constrained to conserve each block's mass, with
+    a fraction-to-boundary rule keeping the iterate strictly positive. The
+    stationarity gap is always measured over all coordinates, so freezing
+    cannot fake convergence. Returns (encoder, cost, gap, iterations,
+    converged) after at most min(_POLISH_ITERS, budget) iterations.
     """
     shape = a.shape
     ys, zs, ws = (ix.reshape(-1) for ix in np.indices(shape))
@@ -376,7 +367,7 @@ def _newton_polish(
         np.minimum.at(lam_b, blocks[heavy], gf[heavy])
         return grad, af, gf, heavy, lam_b
 
-    for it in range(1, _POLISH_ITERS + 1):
+    for it in range(1, min(_POLISH_ITERS, budget) + 1):
         grad, af, gf, heavy, lam_b = work_state(a)
         gap = _stationarity_gap(a, grad)
         if gap <= settings.grad_tol:
@@ -404,7 +395,6 @@ def _newton_polish(
                 light = row_mass[ys[growers]] < _LIGHT_ROW
             growers = growers[~light]
             if growers.size:
-                growers = growers[np.argsort(-deficit[growers])][:_LIFT_CAP]
                 lifted, lcost, moved = _rescale_crossings(
                     c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b, growers, cost
                 )
@@ -462,8 +452,7 @@ def _newton_polish(
                 # crossing them directly removes the pin, and doubles as the
                 # rescue move when the step itself was rejected
                 order = np.argsort(ratios)
-                keep = order[ratios[order] < 0.05][:_LIFT_CAP]
-                blockers = idx[neg][keep]
+                blockers = idx[neg][order[ratios[order] < 0.05]]
                 row_mass = (pzw[None, :, :] * a).sum(axis=(1, 2))
                 light = row_mass[ys[blockers]] < _LIGHT_ROW
                 for yy in np.unique(ys[blockers[light]]):
@@ -495,14 +484,15 @@ def _newton_polish(
 
 def _mirror_phase(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, step: float, settings: SolverSettings, budget: int, handoff: float,
+    cost: float, settings: SolverSettings, budget: int, handoff: float,
 ):
     """Multiplicative-weights segment with Armijo backtracking.
 
     Runs until the gap tolerance, the handoff threshold, a stall, or the
     budget, and reports the best certified iterate seen. Returns
-    (a, cost, step, gap, used, converged).
+    (a, cost, gap, used, converged).
     """
+    step = settings.step_init
     best = (np.inf, a, cost)
     anchor = np.inf
     stalled = 0
@@ -513,9 +503,9 @@ def _mirror_phase(
         if gap < best[0]:
             best = (gap, a, cost)
         if gap <= settings.grad_tol:
-            return a, cost, step, gap, used - 1, True
+            return a, cost, gap, used - 1, True
         if gap <= handoff:
-            return a, cost, step, gap, used - 1, False
+            return a, cost, gap, used - 1, False
         if gap < 0.97 * anchor:
             anchor = gap
             stalled = 0
@@ -550,7 +540,7 @@ def _mirror_phase(
     gap = _stationarity_gap(a, grad)
     if best[0] < gap:
         gap, a, cost = best
-    return a, cost, step, gap, used, gap <= settings.grad_tol
+    return a, cost, gap, used, gap <= settings.grad_tol
 
 
 def _minimize_over_blocks(
@@ -577,31 +567,31 @@ def _minimize_over_blocks(
         return a, float((c * a).sum()), 0, True, 0.0
 
     polish_ok = a.size <= _POLISH_MAX_VARS
-    step = settings.step_init
     best = (np.inf, a, cost)
     spent = 0
-    rnd = 0
     while spent < settings.max_iters:
         round_entry = best[0]
+        budget = settings.max_iters - spent
         if polish_ok:
-            budget = min(_PHASE_ONE_CAP if rnd == 0 else _RESHAPE_CAP,
-                         settings.max_iters - spent)
-            handoff = _POLISH_AT if rnd == 0 else min(_POLISH_AT, 0.03 * best[0])
+            # after a stalled Newton phase, re-shape the support until the
+            # certificate is well below the best so far
+            budget = min(_PHASE_ONE_CAP, budget)
+            handoff = min(_POLISH_AT, 0.03 * best[0])
         else:
-            budget = settings.max_iters - spent
             handoff = 0.0
-        if budget > 0:
-            a, cost, step, gap, used, conv = _mirror_phase(
-                c, pzw, pw, rho, a, cost, step, settings, budget, handoff
-            )
-            spent += used
-            if gap < best[0]:
-                best = (gap, a, cost)
-            if conv:
-                return a, cost, spent, True, gap
+        a, cost, gap, used, conv = _mirror_phase(
+            c, pzw, pw, rho, a, cost, settings, budget, handoff
+        )
+        spent += used
+        if gap < best[0]:
+            best = (gap, a, cost)
+        if conv:
+            return a, cost, spent, True, gap
         if not polish_ok or spent >= settings.max_iters:
             break
-        a, cost, gap, used, conv = _newton_polish(c, pzw, pw, rho, a, settings)
+        a, cost, gap, used, conv = _newton_polish(
+            c, pzw, pw, rho, a, settings, settings.max_iters - spent
+        )
         spent += used
         if gap < best[0]:
             best = (gap, a, cost)
@@ -610,7 +600,6 @@ def _minimize_over_blocks(
         # neither phase moved the certificate much: stuck, stop honestly
         if best[0] > 0.9 * round_entry:
             break
-        rnd += 1
     gap, a, cost = best
     return a, cost, spent, gap <= settings.grad_tol, gap
 
@@ -634,6 +623,16 @@ def babbling_equilibrium(g: GameInstance) -> tuple[SenderPolicy, ReceiverPolicy]
     return alpha, beta
 
 
+def _identity_best_response(
+    g: GameInstance, settings: SolverSettings
+) -> tuple[BestResponseResult, ReceiverPolicy]:
+    """Sender best response to the identity decoder, and that decoder."""
+    if g.y_space.size != g.x_space.size:
+        raise ValueError("explicit construction needs message alphabet = state alphabet")
+    beta = ReceiverPolicy.identity(g.x_space.size)
+    return sender_best_response(g, beta, settings), beta
+
+
 def explicit_equilibrium(
     g: GameInstance, settings: SolverSettings = DEFAULT_SETTINGS
 ) -> tuple[SenderPolicy, ReceiverPolicy]:
@@ -643,11 +642,20 @@ def explicit_equilibrium(
     best-responds to the identity decoder; data processing makes the identity
     decoder optimal in return.
     """
-    if g.y_space.size != g.x_space.size:
-        raise ValueError("explicit construction needs message alphabet = state alphabet")
-    beta = ReceiverPolicy.identity(g.x_space.size)
-    alpha = sender_best_response(g, beta, settings).policy
-    return alpha, beta
+    br, beta = _identity_best_response(g, settings)
+    return br.policy, beta
+
+
+def _nash_report(
+    g: GameInstance, alpha: SenderPolicy, beta: ReceiverPolicy, epsilon: float, br: BestResponseResult
+) -> EpsilonNashReport:
+    """Both players' improvement gaps, the sender's against br, a best response to beta."""
+    receiver_gap = receiver_cost(g, alpha, beta) - receiver_cost(
+        g, alpha, receiver_best_response(g, alpha)
+    )
+    sender_gap = sender_cost(g, alpha, beta) - br.cost
+    member = (sender_gap <= epsilon) and (receiver_gap <= epsilon)
+    return EpsilonNashReport(member, sender_gap, receiver_gap, br.stationarity_gap, epsilon)
 
 
 def epsilon_nash_check(
@@ -664,10 +672,4 @@ def epsilon_nash_check(
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    receiver_gap = receiver_cost(g, alpha, beta) - receiver_cost(
-        g, alpha, receiver_best_response(g, alpha)
-    )
-    br = sender_best_response(g, beta, settings)
-    sender_gap = sender_cost(g, alpha, beta) - br.cost
-    member = (sender_gap <= epsilon) and (receiver_gap <= epsilon)
-    return EpsilonNashReport(member, sender_gap, receiver_gap, br.stationarity_gap, epsilon)
+    return _nash_report(g, alpha, beta, epsilon, sender_best_response(g, beta, settings))

@@ -1,13 +1,13 @@
 """Privacy-ratio sweeps and the critical-ratio search."""
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 from .config import GameConfig, SweepSpec
 from .dynamics import default_initial_pair, thresholded_dynamics
-from .game import ReceiverPolicy, expected_distortion, leakage
-from .solve import sender_best_response
+from .game import expected_distortion, leakage
+from .prob import LN2
+from .solve import _identity_best_response
 
 #: Distortion at or below this counts as "zero" when locating the transition.
 ZERO_DISTORTION = 1e-3
@@ -29,10 +29,7 @@ class SweepRow:
 def _point(cfg: GameConfig, rho: float, method: str) -> SweepRow:
     g = cfg.build_single(rho)
     if method == "explicit":
-        if g.y_space.size != g.x_space.size:
-            raise ValueError("explicit method needs message alphabet = state alphabet")
-        beta = ReceiverPolicy.identity(g.x_space.size)
-        res = sender_best_response(g, beta, cfg.solver)
+        res, beta = _identity_best_response(g, cfg.solver)
         alpha = res.policy
         iterations, converged = res.iterations, res.converged
     elif method == "dynamics":
@@ -79,20 +76,18 @@ def critical_rho_from_rows(cfg: GameConfig, rows: list[SweepRow], method: str) -
     return _bisect_critical(cfg, method, rows[lo].rho, rows[lo + 1].rho)
 
 
-def critical_rho_scan(cfg: GameConfig, method: str = "explicit", points: int = 26) -> float | None:
-    """Locate the critical ratio with a coarse scan plus bisection."""
-    if not isinstance(cfg.rho, SweepSpec):
-        raise ValueError("config rho must be a sweep specification")
-    spec = dataclasses.replace(cfg.rho, steps=points)
-    coarse = [_point(cfg, float(r), method) for r in spec.grid()]
-    return critical_rho_from_rows(cfg, coarse, method)
-
-
 def sweep_report(cfg: GameConfig, rows: list[SweepRow], method: str) -> dict:
-    """Summary for report.json: critical ratio under both log bases."""
-    critical = {cfg.log_base: critical_rho_from_rows(cfg, rows, method)}
-    other = "bits" if cfg.log_base == "nats" else "nats"
-    critical[other] = critical_rho_scan(dataclasses.replace(cfg, log_base=other), method)
+    """Summary for report.json: critical ratio under both log bases.
+
+    The ratio is bisected in the configured base and converted to the other:
+    a bits-valued rho is applied as rho / ln 2 nats, so the bits critical
+    ratio is ln 2 times the nats one. The converted value is accurate to
+    CRITICAL_WIDTH times that factor: ln 2 times it for a nats sweep, 1/ln 2
+    times it for a bits sweep.
+    """
+    bisected = critical_rho_from_rows(cfg, rows, method)
+    other, scale = ("bits", LN2) if cfg.log_base == "nats" else ("nats", 1.0 / LN2)
+    critical = {cfg.log_base: bisected, other: None if bisected is None else bisected * scale}
     report = {
         "log_base": cfg.log_base,
         "method": method,

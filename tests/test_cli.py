@@ -5,9 +5,10 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import CIRCULANT_MATRIX
+from privsig import solve as solve_mod
 from privsig.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, main
-from privsig.config import receiver_policy_to_json
-from privsig.game import ReceiverPolicy
+from privsig.config import load_config_file, receiver_policy_to_json
+from privsig.game import ReceiverPolicy, expected_distortion, leakage
 from privsig.prob import JointPXZW
 
 
@@ -120,6 +121,39 @@ def test_solve_is_deterministic(runner, tmp_path):
     assert runner.invoke(main, ["solve", "--config", cfg, "--out", str(second)]).exit_code == 0
     assert (first / "alpha.json").read_bytes() == (second / "alpha.json").read_bytes()
     assert (first / "beta.json").read_bytes() == (second / "beta.json").read_bytes()
+
+
+def test_solve_explicit_solves_one_best_response(runner, tmp_path, monkeypatch):
+    cfg_path = circulant_config(tmp_path)
+    calls = []
+    inner = solve_mod._minimize_over_blocks
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(solve_mod, "_minimize_over_blocks", counted)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["solve", "--config", cfg_path, "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    assert len(calls) == 1
+    report = json.loads((out / "report.json").read_text())
+
+    # the same numbers as solving the equilibrium, its best response and the
+    # check separately through the public functions
+    cfg = load_config_file(cfg_path)
+    g = cfg.build_single(cfg.scalar_rho())
+    alpha, beta = solve_mod.explicit_equilibrium(g, cfg.solver)
+    br = solve_mod.sender_best_response(g, beta, cfg.solver)
+    check = solve_mod.epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
+    assert report["member"] == check.member
+    assert report["sender_gap"] == check.sender_gap
+    assert report["receiver_gap"] == check.receiver_gap
+    assert report["sender_stationarity_gap"] == check.sender_stationarity_gap
+    assert report["iterations"] == br.iterations
+    assert report["converged"] == br.converged
+    assert report["expected_distortion"] == expected_distortion(g, alpha, beta)
+    assert report["leakage_nats"] == leakage(g, alpha)
 
 
 def test_solve_requires_scalar_rho(runner, tmp_path):

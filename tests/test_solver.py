@@ -261,6 +261,54 @@ def test_sender_br_huge_rho_goes_silent():
     assert leakage(g, res.policy) < 1e-6
 
 
+@pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
+def test_sender_br_converges_on_eight_symbol_circulant(rho):
+    # 512 encoder coordinates, inside the dense Newton phase's reach: the
+    # secret is the state with probability 0.7, otherwise a cyclic shift of
+    # it with weight falling off as 1 / cyclic distance
+    m = 8
+    dist = np.minimum(np.arange(1, m), m - np.arange(1, m))
+    row = np.concatenate([[0.7], 0.3 / dist / (1.0 / dist).sum()])
+    pxw = np.array([np.roll(row, x) for x in range(m)]) / m
+    g = GameInstance(JointPXZW.from_xw_matrix(pxw), hamming_distortion(m), FiniteSpace(m), rho)
+    beta = ReceiverPolicy.identity(m)
+    res = sender_best_response(g, beta)
+    assert res.converged
+    a = res.policy.a
+    grad = sender_cost_gradient(g, res.policy, beta)
+    gap = float(((a * grad).sum(axis=0) - grad.min(axis=0)).max())
+    assert gap <= DEFAULT_SETTINGS.grad_tol
+
+
+def stochastic_decoder_draw(seed: int, index: int):
+    """Draw number `index` of a seeded stream of random games and decoders."""
+    rng = np.random.default_rng(seed)
+    for _ in range(index + 1):
+        m = int(rng.integers(2, 5))
+        q = int(rng.integers(2, 4))
+        r = int(rng.integers(2, 5))
+        g = random_game(rng, m, q, r, float(rng.random() * 2.0))
+        beta = random_receiver(rng, m, r)
+    return g, beta
+
+
+# Against these decoders a frozen coordinate in a heavy message row wants to
+# grow (only a crossing move lifts it), a boundary-pinned Newton step needs
+# its blockers crossed, or one Newton phase stalls and a second round of
+# support re-shaping is needed.
+@pytest.mark.parametrize(
+    "seed, index",
+    [(7, 127), (8, 22), (8, 290), (8, 379), (8, 462), (8, 509), (8, 733), (8, 833)],
+)
+def test_sender_br_converges_against_hard_stochastic_decoders(seed, index):
+    g, beta = stochastic_decoder_draw(seed, index)
+    res = sender_best_response(g, beta)
+    assert res.converged
+    a = res.policy.a
+    grad = sender_cost_gradient(g, res.policy, beta)
+    assert float(((a * grad).sum(axis=0) - grad.min(axis=0)).max()) <= DEFAULT_SETTINGS.grad_tol
+
+
 def test_sender_br_matches_grid_oracle(rng):
     for _ in range(20):
         g = random_game(rng, 2, 2, 2, float(rng.random() * 2.0))
@@ -289,6 +337,15 @@ def test_sender_br_respects_max_iters_budget():
     res = sender_best_response(g, ReceiverPolicy.identity(5), tight)
     assert res.iterations <= 3
     assert not res.converged
+
+
+def test_sender_br_newton_phase_stays_within_max_iters():
+    # the mirror phase hands off after about 20 iterations here, leaving the
+    # Newton phase less than its own iteration cap
+    g = circulant_game(0.3)
+    tight = SolverSettings(max_iters=23)
+    res = sender_best_response(g, ReceiverPolicy.identity(5), tight)
+    assert res.iterations <= 23
 
 
 def test_solver_settings_validation():
