@@ -42,7 +42,7 @@ def _fail_config(exc: ConfigError):
     sys.exit(EXIT_CONFIG)
 
 
-def _load(config_path: str, seed: int | None, log_base: str | None) -> GameConfig:
+def _load(config_path: str, log_base: str | None, seed: int | None = None) -> GameConfig:
     import dataclasses
 
     cfg = resolve_config(config_path)
@@ -91,7 +91,6 @@ def _json_report(out: str, doc: dict) -> str:
 
 config_opt = click.option("--config", "config_path", required=True, help="Config file or bundled preset name.")
 out_opt = click.option("--out", default="out", show_default=True, help="Output directory.")
-seed_opt = click.option("--seed", type=int, default=None, help="Override the config seed.")
 base_opt = click.option(
     "--log-base", type=click.Choice(["nats", "bits"]), default=None, help="Override the config log base."
 )
@@ -117,7 +116,6 @@ def validate(config_path):
 @main.command()
 @config_opt
 @out_opt
-@seed_opt
 @base_opt
 @click.option(
     "--method",
@@ -126,10 +124,10 @@ def validate(config_path):
     show_default=True,
     help="Equilibrium construction to use.",
 )
-def solve(config_path, out, seed, log_base, method):
+def solve(config_path, out, log_base, method):
     """Compute one equilibrium at the configured scalar rho."""
     try:
-        cfg = _load(config_path, seed, log_base)
+        cfg = _load(config_path, log_base)
         rho = cfg.scalar_rho()
         g = cfg.build_single(rho)
     except ConfigError as exc:
@@ -184,7 +182,6 @@ def solve(config_path, out, seed, log_base, method):
 @main.command()
 @config_opt
 @out_opt
-@seed_opt
 @base_opt
 @click.option(
     "--variant",
@@ -192,10 +189,10 @@ def solve(config_path, out, seed, log_base, method):
     default=None,
     help="Override the config dynamics variant.",
 )
-def dynamics(config_path, out, seed, log_base, variant):
+def dynamics(config_path, out, log_base, variant):
     """Run best-response play at the configured scalar rho."""
     try:
-        cfg = _load(config_path, seed, log_base)
+        cfg = _load(config_path, log_base)
         rho = cfg.scalar_rho()
         g = cfg.build_single(rho)
     except ConfigError as exc:
@@ -238,12 +235,12 @@ def dynamics(config_path, out, seed, log_base, variant):
 @main.command()
 @config_opt
 @out_opt
-@seed_opt
+@click.option("--seed", type=int, default=None, help="Override the config seed.")
 @base_opt
 def multi(config_path, out, seed, log_base):
     """Run randomized best-response play for a multi-sender game."""
     try:
-        cfg = _load(config_path, seed, log_base)
+        cfg = _load(config_path, log_base, seed)
         rho = cfg.scalar_rho()
         g = cfg.build_multi(rho)
     except ConfigError as exc:
@@ -296,7 +293,6 @@ def multi(config_path, out, seed, log_base):
 @main.command()
 @config_opt
 @out_opt
-@seed_opt
 @base_opt
 @click.option(
     "--method",
@@ -305,10 +301,10 @@ def multi(config_path, out, seed, log_base):
     show_default=True,
     help="Per-point equilibrium construction.",
 )
-def sweep(config_path, out, seed, log_base, method):
+def sweep(config_path, out, log_base, method):
     """Sweep rho over the configured grid and locate the critical ratio."""
     try:
-        cfg = _load(config_path, seed, log_base)
+        cfg = _load(config_path, log_base)
         if cfg.mode != "single":
             raise ConfigError(["mode: sweep supports single-sender configs"])
         rows = run_sweep(cfg, method)
@@ -347,15 +343,14 @@ def sweep(config_path, out, seed, log_base, method):
 @main.command()
 @config_opt
 @out_opt
-@seed_opt
 @base_opt
 @click.option("--alpha", "alpha_paths", multiple=True, required=True, help="Sender policy JSON (repeat for multi).")
 @click.option("--beta", "beta_path", required=True, help="Receiver policy JSON.")
 @click.option("--epsilon", type=float, default=None, help="Override the config epsilon.")
-def verify(config_path, out, seed, log_base, alpha_paths, beta_path, epsilon):
+def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
     """Check whether saved policies form an epsilon-equilibrium."""
     try:
-        cfg = _load(config_path, seed, log_base)
+        cfg = _load(config_path, log_base)
         rho = cfg.scalar_rho()
         eps = epsilon if epsilon is not None else cfg.dynamics.epsilon
         texts = []

@@ -62,7 +62,8 @@ def default_initial_pair(g: GameInstance) -> tuple[SenderPolicy, ReceiverPolicy]
     if g.y_space.size == g.x_space.size:
         beta = ReceiverPolicy.identity(g.x_space.size)
     else:
-        beta = ReceiverPolicy.constant(_prior_estimate(g), g.x_space.size, g.y_space.size)
+        xhat = _prior_estimate(g.distortion.d, g.joint.px)
+        beta = ReceiverPolicy.constant(xhat, g.x_space.size, g.y_space.size)
     return alpha, beta
 
 

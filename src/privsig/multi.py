@@ -6,12 +6,12 @@ Each sender pays the common distortion plus rho times the leakage of its own
 secret through its own message; the receiver pays the distortion. The sum of
 all leakage terms plus the distortion is an exact potential.
 
-Joint tensors carry axes (x, z_1..z_n, w_1..w_n) and all contractions sum one
-sender at a time, so the full policy product is never materialized.
+Joint tensors carry axes (x, z_1..z_n, w_1..w_n), and ``_contract`` sums them
+against the encoders one sender at a time with ``np.tensordot``, so the full
+policy product is never materialized.
 """
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,15 +29,16 @@ from .solve import (
     BestResponseResult,
     SolverSettings,
     _minimize_over_blocks,
+    _posterior_decoder,
+    _prior_estimate,
 )
 from .dynamics import DynamicsReport, TrajectoryRecord, _inner_settings
 
 #: Dense joint tensors larger than this are rejected.
 MAX_JOINT_ENTRIES = 10_000_000
-#: einsum subscripts limit the sender count well above any desk-scale use.
+#: The joint carries 1 + 2n axes, well inside numpy's 64-dimension limit; with
+#: two or more symbols per alphabet the entry cap binds first (n <= 11).
 MAX_SENDERS = 16
-
-_LETTERS = string.ascii_lowercase + string.ascii_uppercase
 
 
 @dataclass(frozen=True)
@@ -164,38 +165,28 @@ class MultiGameInstance:
                 raise ValueError(f"receiver policy shape {beta.b.shape}, expected {want_b}")
 
 
-def _subscripts(n: int):
-    """einsum letters for (x, z_i, w_i, y_i) axes."""
-    need = 1 + 3 * n
-    if need > len(_LETTERS):
-        raise ValueError("too many senders for einsum subscripts")
-    x = _LETTERS[0]
-    z = _LETTERS[1 : 1 + n]
-    w = _LETTERS[1 + n : 1 + 2 * n]
-    y = _LETTERS[1 + 2 * n : 1 + 3 * n]
-    return x, z, w, y
+def _contract(p: np.ndarray, policies, skip: int | None = None) -> np.ndarray:
+    """Sum the joint against every encoder except skip's, one sender at a time.
 
-
-def _state_message_joint(joint: MultiJoint, alphas: SenderPolicySet) -> np.ndarray:
-    """P{X, Y_1..Y_n}: contract every encoder against its own axes."""
-    n = joint.n
-    x, z, w, y = _subscripts(n)
-    lead = x + "".join(z) + "".join(w)
-    terms = [lead] + [y[i] + z[i] + w[i] for i in range(n)]
-    out = x + "".join(y)
-    return np.einsum(
-        ",".join(terms) + "->" + out,
-        joint.p,
-        *[a.a for a in alphas.policies],
-        optimize="greedy",
-    )
+    Returns axes (x, y_1..y_n), or (x, z_skip, w_skip, y_i for i != skip)
+    when a sender is skipped.
+    """
+    rest = len(policies)  # senders whose (z, w) axes are still in the tensor
+    ahead = 0  # 1 once the skipped sender's axes sit before the next sender's
+    for i, pol in enumerate(policies):
+        if i == skip:
+            ahead = 1
+            continue
+        p = np.tensordot(p, pol.a, axes=([1 + ahead, 1 + rest + ahead], [1, 2]))
+        rest -= 1
+    return p
 
 
 def expected_distortion_multi(
     g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy
 ) -> float:
     g.check_policies(alphas, beta)
-    q = _state_message_joint(g.joint, alphas)
+    q = _contract(g.joint.p, alphas.policies)
     dxy = np.tensordot(g.distortion.d, beta.b, axes=([1], [0]))
     return float((q * dxy).sum())
 
@@ -210,19 +201,10 @@ def leakage_j(g: MultiGameInstance, alphas: SenderPolicySet, j: int) -> float:
 def coalition_leakage(g: MultiGameInstance, alphas: SenderPolicySet, j: int) -> float:
     """Diagnostic I(Y_1..Y_n; W_j): what all messages jointly reveal of secret j."""
     g.check_policies(alphas)
-    n = g.n
-    x, z, w, y = _subscripts(n)
-    lead = x + "".join(z) + "".join(w)
-    terms = [lead] + [y[i] + z[i] + w[i] for i in range(n)]
-    out = "".join(y) + w[j]
-    joint = np.einsum(
-        ",".join(terms) + "->" + out,
-        g.joint.p,
-        *[a.a for a in alphas.policies],
-        optimize="greedy",
-    )
-    flat = joint.reshape(-1, joint.shape[-1])
-    return _mutual_information(flat)
+    rest = _contract(g.joint.p, alphas.policies, skip=j).sum(axis=0)
+    # encoder j sums out z_j but keeps w_j, so the last axis is the secret
+    joint = np.einsum("zw...,yzw->...yw", rest, alphas[j].a)
+    return _mutual_information(joint.reshape(-1, joint.shape[-1]))
 
 
 def sender_cost_multi(
@@ -247,25 +229,13 @@ def potential_multi(
     return total
 
 
-def _prior_estimate_multi(g: MultiGameInstance) -> int:
-    return int(np.argmin(g.distortion.d.T @ g.joint.px()))
-
-
 def receiver_best_response_multi(
     g: MultiGameInstance, alphas: SenderPolicySet
 ) -> MultiReceiverPolicy:
     """Per-message-tuple posterior minimizer, prior-optimal on dead tuples."""
     g.check_policies(alphas)
-    q = _state_message_joint(g.joint, alphas)
-    m = q.shape[0]
-    flat = q.reshape(m, -1)
-    costs = g.distortion.d.T @ flat
-    choice = np.argmin(costs, axis=0)
-    dead = flat.sum(axis=0) == 0.0
-    if np.any(dead):
-        choice = np.where(dead, _prior_estimate_multi(g), choice)
-    b = np.zeros_like(costs)
-    b[choice, np.arange(flat.shape[1])] = 1.0
+    q = _contract(g.joint.p, alphas.policies)
+    b = _posterior_decoder(g.distortion.d, g.joint.px(), q.reshape(q.shape[0], -1))
     return MultiReceiverPolicy(b.reshape(q.shape))
 
 
@@ -273,19 +243,12 @@ def _linear_coeffs_multi(
     g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int
 ) -> np.ndarray:
     """Distortion as a linear functional of encoder j, the others held fixed."""
-    n = g.n
-    x, z, w, y = _subscripts(n)
+    rest = _contract(g.joint.p, alphas.policies, skip=j)
     dxy = np.tensordot(g.distortion.d, beta.b, axes=([1], [0]))
-    lead = x + "".join(z) + "".join(w)
-    terms = [lead, x + "".join(y)]
-    args = [g.joint.p, dxy]
-    for i in range(n):
-        if i == j:
-            continue
-        terms.append(y[i] + z[i] + w[i])
-        args.append(alphas[i].a)
-    out = y[j] + z[j] + w[j]
-    return np.einsum(",".join(terms) + "->" + out, *args, optimize="greedy")
+    dxy = np.moveaxis(dxy, 1 + j, -1)
+    # sum x and every other sender's message, leaving (z_j, w_j, y_j)
+    c = np.tensordot(rest, dxy, axes=([0, *range(3, rest.ndim)], range(g.n)))
+    return np.moveaxis(c, -1, 0)
 
 
 def sender_best_response_multi(
@@ -324,13 +287,14 @@ def epsilon_nash_check_multi(
     """Per-player improvement gaps at a multi-sender strategy state."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    g.check_policies(alphas, beta)
-    v = receiver_cost_multi(g, alphas, beta)
-    receiver_gap = v - receiver_cost_multi(g, alphas, receiver_best_response_multi(g, alphas))
+    xi = expected_distortion_multi(g, alphas, beta)
+    receiver_gap = xi - expected_distortion_multi(
+        g, alphas, receiver_best_response_multi(g, alphas)
+    )
     gaps, stat = [], []
     for j in range(g.n):
         res = sender_best_response_multi(g, alphas, beta, j, settings)
-        gaps.append(sender_cost_multi(g, alphas, beta, j) - res.cost)
+        gaps.append(xi + g.rho * leakage_j(g, alphas, j) - res.cost)
         stat.append(res.stationarity_gap)
     member = receiver_gap <= epsilon and all(gap <= epsilon for gap in gaps)
     return MultiEpsilonNashReport(member, receiver_gap, tuple(gaps), tuple(stat), epsilon)
@@ -347,7 +311,7 @@ def default_initial_state_multi(
     )
     m = g.joint.x_space.size
     b = np.zeros((m,) + tuple(s.size for s in g.y_spaces))
-    b[_prior_estimate_multi(g), ...] = 1.0
+    b[_prior_estimate(g.distortion.d, g.joint.px()), ...] = 1.0
     return alphas, MultiReceiverPolicy(b)
 
 
@@ -375,13 +339,18 @@ def random_best_response_dynamics(
     rng = np.random.default_rng(seed)
     alphas, beta = alphas0, beta0
     n = g.n
+    # the distortion and each sender's own leakage, refreshed only by the
+    # moves that change them
+    xi = expected_distortion_multi(g, alphas, beta)
+    zetas = [leakage_j(g, alphas, j) for j in range(n)]
 
-    def snapshot(k, mover, accepted, mover_cost, v):
-        psi = potential_multi(g, alphas, beta)
-        return TrajectoryRecord(k, mover, psi, mover_cost, v, accepted)
+    def psi():
+        total = xi
+        for zeta in zetas:
+            total += g.rho * zeta
+        return total
 
-    v0 = receiver_cost_multi(g, alphas, beta)
-    records = [snapshot(0, "none", True, potential_multi(g, alphas, beta), v0)]
+    records = [TrajectoryRecord(0, "none", psi(), psi(), xi, True)]
     frozen: set[int] = set()
     reached = False
     rounds = 0
@@ -389,36 +358,24 @@ def random_best_response_dynamics(
         rounds = k
         pick = int(rng.integers(0, n + 1))
         mover = "receiver" if pick == 0 else f"sender_{pick}"
-        if pick in frozen:
-            v = receiver_cost_multi(g, alphas, beta)
-            own = v if pick == 0 else sender_cost_multi(g, alphas, beta, pick - 1)
-            records.append(snapshot(k, mover, False, own, v))
-            continue
-        if pick == 0:
-            cand_beta = receiver_best_response_multi(g, alphas)
-            before = receiver_cost_multi(g, alphas, beta)
-            after = receiver_cost_multi(g, alphas, cand_beta)
-            gap = before - after
-            if gap > epsilon:
-                beta = cand_beta
-                frozen = {0}
-                records.append(snapshot(k, mover, True, after, after))
-                continue
-        else:
-            i = pick - 1
-            res = sender_best_response_multi(g, alphas, beta, i, inner)
-            before = sender_cost_multi(g, alphas, beta, i)
-            gap = before - res.cost
-            if gap > epsilon:
-                alphas = alphas.replace(i, res.policy)
-                frozen = {pick}
-                v = receiver_cost_multi(g, alphas, beta)
-                records.append(snapshot(k, mover, True, res.cost, v))
-                continue
-        frozen.add(pick)
-        v = receiver_cost_multi(g, alphas, beta)
-        own = v if pick == 0 else sender_cost_multi(g, alphas, beta, pick - 1)
-        records.append(snapshot(k, mover, False, own, v))
+        accepted = False
+        own = xi if pick == 0 else xi + g.rho * zetas[pick - 1]
+        if pick not in frozen:
+            if pick == 0:
+                cand_beta = receiver_best_response_multi(g, alphas)
+                after = expected_distortion_multi(g, alphas, cand_beta)
+                if xi - after > epsilon:
+                    beta, xi, own, accepted = cand_beta, after, after, True
+            else:
+                i = pick - 1
+                res = sender_best_response_multi(g, alphas, beta, i, inner)
+                if own - res.cost > epsilon:
+                    alphas = alphas.replace(i, res.policy)
+                    xi = expected_distortion_multi(g, alphas, beta)
+                    zetas[i] = leakage_j(g, alphas, i)
+                    own, accepted = res.cost, True
+            frozen = {pick} if accepted else frozen | {pick}
+        records.append(TrajectoryRecord(k, mover, psi(), own, xi, accepted))
         if len(frozen) == n + 1:
             reached = True
             break

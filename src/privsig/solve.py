@@ -85,9 +85,24 @@ class EpsilonNashReport:
     epsilon: float
 
 
-def _prior_estimate(g: GameInstance) -> int:
+def _prior_estimate(d: np.ndarray, px: np.ndarray) -> int:
     """Estimate minimizing prior expected distortion, lowest index on ties."""
-    return int(np.argmin(g.distortion.d.T @ g.joint.px))
+    return int(np.argmin(d.T @ px))
+
+
+def _posterior_decoder(d: np.ndarray, px: np.ndarray, jxy: np.ndarray) -> np.ndarray:
+    """One-hot (estimate, message) decoder for the joint jxy = P{X, Y}.
+
+    Each message column gets its posterior distortion minimizer, ties to the
+    lowest estimate; a column with zero mass gets the prior-optimal estimate.
+    """
+    choice = np.argmin(d.T @ jxy, axis=0)
+    dead = jxy.sum(axis=0) == 0.0
+    if np.any(dead):
+        choice = np.where(dead, _prior_estimate(d, px), choice)
+    b = np.zeros((d.shape[1], jxy.shape[1]))
+    b[choice, np.arange(jxy.shape[1])] = 1.0
+    return b
 
 
 def receiver_best_response(g: GameInstance, alpha: SenderPolicy) -> ReceiverPolicy:
@@ -98,12 +113,7 @@ def receiver_best_response(g: GameInstance, alpha: SenderPolicy) -> ReceiverPoli
     """
     g.check_sender(alpha)
     jxy = _joint_xy(g.joint.p, alpha.a)
-    costs = g.distortion.d.T @ jxy
-    choice = np.argmin(costs, axis=0)
-    dead = jxy.sum(axis=0) == 0.0
-    if np.any(dead):
-        choice = np.where(dead, _prior_estimate(g), choice)
-    return ReceiverPolicy.deterministic(choice, g.x_space.size)
+    return ReceiverPolicy(_posterior_decoder(g.distortion.d, g.joint.px, jxy))
 
 
 def _linear_coeffs(g: GameInstance, beta: ReceiverPolicy) -> np.ndarray:
@@ -442,8 +452,10 @@ def _newton_polish(
                 cand /= cand.sum(axis=0)[None, :, :]
                 cand_cost = _sender_objective(c, pzw, pw, rho, cand)
                 if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost):
+                    # a step inside the slack that lowers nothing is no move,
+                    # or a stuck phase would spend its whole budget on them
+                    moved = cand_cost < cost
                     a, cost = cand, cand_cost
-                    moved = True
                     break
                 t *= 0.5
             if tmax < 0.05:
@@ -619,7 +631,9 @@ def sender_best_response(
 def babbling_equilibrium(g: GameInstance) -> tuple[SenderPolicy, ReceiverPolicy]:
     """Uninformative equilibrium: uniform encoder, constant prior-optimal decoder."""
     alpha = SenderPolicy.uniform(g.y_space.size, g.x_space.size, g.w_space.size)
-    beta = ReceiverPolicy.constant(_prior_estimate(g), g.x_space.size, g.y_space.size)
+    beta = ReceiverPolicy.constant(
+        _prior_estimate(g.distortion.d, g.joint.px), g.x_space.size, g.y_space.size
+    )
     return alpha, beta
 
 

@@ -276,6 +276,16 @@ def test_sweep_rejects_scalar_rho(runner, tmp_path):
     assert result.exit_code == EXIT_CONFIG
 
 
+def test_sweep_has_no_seed_option(runner, tmp_path):
+    # only multi draws a random move order, so only multi takes a seed
+    result = runner.invoke(
+        main, ["sweep", "--config", "circulant5", "--out", str(tmp_path / "o"), "--seed", "3"]
+    )
+    assert result.exit_code == 2
+    assert "No such option" in all_text(result)
+    assert not (tmp_path / "o").exists()
+
+
 # ------------------------------------------------------------------- verify
 
 

@@ -13,6 +13,7 @@ from privsig.game import (
 )
 from privsig.multi import (
     MAX_SENDERS,
+    _linear_coeffs_multi,
     MultiGameInstance,
     MultiJoint,
     MultiReceiverPolicy,
@@ -132,6 +133,50 @@ def leakage_oracle(g, alphas, j) -> float:
     return out
 
 
+def state_message_secret_oracle(g, alphas, j) -> np.ndarray:
+    """P{X, Y_1..Y_n, W_j} for any n, one term of the defining sum at a time."""
+    p = g.joint.p
+    n = g.n
+    m = p.shape[0]
+    ys = [a.a.shape[0] for a in alphas.policies]
+    out = np.zeros([m] + ys + [p.shape[1 + n + j]])
+    for idx in itertools.product(*(range(s) for s in p.shape)):
+        mass = p[idx]
+        if mass == 0.0:
+            continue
+        x, zs, ws = idx[0], idx[1 : 1 + n], idx[1 + n :]
+        for msg in itertools.product(*(range(r) for r in ys)):
+            route = 1.0
+            for i in range(n):
+                route *= alphas[i].a[msg[i], zs[i], ws[i]]
+            out[(x,) + msg + (ws[j],)] += mass * route
+    return out
+
+
+def xi_multi_oracle(g, alphas, beta) -> float:
+    """Distortion for any n, from the defining sum over states and messages."""
+    q = state_message_secret_oracle(g, alphas, 0).sum(axis=-1)
+    d, b = g.distortion.d, beta.b
+    total = 0.0
+    for idx in itertools.product(*(range(s) for s in q.shape)):
+        x, msg = idx[0], idx[1:]
+        for xh in range(d.shape[1]):
+            total += q[idx] * b[(xh,) + msg] * d[x, xh]
+    return total
+
+
+def coalition_leakage_oracle(g, alphas, j) -> float:
+    """I(Y_1..Y_n; W_j) from an explicitly assembled (Y_1..Y_n, W_j) joint."""
+    joint = state_message_secret_oracle(g, alphas, j).sum(axis=0)
+    py = joint.sum(axis=-1)
+    pw = joint.reshape(-1, joint.shape[-1]).sum(axis=0)
+    out = 0.0
+    for idx in itertools.product(*(range(s) for s in joint.shape)):
+        if joint[idx] > 0.0:
+            out += joint[idx] * math.log(joint[idx] / (py[idx[:-1]] * pw[idx[-1]]))
+    return out
+
+
 # ----------------------------------------------- single-sender consistency
 
 
@@ -176,6 +221,27 @@ def test_distortion_matches_nested_loop_oracle(rng):
         alphas, beta = random_state(rng, g)
         got = expected_distortion_multi(g, alphas, beta)
         assert got == pytest.approx(xi_multi_oracle_n2(g, alphas, beta), abs=1e-12)
+
+
+def test_three_sender_contractions_match_oracles(rng):
+    # unequal alphabets, so a contraction over the wrong axis fails on shape
+    # or on value; the linear coefficients and the coalition joint leave one
+    # sender's axes out of the contraction
+    g = random_multi(rng, 3, (2, 3, 2), (3, 2, 2), 0.7)
+    alphas, beta = random_state(rng, g)
+    xi = expected_distortion_multi(g, alphas, beta)
+    assert xi == pytest.approx(xi_multi_oracle(g, alphas, beta), abs=1e-12)
+    other, _ = random_state(rng, g)
+    for j in range(3):
+        c = _linear_coeffs_multi(g, alphas, beta, j)
+        assert (c * alphas[j].a).sum() == pytest.approx(xi, abs=1e-12)
+        moved = alphas.replace(j, other[j])
+        assert (c * other[j].a).sum() == pytest.approx(
+            expected_distortion_multi(g, moved, beta), abs=1e-12
+        )
+        assert coalition_leakage(g, alphas, j) == pytest.approx(
+            coalition_leakage_oracle(g, alphas, j), abs=1e-12
+        )
 
 
 def test_leakage_j_matches_oracle(rng):
@@ -275,6 +341,28 @@ def test_randomized_dynamics_same_seed_same_trajectory():
     assert [
         (r.k, r.mover, r.potential, r.accepted) for r in one.trajectory
     ] == [(r.k, r.mover, r.potential, r.accepted) for r in two.trajectory]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_randomized_dynamics_trajectory_bookkeeping(n):
+    # play keeps the distortion and the leakages between rounds instead of
+    # re-evaluating them; the first and last rows must still match fresh
+    # evaluations of the start and of the final state
+    gen = np.random.default_rng(11 + n)
+    g = random_multi(gen, 2, (2,) * n, (2,) * n, 0.4)
+    alphas0, beta0 = random_state(gen, g)
+    report = random_best_response_dynamics(g, alphas0, beta0, 0.02, seed=n)
+    # both kinds of move, the last one a sender's, so no receiver move
+    # re-evaluates the distortion after it
+    moved = [rec.mover.split("_")[0] for rec in report.trajectory[1:] if rec.accepted]
+    assert set(moved) == {"sender", "receiver"} and moved[-1] == "sender"
+    first, last = report.trajectory[0], report.trajectory[-1]
+    psi0 = potential_multi(g, alphas0, beta0)
+    assert first.potential == pytest.approx(psi0, abs=1e-12)
+    assert first.sender_cost == pytest.approx(psi0, abs=1e-12)
+    final = report.final_pair
+    assert last.potential == pytest.approx(potential_multi(g, *final), abs=1e-12)
+    assert last.receiver_cost == pytest.approx(receiver_cost_multi(g, *final), abs=1e-12)
 
 
 def test_randomized_dynamics_from_quiet_start_freezes():

@@ -1,9 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import privsig
 from conftest import (
     CIRCULANT_MI_NATS,
     circulant_game,
@@ -346,6 +351,29 @@ def test_sender_br_newton_phase_stays_within_max_iters():
     tight = SolverSettings(max_iters=23)
     res = sender_best_response(g, ReceiverPolicy.identity(5), tight)
     assert res.iterations <= 23
+
+
+def test_sender_br_stuck_newton_phase_stops_at_huge_rho():
+    # circulant5 at rho = 1e8 sticks at a gap of about 3e-1, where the Newton
+    # line search accepts steps inside the cost slack that lower nothing;
+    # counted as moves they held the phase for its whole budget (120
+    # iterations in all). Which point it sticks at depends on the summation
+    # order, so the solve runs with one BLAS thread, as the benchmark does.
+    code = (
+        "from conftest import circulant_game\n"
+        "from privsig.game import ReceiverPolicy\n"
+        "from privsig.solve import sender_best_response\n"
+        "res = sender_best_response(circulant_game(1e8), ReceiverPolicy.identity(5))\n"
+        "print(res.iterations, res.converged)\n"
+    )
+    path = os.pathsep.join([str(Path(privsig.__file__).parents[1]), str(Path(__file__).parent)])
+    one = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=path, **one)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    iterations, converged = out.stdout.split()
+    assert converged == "True" or int(iterations) <= 60
 
 
 def test_solver_settings_validation():
