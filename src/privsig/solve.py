@@ -3,9 +3,10 @@
 The receiver's best response is exact (per-message posterior minimization).
 The sender's best response minimizes a convex objective over a product of
 message simplices, one per (measurement, secret) pair: exponentiated
-gradient steps shape the support, and on problems small enough for a dense
-solve an active-set Newton phase closes the gap. Stationarity is measured by
-the worst simplex-block gap, which certifies optimality for convex costs.
+gradient steps shape the support, and on problems up to _POLISH_MAX_VARS
+coordinates an active-set Newton phase closes the gap, its steps solved one
+secret at a time. Stationarity is measured by the worst simplex-block gap,
+which certifies optimality for convex costs.
 """
 from __future__ import annotations
 
@@ -37,6 +38,9 @@ _STALL_PATIENCE = 30
 # hand off to the Newton phase once multiplicative steps are this close
 _POLISH_AT = 1e-5
 _POLISH_ITERS = 100
+# above this many coordinates the Newton phase costs more than it saves: with
+# it, m = 16 circulants (4096 coordinates, rho 0.2-0.6) took 0.32-0.34 s, not
+# 4-78 ms, 55% of it in crossing moves and 40% in the per-secret solves
 _POLISH_MAX_VARS = 2000
 _PHASE_ONE_CAP = 600
 # below this mass a coordinate is held fixed by the Newton phase unless it
@@ -131,14 +135,14 @@ def _leakage_parts(a: np.ndarray, pzw: np.ndarray, pw: np.ndarray):
     jyw = _joint_yw(pzw, a)
     py = jyw.sum(axis=1)
     valid = (pw[None, :] > 0.0) & (jyw > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logratio = np.where(
-            valid,
-            np.log(jyw) - np.log(np.maximum(py, 1e-300))[:, None] - np.log(np.maximum(pw, 1e-300))[None, :],
-            0.0,
-        )
-    zeta = float((jyw * logratio).sum()) if np.any(valid) else 0.0
-    return zeta, logratio
+    # log 1 stands in where the ratio goes unused, so no log of zero is taken
+    logratio = np.where(
+        valid,
+        np.log(np.where(valid, jyw, 1.0))
+        - np.log(np.maximum(py, 1e-300))[:, None] - np.log(np.maximum(pw, 1e-300))[None, :],
+        0.0,
+    )
+    return float((jyw * logratio).sum()), logratio
 
 
 def _sender_objective(c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> float:
@@ -175,22 +179,49 @@ def _stationarity_gap(a: np.ndarray, grad: np.ndarray) -> float:
     return float(per_block.max())
 
 
-def _coordinate_hessian(pzw: np.ndarray, rho: float, a: np.ndarray,
-                        ys: np.ndarray, zs: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Dense objective Hessian over the flattened encoder coordinates.
+def _newton_direction(pzw: np.ndarray, rho: float, a: np.ndarray, heavy: np.ndarray, grad: np.ndarray):
+    """Damped Newton direction on the heavy coordinates, one secret at a time.
 
-    Curvature comes only from the leakage term and couples coordinates that
-    share a message; zero-probability measurement pairs contribute nothing.
+    The leakage Hessian couples coordinates sharing a message y: within a
+    secret w by rho p p^T / P{Y=y, W=w}, p = P{Z=., W=w}, across secrets by
+    -rho s s^T / P{Y=y}, s = P{Z, W}, a load on the message total s . d. So
+    [lam I + H, A^T; A, 0] [d; nu] = [-grad; 0] splits into a dense system per
+    secret (its coordinates and block multipliers) and a |Y| x |Y| one for the
+    totals, and no step divides by lam. Frozen coordinates keep a bare lam
+    diagonal and a zero right-hand side; a block without heavy coordinates
+    gets a unit diagonal. Returns direction(lam) over the flat encoder.
     """
+    r, m, q = a.shape
+    n, size = r * m, r * m + m
+    ys, zs = np.arange(r), np.arange(m)
     jyw = _joint_yw(pzw, a)
-    py = jyw.sum(axis=1)
-    pz = pzw[zs, ws]
-    jv = jyw[ys, ws]
-    inv_j = np.where(jv > 0.0, 1.0 / np.where(jv > 0.0, jv, 1.0), 0.0)
-    inv_p = 1.0 / py[ys]
-    same_y = ys[:, None] == ys[None, :]
-    same_w = ws[:, None] == ws[None, :]
-    return rho * np.outer(pz, pz) * same_y * (same_w * inv_j[:, None] - inv_p[:, None])
+    hv = heavy.transpose(2, 0, 1)
+    vy = np.where(heavy, pzw, 0.0).transpose(0, 2, 1)
+    # reshaped slices of a fresh array are views, so these assignments fill it
+    kkt = np.zeros((q, size, size))
+    inv_j = rho / np.where(jyw > 0.0, jyw, np.inf)
+    kkt[:, :n, :n].reshape(q, r, m, r, m)[:, ys, :, ys, :] = (vy * inv_j[:, :, None])[..., None] * vy[:, :, None, :]
+    kkt[:, :n, n:].reshape(q, r, m, m)[:, :, zs, zs] = hv
+    kkt[:, n:, :n] = kkt[:, :n, n:].transpose(0, 2, 1)
+    diag = kkt.reshape(q, -1)[:, ::size + 1]
+    diag[:, n:] = ~hv.any(axis=1)
+    top = diag[:, :n].copy()
+    # columns: the right-hand side, then each message's load
+    rhs = np.zeros((q, size, r + 1))
+    rhs[:, :n, 0] = np.where(hv, -grad.transpose(2, 0, 1), 0.0).reshape(q, n)
+    rhs[:, :n, 1:].reshape(q, r, m, r)[:, ys, :, ys] = vy
+    totals = rhs[:, :, 1:].reshape(-1, r).T.copy()
+    rhs[:, :, 1:] *= rho / jyw.sum(axis=1)
+    # row 1 + y: message y's totals of the column solutions; (I - tmat) [1; t] = e_0
+    tmat, ident = np.zeros((r + 1, r + 1)), np.eye(r + 1)
+
+    def direction(lam: float) -> np.ndarray:
+        np.add(top, lam, out=diag[:, :n])
+        x = np.linalg.solve(kkt, rhs)
+        np.matmul(totals, x.reshape(-1, r + 1), out=tmat[1:])
+        return (x @ np.linalg.solve(ident - tmat, ident[0]))[:, :n].T.reshape(-1)
+
+    return direction
 
 
 def _cost_slack(cost: float) -> float:
@@ -361,7 +392,6 @@ def _newton_polish(
     shape = a.shape
     ys, zs, ws = (ix.reshape(-1) for ix in np.indices(shape))
     blocks = zs * shape[2] + ws
-    nblocks = shape[1] * shape[2]
     a = np.maximum(a, _MASS_FLOOR)
     a = a / a.sum(axis=0)[None, :, :]
     cost = _sender_objective(c, pzw, pw, rho, a)
@@ -373,8 +403,7 @@ def _newton_polish(
         af = a.reshape(-1)
         gf = grad.reshape(-1)
         heavy = af >= _FREEZE_MASS
-        lam_b = np.full(nblocks, np.inf)
-        np.minimum.at(lam_b, blocks[heavy], gf[heavy])
+        lam_b = np.where(heavy.reshape(shape), grad, np.inf).min(axis=0).reshape(-1)
         return grad, af, gf, heavy, lam_b
 
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
@@ -416,23 +445,14 @@ def _newton_polish(
                     grad, af, gf, heavy, lam_b = work_state(a)
 
         idx = np.nonzero(heavy)[0]
-        n = idx.size
-        hess = _coordinate_hessian(pzw, rho, a, ys[idx], zs[idx], ws[idx])
-        present = np.unique(blocks[idx])
-        arows = (blocks[idx][None, :] == present[:, None]).astype(float)
-        kkt = np.zeros((n + present.size, n + present.size))
-        kkt[:n, n:] = arows.T
-        kkt[n:, :n] = arows
-        rhs = np.concatenate([-gf[idx], np.zeros(present.size)])
+        direction = _newton_direction(pzw, rho, a, heavy.reshape(shape), grad)
         moved = False
         for _ in range(14):
-            kkt[:n, :n] = hess + lam * np.eye(n)
             try:
-                sol = np.linalg.solve(kkt, rhs)
+                d = direction(lam)[idx]
             except np.linalg.LinAlgError:
                 lam *= 100.0
                 continue
-            d = sol[:n]
             slope = float(gf[idx] @ d)
             # an overlong direction means the damping has not yet tamed a
             # near-null curvature direction; trust only sane step lengths
