@@ -42,6 +42,11 @@ def _fail_config(exc: ConfigError):
     sys.exit(EXIT_CONFIG)
 
 
+def _fail_no_convergence(exc: RuntimeError):
+    click.echo(f"error: {exc}", err=True)
+    sys.exit(EXIT_NO_CONVERGENCE)
+
+
 def _load(config_path: str, log_base: str | None, seed: int | None = None) -> GameConfig:
     import dataclasses
 
@@ -146,7 +151,10 @@ def solve(config_path, out, log_base, method):
         check = _nash_report(g, alpha, beta, cfg.dynamics.epsilon, br)
     else:
         a0, b0 = default_initial_pair(g)
-        rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
+        try:
+            rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
+        except RuntimeError as exc:
+            _fail_no_convergence(exc)
         alpha, beta = rep.final_pair
         converged, iterations = rep.reached_eps_nash, rep.iterations_used
         check = epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
@@ -201,7 +209,10 @@ def dynamics(config_path, out, log_base, variant):
     variant = variant or cfg.dynamics.variant
     a0, b0 = default_initial_pair(g)
     if variant == "thresholded":
-        rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
+        try:
+            rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
+        except RuntimeError as exc:
+            _fail_no_convergence(exc)
     else:
         rep = best_response_dynamics(
             g, a0, b0, cfg.dynamics.epsilon, cfg.solver, cfg.dynamics.max_rounds
@@ -313,6 +324,8 @@ def sweep(config_path, out, log_base, method):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+    except RuntimeError as exc:
+        _fail_no_convergence(exc)
     out = _outdir(out)
     header = [
         "rho", "expected_distortion", "mutual_information", "potential",
@@ -323,7 +336,11 @@ def sweep(config_path, out, log_base, method):
          r.iterations, r.converged, r.method)
         for r in rows
     ])
-    report = sweep_report(cfg, rows, method)
+    try:
+        # the critical-ratio bisection solves more points
+        report = sweep_report(cfg, rows, method)
+    except RuntimeError as exc:
+        _fail_no_convergence(exc)
     _json_report(out, report)
     crit = report["critical_rho"]
     click.echo(f"sweep: {len(rows)} points, log_base={cfg.log_base}")

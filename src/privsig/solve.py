@@ -10,6 +10,7 @@ which certifies optimality for convex costs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,6 +231,36 @@ def _cost_slack(cost: float) -> float:
     return 1e-15 * max(1.0, abs(cost))
 
 
+def _xlogx_sum(x: np.ndarray) -> float:
+    """Sum of x log x, with 0 log 0 = 0."""
+    return float(x @ np.log(np.maximum(x, _MASS_FLOOR)))
+
+
+def _price_crossing(
+    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
+    jyw: np.ndarray, py: np.ndarray, fsums: list, y: int, z: int, w: int, m: float,
+):
+    """Cost change of setting a[y, z, w] to m and rescaling the rest of its block.
+
+    The move changes one column, so of the (y, w) joint only P{Y, W=w} and
+    P{Y} move, each by P{z, w} times the column change. The leakage is then
+    sum x log x over the joint, less that over P{Y} and the joint's column
+    sums times log P{W}; the last term moves only by the rounding in the
+    column's mass. fsums holds the current sums over each P{Y, W=w}, then
+    over P{Y}. Returns (new column, new P{Y, W=w}, new P{Y}, their sums,
+    cost change).
+    """
+    col = a[:, z, w]
+    new = col * ((1.0 - m) / (1.0 - col[y]))
+    new[y] = m
+    dcol = new - col
+    shift = pzw[z, w] * dcol
+    jw, py_new = jyw[:, w] + shift, py + shift
+    f = _xlogx_sum(jw), _xlogx_sum(py_new)
+    leak = f[0] - fsums[w] - f[1] + fsums[-1] - float(shift.sum()) * math.log(pw[w])
+    return new, jw, py_new, f, float(c[:, z, w] @ dcol) + rho * leak
+
+
 def _rescale_crossings(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     ys: np.ndarray, zs: np.ndarray, ws: np.ndarray, blocks: np.ndarray,
@@ -245,36 +276,51 @@ def _rescale_crossings(
     rest of its block to stay normalized. The coordinate's gradient depends
     on its own mass only through P{Y=y, W=w} and P{Y=y}, both affine in it,
     so the crossing solves a linear equation; the floor end means the
-    coordinate wants zero mass. Acceptance is on a no-worse cost basis
-    rather than strict descent, which float resolution could never certify;
-    a move that lands where the coordinate already sits does not count.
+    coordinate wants zero mass. Moves are tried in order against a running
+    (y, w) joint, each priced by its cost change (_price_crossing), and
+    accepted on a no-worse basis rather than strict descent, which float
+    resolution could never certify; a move that lands where the coordinate
+    already sits is not tried. The batch counts only if the cost, evaluated
+    afresh once at the end, is lower than on entry; otherwise the input is
+    returned. Returns (encoder, cost, moved).
     """
-    moved = False
-    for i in coords:
-        y, z, w = int(ys[i]), int(zs[i]), int(ws[i])
-        p = pzw[z, w]
-        if p <= 0.0 or pw[w] <= 0.0:
+    start, a_in = cost, a
+    ys, zs, ws = ys[coords], zs[coords], ws[coords]
+    p = pzw[zs, ws]
+    # the crossing is where P{Y=y, W=w} / P{Y=y} reaches k, which no mass
+    # does when k >= 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k = pw[ws] * np.exp((lam_b[blocks[coords]] - c[ys, zs, ws]) / (rho * p))
+    a = a.copy()
+    jyw = _joint_yw(pzw, a)
+    py = jyw.sum(axis=1)
+    fsums = [_xlogx_sum(col) for col in jyw.T] + [_xlogx_sum(py)]
+    accepted = False
+    for y, z, w, pv, kv in zip(ys.tolist(), zs.tolist(), ws.tolist(), p.tolist(), k.tolist()):
+        if pv <= 0.0:
+            # a zero-probability cell moves nothing; as P{W=w} >= P{z, w},
+            # this also skips every secret of probability zero
             continue
-        jy = _joint_yw(pzw, a)[y]
-        own = p * a[y, z, w]
-        j0, p0 = jy[w] - own, jy.sum() - own
-        # the crossing is where P{Y=y, W=w} / P{Y=y} reaches k, which no
-        # mass does when k >= 1
-        with np.errstate(over="ignore"):
-            k = pw[w] * np.exp((float(lam_b[blocks[i]]) - c[y, z, w]) / (rho * p))
-        if k >= 1.0:
-            m = 0.5
-        else:
-            m = min(max((k * p0 - j0) / (p * (1.0 - k)), _MASS_FLOOR), 0.5)
-        if abs(np.log(m) - np.log(max(a[y, z, w], _MASS_FLOOR))) < 1e-9:
+        cur = a.item(y, z, w)
+        own = pv * cur
+        j0, p0 = jyw.item(y, w) - own, py.item(y) - own
+        m = 0.5 if kv >= 1.0 else min(max((kv * p0 - j0) / (pv * (1.0 - kv)), _MASS_FLOOR), 0.5)
+        if abs(math.log(m) - math.log(max(cur, _MASS_FLOOR))) < 1e-9:
             continue
-        cand = a.copy()
-        cand[:, z, w] *= (1.0 - m) / (1.0 - cand[y, z, w])
-        cand[y, z, w] = m
-        cand_cost = _sender_objective(c, pzw, pw, rho, cand)
-        if cand_cost <= cost + _cost_slack(cost):
-            a, cost, moved = cand, cand_cost, True
-    return a, cost, moved
+        new, jw, py_new, f, delta = _price_crossing(
+            c, pzw, pw, rho, a, jyw, py, fsums, y, z, w, m
+        )
+        if delta <= _cost_slack(cost):
+            a[:, z, w], jyw[:, w], py = new, jw, py_new
+            fsums[w], fsums[-1] = f
+            cost += delta
+            accepted = True
+    if not accepted:
+        return a_in, start, False
+    cost = _sender_objective(c, pzw, pw, rho, a)
+    if cost < start:
+        return a, cost, True
+    return a_in, start, False
 
 
 def _row_rebalance(

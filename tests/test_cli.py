@@ -5,7 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from conftest import CIRCULANT_MATRIX
+from privsig import cli as cli_mod
 from privsig import solve as solve_mod
+from privsig import sweep as sweep_mod
 from privsig.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, main
 from privsig.config import load_config_file, receiver_policy_to_json
 from privsig.game import ReceiverPolicy, expected_distortion, leakage
@@ -40,6 +42,28 @@ def circulant_config(tmp_path, name="game.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def failing_dynamics(after=0):
+    """thresholded_dynamics that runs `after` times, then raises as it does
+    when play exceeds its round bound."""
+    calls = []
+    inner = sweep_mod.thresholded_dynamics
+
+    def run(*args):
+        calls.append(1)
+        if len(calls) > after:
+            raise RuntimeError("thresholded play exceeded its round bound 7")
+        return inner(*args)
+
+    return run
+
+
+def assert_no_convergence_exit(result):
+    assert result.exit_code == EXIT_NO_CONVERGENCE, all_text(result)
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in all_text(result)
+    assert "error: thresholded play exceeded its round bound 7" in result.stderr
 
 
 def binary_multi_config(tmp_path, name="multi.json", **overrides):
@@ -175,6 +199,15 @@ def test_solve_via_dynamics_method(runner, tmp_path):
     assert report["member"] is True
 
 
+def test_solve_via_dynamics_round_bound_error_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod, "thresholded_dynamics", failing_dynamics())
+    cfg = circulant_config(tmp_path)
+    result = runner.invoke(
+        main, ["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--method", "dynamics"]
+    )
+    assert_no_convergence_exit(result)
+
+
 # ----------------------------------------------------------------- dynamics
 
 
@@ -214,6 +247,16 @@ def test_dynamics_log_base_override(runner, tmp_path):
     )
     assert result.exit_code == 0, all_text(result)
     assert json.loads((out / "report.json").read_text())["log_base"] == "bits"
+
+
+def test_dynamics_round_bound_error_exits_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_mod, "thresholded_dynamics", failing_dynamics())
+    cfg = circulant_config(tmp_path)
+    result = runner.invoke(
+        main,
+        ["dynamics", "--config", cfg, "--out", str(tmp_path / "o"), "--variant", "thresholded"],
+    )
+    assert_no_convergence_exit(result)
 
 
 # -------------------------------------------------------------------- multi
@@ -284,6 +327,22 @@ def test_sweep_has_no_seed_option(runner, tmp_path):
     assert result.exit_code == 2
     assert "No such option" in all_text(result)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("after", [0, 3], ids=["grid", "bisection"])
+def test_sweep_via_dynamics_round_bound_error_exits_3(runner, tmp_path, monkeypatch, after):
+    # the grid has 3 points, so after 3 runs the error comes from the
+    # critical-ratio bisection
+    monkeypatch.setattr(sweep_mod, "thresholded_dynamics", failing_dynamics(after))
+    cfg = circulant_config(tmp_path, rho={"start": 0.2, "stop": 0.6, "steps": 3})
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["sweep", "--config", cfg, "--out", str(out), "--method", "dynamics"]
+    )
+    assert_no_convergence_exit(result)
+    # the grid's rows are written once they are all solved
+    assert (out / "sweep.csv").exists() == bool(after)
+    assert not (out / "report.json").exists()
 
 
 # ------------------------------------------------------------------- verify

@@ -21,6 +21,7 @@ from privsig.game import (
     GameInstance,
     ReceiverPolicy,
     SenderPolicy,
+    _joint_yw,
     expected_distortion,
     hamming_distortion,
     leakage,
@@ -31,10 +32,14 @@ import privsig.solve
 from privsig.prob import FiniteSpace, JointPXZW, _mutual_information
 from privsig.solve import (
     _FREEZE_MASS,
+    _MASS_FLOOR,
     DEFAULT_SETTINGS,
     SolverSettings,
+    _cost_slack,
     _newton_direction,
+    _rescale_crossings,
     _sender_gradient_raw,
+    _sender_objective,
     babbling_equilibrium,
     epsilon_nash_check,
     explicit_equilibrium,
@@ -299,7 +304,8 @@ def test_sender_br_converges_on_eight_symbol_circulant(rho):
 @pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
 def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
     # 1728 encoder coordinates: the Newton step solves one system per secret
-    # and one over the message totals, never one over every coordinate
+    # and one over the message totals, never one over every coordinate, and
+    # a batch of crossing moves evaluates the full objective at most once
     sizes = []
     solve = np.linalg.solve
 
@@ -307,13 +313,33 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
         sizes.append(mat.shape[-1])
         return solve(mat, rhs)
 
+    batches, inside = [], []  # full objective evaluations per crossing batch
+    crossings, objective = privsig.solve._rescale_crossings, privsig.solve._sender_objective
+
+    def counting_crossings(*args):
+        batches.append(0)
+        inside.append(True)
+        try:
+            return crossings(*args)
+        finally:
+            inside.pop()
+
+    def counting_objective(*args):
+        if inside:
+            batches[-1] += 1
+        return objective(*args)
+
     monkeypatch.setattr(privsig.solve.np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(privsig.solve, "_rescale_crossings", counting_crossings)
+    monkeypatch.setattr(privsig.solve, "_sender_objective", counting_objective)
     g = shifted_circulant_game(12, rho)
     beta = ReceiverPolicy.identity(12)
     res = sender_best_response(g, beta)
     monkeypatch.undo()
     assert sizes, "the Newton phase never ran"
     assert max(sizes) <= (12 + 12) * 12
+    assert batches, "no crossing moves were tried"
+    assert max(batches) <= 1
     assert_certified(g, beta, res)
 
 
@@ -373,6 +399,112 @@ def test_newton_direction_matches_dense_kkt_solve():
             compared += 1
             tiny_lam += lam <= 1e-10
     assert compared >= 300 and tiny_lam >= 20
+
+
+def full_evaluation_crossings(c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b, coords, cost):
+    """Reference: each crossing move priced by evaluating the full objective
+    of a copy of the encoder, against a freshly built (y, w) joint.
+
+    Returns the final encoder and cost, and (y, z, w, mass, cost change) for
+    every candidate priced, in order.
+    """
+    priced = []
+    for i in coords:
+        y, z, w = int(ys[i]), int(zs[i]), int(ws[i])
+        p = pzw[z, w]
+        if p <= 0.0 or pw[w] <= 0.0:
+            continue
+        jy = _joint_yw(pzw, a)[y]
+        own = p * a[y, z, w]
+        j0, p0 = jy[w] - own, jy.sum() - own
+        with np.errstate(over="ignore"):
+            k = pw[w] * np.exp((float(lam_b[blocks[i]]) - c[y, z, w]) / (rho * p))
+        if k >= 1.0:
+            m = 0.5
+        else:
+            m = min(max((k * p0 - j0) / (p * (1.0 - k)), _MASS_FLOOR), 0.5)
+        if abs(np.log(m) - np.log(max(a[y, z, w], _MASS_FLOOR))) < 1e-9:
+            continue
+        cand = a.copy()
+        cand[:, z, w] *= (1.0 - m) / (1.0 - cand[y, z, w])
+        cand[y, z, w] = m
+        cand_cost = _sender_objective(c, pzw, pw, rho, cand)
+        priced.append((y, z, w, m, cand_cost - cost))
+        if cand_cost <= cost + _cost_slack(cost):
+            a, cost = cand, cand_cost
+    return a, cost, priced
+
+
+def test_crossing_moves_priced_incrementally_match_full_evaluation(monkeypatch):
+    seen = []  # (encoder, coordinate, mass, cost change) per candidate priced
+    price = privsig.solve._price_crossing
+
+    def recording_price(c, pzw, pw, rho, a, jyw, py, fsums, y, z, w, m):
+        out = price(c, pzw, pw, rho, a, jyw, py, fsums, y, z, w, m)
+        seen.append((a.copy(), (y, z, w), m, out[-1]))
+        return out
+
+    monkeypatch.setattr(privsig.solve, "_price_crossing", recording_price)
+    rng = np.random.default_rng(47)
+    compared = accepted = moved_batches = 0
+    for _ in range(300):
+        r, m, q = (int(v) for v in rng.integers(2, 6, 3))
+        pzw = rng.random((m, q)) ** 2
+        pzw[rng.random((m, q)) < 0.2] = 0.0  # zero-probability cells
+        pzw[0, 0] += 0.1
+        pzw /= pzw.sum()
+        pw = pzw.sum(axis=0)
+        a = rng.random((r, m, q)) ** 3
+        a /= a.sum(axis=0)
+        a[rng.random(a.shape) < 0.3] = _MASS_FLOOR
+        a /= a.sum(axis=0)
+        rho = 10.0 ** rng.uniform(-2.0, 3.0)
+        c = rng.random(a.shape) * pzw
+        grad = _sender_gradient_raw(c, pzw, pw, rho, a)
+        lam_b = np.where(a >= _FREEZE_MASS, grad, np.inf).min(axis=0).reshape(-1)
+        ys, zs, ws = (ix.reshape(-1) for ix in np.indices(a.shape))
+        blocks = zs * q + ws
+        coords = rng.permutation(a.size)[: int(rng.integers(1, a.size + 1))]
+        cost = _sender_objective(c, pzw, pw, rho, a)
+        fixed = (c, pzw, pw, rho)
+        index = (ys, zs, ws, blocks, lam_b)
+        a_in = a.copy()
+
+        seen.clear()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got_a, got_cost, moved = _rescale_crossings(*fixed, a, *index, coords, cost)
+            # each candidate against the reference, from the state it was
+            # priced in
+            for state, coord, mass, delta in seen:
+                now = _sender_objective(*fixed, state)
+                one = [np.ravel_multi_index(coord, a.shape)]
+                ((*coord_ref, mass_ref, full),) = full_evaluation_crossings(
+                    *fixed, state, *index, one, now
+                )[2]
+                assert tuple(coord_ref) == coord
+                # near the floor the crossing's numerator cancels, so the
+                # running and the fresh joint agree on it only absolutely
+                assert abs(mass - mass_ref) <= 1e-9 * mass_ref + 1e-12
+                if not np.isfinite(full):
+                    # a column the coordinate owns whole has no rest to rescale
+                    assert not np.isfinite(delta)
+                    continue
+                # the objective sums terms up to rho in size, so the full
+                # evaluation's own rounding is a few ulps of cost + rho
+                assert abs(delta - full) <= 2.0 * _cost_slack(now + rho), (delta, full)
+                compared += 1
+                accepted += delta <= _cost_slack(now)
+        np.testing.assert_array_equal(a, a_in)  # the input is not mutated
+
+        # the returned cost is the returned encoder's, evaluated afresh; a
+        # batch counts as a move only if it lowered that cost
+        assert got_cost == _sender_objective(*fixed, got_a)
+        assert moved == (got_cost < cost)
+        if moved:
+            moved_batches += 1
+        else:
+            assert got_a is a and got_cost == cost
+    assert compared >= 1000 and accepted >= 300 and moved_batches >= 100
 
 
 def stochastic_decoder_draw(seed: int, index: int):
