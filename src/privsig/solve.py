@@ -54,6 +54,13 @@ _LIGHT_ROW = 1e-3
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Iteration budget and tolerances of the sender best response.
+
+    seed has no effect: the solver is deterministic and draws no random
+    numbers. It is validated and kept so that schema_version 1 configs,
+    which carry solver.seed, load and round-trip unchanged.
+    """
+
     max_iters: int = 5000
     grad_tol: float = 1e-8
     obj_tol: float = 1e-12
@@ -549,6 +556,9 @@ def _newton_polish(
             if moved:
                 break
             lam *= 100.0
+        # the closure holds a (|W|, n + |X|, n + |X|) system; let it go before
+        # the next iteration builds another
+        del direction
         if not moved and not lifted_here:
             break
         lam = max(lam * 0.25, 1e-12)
@@ -622,17 +632,24 @@ def _mirror_phase(
 
 
 def _minimize_over_blocks(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, settings: SolverSettings
+    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, settings: SolverSettings,
+    start: np.ndarray | None = None,
 ):
     """Minimize (c . a) + rho * leakage over the product of message simplices.
 
+    Starts from the uniform encoder, or from start floored at _FREEZE_MASS
+    and renormalized per block, so that every coordinate can still grow.
     Alternates a multiplicative-weights phase that shapes the support with
     an active-set Newton phase that closes the stationarity gap, keeping the
     best certified iterate across rounds. Returns
     (a, cost, iterations, converged, gap).
     """
     r = c.shape[0]
-    a = np.full_like(c, 1.0 / r)
+    if start is None:
+        a = np.full_like(c, 1.0 / r)
+    else:
+        a = np.maximum(start, _FREEZE_MASS)
+        a /= a.sum(axis=0)[None, :, :]
     cost = _sender_objective(c, pzw, pw, rho, a)
     if r == 1:
         return a, cost, 0, True, 0.0
@@ -683,13 +700,26 @@ def _minimize_over_blocks(
 
 
 def sender_best_response(
-    g: GameInstance, beta: ReceiverPolicy, settings: SolverSettings = DEFAULT_SETTINGS
+    g: GameInstance,
+    beta: ReceiverPolicy,
+    settings: SolverSettings = DEFAULT_SETTINGS,
+    start: SenderPolicy | None = None,
 ) -> BestResponseResult:
-    """Approximate sender best response against a fixed decoder."""
+    """Approximate sender best response against a fixed decoder.
+
+    The solver starts from the uniform encoder, or from start when given:
+    typically the answer to a nearby problem, such as the previous point of
+    a sweep. start must have this game's shape; its entries are floored at
+    _FREEZE_MASS (1e-10) and each block renormalized, so a zero entry can
+    still grow. The answer is certified the same way from either start.
+    """
     g.check_receiver(beta)
+    if start is not None:
+        g.check_sender(start)
     c = _linear_coeffs(g, beta)
     a, cost, iterations, converged, gap = _minimize_over_blocks(
-        c, g.joint.pzw, g.joint.pw, g.rho, settings
+        c, g.joint.pzw, g.joint.pw, g.rho, settings,
+        None if start is None else start.a,
     )
     return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
 
@@ -704,13 +734,13 @@ def babbling_equilibrium(g: GameInstance) -> tuple[SenderPolicy, ReceiverPolicy]
 
 
 def _identity_best_response(
-    g: GameInstance, settings: SolverSettings
+    g: GameInstance, settings: SolverSettings, start: SenderPolicy | None = None
 ) -> tuple[BestResponseResult, ReceiverPolicy]:
-    """Sender best response to the identity decoder, and that decoder."""
+    """Sender best response to the identity decoder, from start if given, and that decoder."""
     if g.y_space.size != g.x_space.size:
         raise ValueError("explicit construction needs message alphabet = state alphabet")
     beta = ReceiverPolicy.identity(g.x_space.size)
-    return sender_best_response(g, beta, settings), beta
+    return sender_best_response(g, beta, settings, start), beta
 
 
 def explicit_equilibrium(

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .config import GameConfig, SweepSpec
 from .dynamics import default_initial_pair, thresholded_dynamics
-from .game import expected_distortion, leakage
+from .game import SenderPolicy, expected_distortion, leakage
 from .prob import LN2
 from .solve import _identity_best_response
 
@@ -26,10 +26,17 @@ class SweepRow:
     method: str
 
 
-def _point(cfg: GameConfig, rho: float, method: str) -> SweepRow:
+def _point(
+    cfg: GameConfig, rho: float, method: str, start: SenderPolicy | None = None
+) -> tuple[SweepRow, SenderPolicy]:
+    """Solve one point; returns its row and its encoder.
+
+    The explicit method starts its best response from start, typically the
+    previous point's encoder; the dynamics method always starts cold.
+    """
     g = cfg.build_single(rho)
     if method == "explicit":
-        res, beta = _identity_best_response(g, cfg.solver)
+        res, beta = _identity_best_response(g, cfg.solver, start)
         alpha = res.policy
         iterations, converged = res.iterations, res.converged
     elif method == "dynamics":
@@ -41,20 +48,32 @@ def _point(cfg: GameConfig, rho: float, method: str) -> SweepRow:
         raise ValueError(f"unknown sweep method {method!r}")
     xi = expected_distortion(g, alpha, beta)
     zeta = cfg.report_information(leakage(g, alpha))
-    return SweepRow(float(rho), xi, zeta, xi + rho * zeta, iterations, converged, method)
+    row = SweepRow(float(rho), xi, zeta, xi + rho * zeta, iterations, converged, method)
+    return row, alpha
 
 
 def run_sweep(cfg: GameConfig, method: str = "explicit") -> list[SweepRow]:
-    """Solve the game across the configured rho grid, rows in rho order."""
+    """Solve the game across the configured rho grid, rows in rho order.
+
+    Neighbouring points have nearly the same optimum, so with the explicit
+    method each point starts from the previous point's encoder.
+    """
     if not isinstance(cfg.rho, SweepSpec):
         raise ValueError("config rho must be a sweep specification")
-    return [_point(cfg, float(r), method) for r in cfg.rho.grid()]
+    rows, alpha = [], None
+    for r in cfg.rho.grid():
+        row, alpha = _point(cfg, float(r), method, alpha)
+        rows.append(row)
+    return rows
 
 
 def _bisect_critical(cfg: GameConfig, method: str, lo: float, hi: float) -> float:
+    """Bisect [lo, hi]; each point after the first starts from the previous one's encoder."""
+    alpha = None
     while hi - lo > CRITICAL_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _point(cfg, mid, method).expected_distortion <= ZERO_DISTORTION:
+        row, alpha = _point(cfg, mid, method, alpha)
+        if row.expected_distortion <= ZERO_DISTORTION:
             lo = mid
         else:
             hi = mid

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     random_game,
     random_receiver,
     random_sender,
+    summed_block_gap,
 )
 from privsig.game import (
     DistortionMatrix,
@@ -286,10 +288,7 @@ def shifted_circulant_game(m: int, rho: float) -> GameInstance:
 
 def assert_certified(g, beta, res):
     assert res.converged
-    a = res.policy.a
-    grad = sender_cost_gradient(g, res.policy, beta)
-    gap = float(((a * grad).sum(axis=0) - grad.min(axis=0)).max())
-    assert gap <= DEFAULT_SETTINGS.grad_tol
+    assert summed_block_gap(g, beta, res) <= DEFAULT_SETTINGS.grad_tol
 
 
 @pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
@@ -569,6 +568,64 @@ def test_sender_br_newton_phase_stays_within_max_iters():
     tight = SolverSettings(max_iters=23)
     res = sender_best_response(g, ReceiverPolicy.identity(5), tight)
     assert res.iterations <= 23
+
+
+def test_sender_br_start_with_zeros_is_floored(monkeypatch):
+    # the truthful encoder has exact zeros, which multiplicative steps could
+    # never lift; the solver starts from it floored and renormalized
+    g = circulant_game(0.38)
+    beta = ReceiverPolicy.identity(5)
+    start = SenderPolicy.truthful(5, 5)
+    entries = []
+    mirror = privsig.solve._mirror_phase
+
+    def recording_mirror(c, pzw, pw, rho, a, *rest):
+        entries.append(a.copy())
+        return mirror(c, pzw, pw, rho, a, *rest)
+
+    monkeypatch.setattr(privsig.solve, "_mirror_phase", recording_mirror)
+    warm = sender_best_response(g, beta, start=start)
+    monkeypatch.undo()
+    first = entries[0]
+    assert first.min() >= 0.5 * _FREEZE_MASS
+    np.testing.assert_allclose(first.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
+    assert_certified(g, beta, warm)
+    cold = sender_best_response(g, beta)
+    bound = summed_block_gap(g, beta, warm) + summed_block_gap(g, beta, cold)
+    assert abs(warm.cost - cold.cost) <= bound + _cost_slack(cold.cost)
+
+
+def test_sender_br_start_of_wrong_shape_is_rejected():
+    g = circulant_game(0.38)
+    with pytest.raises(ValueError, match="shape"):
+        sender_best_response(g, ReceiverPolicy.identity(5), start=SenderPolicy.uniform(4, 5, 5))
+
+
+def test_solver_seed_has_no_effect():
+    # the solver is deterministic; seed is accepted for schema_version 1 only
+    g = circulant_game(0.38)
+    beta = ReceiverPolicy.identity(5)
+    one = sender_best_response(g, beta, SolverSettings(seed=0))
+    two = sender_best_response(g, beta, SolverSettings(seed=12345))
+    assert one.iterations == two.iterations and one.cost == two.cost
+    np.testing.assert_array_equal(one.policy.a, two.policy.a)
+
+
+def test_sender_br_newton_phase_holds_one_system_at_a_time():
+    # each Newton direction holds a (|W|, n + |X|, n + |X|) system, 2.3 MB at
+    # m = 12; with the previous iteration's still alive the peak was 5.6 MB
+    g = shifted_circulant_game(12, 0.38)
+    beta = ReceiverPolicy.identity(12)
+    # a first solve does the lazy imports, whose allocations would count too
+    sender_best_response(circulant_game(0.38), ReceiverPolicy.identity(5))
+    tracemalloc.start()
+    try:
+        res = sender_best_response(g, beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= 4 * 2**20
 
 
 def run_circulant5(rhos, threads: int) -> list[str]:
