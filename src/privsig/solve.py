@@ -5,8 +5,10 @@ The sender's best response minimizes a convex objective over a product of
 message simplices, one per (measurement, secret) pair: exponentiated
 gradient steps shape the support, and on problems up to _POLISH_MAX_VARS
 coordinates an active-set Newton phase closes the gap, its steps solved one
-secret at a time. Stationarity is measured by the worst simplex-block gap,
-which certifies optimality for convex costs.
+secret at a time. Stationarity is measured by the worst simplex-block gap.
+By convexity the sum of the block gaps bounds the cost above the optimum, so
+the worst gap bounds it only once multiplied by the block count |Z| |W|;
+reporting the sum is ROADMAP item B(a).
 """
 from __future__ import annotations
 
@@ -134,56 +136,78 @@ def _linear_coeffs(g: GameInstance, beta: ReceiverPolicy) -> np.ndarray:
     return np.einsum("xy,xzw->yzw", e, g.joint.p)
 
 
-def _leakage_parts(a: np.ndarray, pzw: np.ndarray, pw: np.ndarray):
+def _log_floored(x: np.ndarray) -> np.ndarray:
+    """log x, with x clamped at _MASS_FLOOR so that no log of zero is taken."""
+    return np.log(np.maximum(x, _MASS_FLOOR))
+
+
+def _leakage_parts(a: np.ndarray, pzw: np.ndarray, log_pw: np.ndarray):
     """Leakage value and per-(y, w) log-ratio for the current encoder.
 
-    Treats the secret marginal as fixed, which is what makes the coordinate
-    gradient of the leakage exact even off the simplex.
+    log_pw is _log_floored(P{W}), fixed for a whole solve, with P{W} the
+    secret marginal of pzw, so a secret of probability zero leaves its
+    (y, w) cells without mass. Treats the secret marginal as fixed, which is
+    what makes the coordinate gradient of the leakage exact even off the
+    simplex.
     """
     jyw = _joint_yw(pzw, a)
-    py = jyw.sum(axis=1)
-    valid = (pw[None, :] > 0.0) & (jyw > 0.0)
-    # log 1 stands in where the ratio goes unused, so no log of zero is taken
-    logratio = np.where(
-        valid,
-        np.log(np.where(valid, jyw, 1.0))
-        - np.log(np.maximum(py, 1e-300))[:, None] - np.log(np.maximum(pw, 1e-300))[None, :],
-        0.0,
-    )
+    log_py = _log_floored(jyw.sum(axis=1))[:, None]
+    if jyw.all():
+        logratio = np.log(jyw) - log_py - log_pw
+    else:
+        # log 1 stands in where the ratio goes unused, so no log of zero is
+        # taken
+        valid = jyw > 0.0
+        logratio = np.where(valid, np.log(np.where(valid, jyw, 1.0)) - log_py - log_pw, 0.0)
     return float((jyw * logratio).sum()), logratio
 
 
+def _objective_parts(c: np.ndarray, pzw: np.ndarray, log_pw: np.ndarray, rho: float, a: np.ndarray):
+    """Objective value at a, and a's log-ratio, which gives its gradient."""
+    zeta, logratio = _leakage_parts(a, pzw, log_pw)
+    return float((c * a).sum()) + rho * zeta, logratio
+
+
+def _gradient(c: np.ndarray, rho_pzw: np.ndarray, logratio: np.ndarray) -> np.ndarray:
+    """Objective gradient from an encoder's log-ratio; rho_pzw is rho * P{Z, W}."""
+    return c + rho_pzw * logratio[:, None, :]
+
+
 def _sender_objective(c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> float:
-    zeta, _ = _leakage_parts(a, pzw, pw)
-    return float((c * a).sum()) + rho * zeta
+    return _objective_parts(c, pzw, _log_floored(pw), rho, a)[0]
 
 
 def _sender_gradient_raw(c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> np.ndarray:
-    _, logratio = _leakage_parts(a, pzw, pw)
-    return c + rho * pzw[None, :, :] * logratio[:, None, :]
+    _, logratio = _leakage_parts(a, pzw, _log_floored(pw))
+    return _gradient(c, rho * pzw, logratio)
 
 
 def sender_cost_gradient(g: GameInstance, alpha: SenderPolicy, beta: ReceiverPolicy) -> np.ndarray:
     """Coordinate gradient of the sender cost at an interior encoder.
 
     Entry (y, z, w) is the distortion coefficient plus rho times
-    P{Z=z, W=w} log [ P{Y=y, W=w} / (P{Y=y} P{W=w}) ].
+    P{Z=z, W=w} log [ P{Y=y, W=w} / (P{Y=y} P{W=w}) ]. At rho = 0 it is the
+    distortion coefficients alone, defined on the boundary too, so any
+    encoder is accepted there.
     """
     g.check_sender(alpha)
     g.check_receiver(beta)
-    if np.any(alpha.a <= 0.0):
+    if g.rho != 0.0 and np.any(alpha.a <= 0.0):
         raise ValueError("gradient requires a strictly positive (interior) encoder")
     c = _linear_coeffs(g, beta)
     return _sender_gradient_raw(c, g.joint.pzw, g.joint.pw, g.rho, alpha.a)
 
 
-def _stationarity_gap(a: np.ndarray, grad: np.ndarray) -> float:
-    """Worst simplex-block optimality gap of the linearized objective.
+def _stationarity_gap(a: np.ndarray, grad: np.ndarray, low: np.ndarray) -> float:
+    """Largest simplex-block optimality gap of the linearized objective.
 
-    Valid as a suboptimality certificate whenever the iterate is strictly
+    low is grad's minimum over each (z, w) block. By convexity the sum of
+    the block gaps bounds the cost above the optimum, so the largest one
+    bounds it only once multiplied by the block count |Z| |W| (reporting the
+    sum is ROADMAP item B(a)). Valid whenever the iterate is strictly
     positive, which the solver maintains throughout.
     """
-    per_block = (a * grad).sum(axis=0) - grad.min(axis=0)
+    per_block = (a * grad).sum(axis=0) - low
     return float(per_block.max())
 
 
@@ -240,7 +264,7 @@ def _cost_slack(cost: float) -> float:
 
 def _xlogx_sum(x: np.ndarray) -> float:
     """Sum of x log x, with 0 log 0 = 0."""
-    return float(x @ np.log(np.maximum(x, _MASS_FLOOR)))
+    return float(x @ _log_floored(x))
 
 
 def _price_crossing(
@@ -430,29 +454,40 @@ def _row_rebalance(
 
 def _newton_polish(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    settings: SolverSettings, budget: int,
+    cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
 ):
     """Active-set Newton refinement on the product of simplex blocks.
 
-    Coordinates below the freeze mass are held fixed unless they want to
-    grow, which lifts them (a light row by a whole-row rebalance); the rest
-    take damped Newton steps constrained to conserve each block's mass, with
-    a fraction-to-boundary rule keeping the iterate strictly positive. The
+    Starts from a with its cost and log-ratio (_objective_parts). Coordinates
+    below the freeze mass are held fixed unless they want to grow, which
+    lifts them (a light row by a whole-row rebalance); the rest take damped
+    Newton steps constrained to conserve each block's mass, with a
+    fraction-to-boundary rule keeping the iterate strictly positive. The
     stationarity gap is always measured over all coordinates, so freezing
-    cannot fake convergence. Returns (encoder, cost, gap, iterations,
-    converged) after at most min(_POLISH_ITERS, budget) iterations.
+    cannot fake convergence. Returns (encoder, cost, log-ratio, gap,
+    iterations, converged) after at most min(_POLISH_ITERS, budget)
+    iterations.
     """
     shape = a.shape
     ys, zs, ws = (ix.reshape(-1) for ix in np.indices(shape))
     blocks = zs * shape[2] + ws
-    a = np.maximum(a, _MASS_FLOOR)
-    a = a / a.sum(axis=0)[None, :, :]
-    cost = _sender_objective(c, pzw, pw, rho, a)
-    best = (np.inf, a, cost)
+    log_pw, rho_pzw = _log_floored(pw), rho * pzw
+    floored = np.maximum(a, _MASS_FLOOR)
+    floored /= floored.sum(axis=0)[None, :, :]
+    # an iterate that the floor and renormalization leave unchanged keeps the
+    # evaluation it was handed with
+    if not np.array_equal(floored, a):
+        a = floored
+        cost, logratio = _objective_parts(c, pzw, log_pw, rho, a)
+    best = (np.inf, a, cost, logratio)
     lam = 1e-10
     it = 0
-    def work_state(a):
-        grad = _sender_gradient_raw(c, pzw, pw, rho, a)
+
+    def log_ratio(a):
+        return _leakage_parts(a, pzw, log_pw)[1]
+
+    def work_state(a, logratio):
+        grad = _gradient(c, rho_pzw, logratio)
         af = a.reshape(-1)
         gf = grad.reshape(-1)
         heavy = af >= _FREEZE_MASS
@@ -460,12 +495,12 @@ def _newton_polish(
         return grad, af, gf, heavy, lam_b
 
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
-        grad, af, gf, heavy, lam_b = work_state(a)
-        gap = _stationarity_gap(a, grad)
+        grad, af, gf, heavy, lam_b = work_state(a, logratio)
+        gap = _stationarity_gap(a, grad, grad.min(axis=0))
         if gap <= settings.grad_tol:
-            return a, cost, gap, it - 1, True
+            return a, cost, logratio, gap, it - 1, True
         if gap < best[0]:
-            best = (gap, a, cost)
+            best = (gap, a, cost, logratio)
 
         deficit = lam_b[blocks] - gf
         growers = np.nonzero(~heavy & (deficit > 0.25 * settings.grad_tol))[0]
@@ -480,7 +515,8 @@ def _newton_polish(
                 if moved:
                     a, cost, lifted_here = a2, c2, True
             if lifted_here:
-                grad, af, gf, heavy, lam_b = work_state(a)
+                logratio = log_ratio(a)
+                grad, af, gf, heavy, lam_b = work_state(a, logratio)
                 deficit = lam_b[blocks] - gf
                 growers = np.nonzero(~heavy & (deficit > 0.25 * settings.grad_tol))[0]
                 row_mass = (pzw[None, :, :] * a).sum(axis=(1, 2))
@@ -495,7 +531,8 @@ def _newton_polish(
                     # or lift churn between coupled coordinates can eat the
                     # budget
                     a, cost, lifted_here = lifted, lcost, True
-                    grad, af, gf, heavy, lam_b = work_state(a)
+                    logratio = log_ratio(a)
+                    grad, af, gf, heavy, lam_b = work_state(a, logratio)
 
         idx = np.nonzero(heavy)[0]
         direction = _newton_direction(pzw, rho, a, heavy.reshape(shape), grad)
@@ -523,12 +560,12 @@ def _newton_polish(
                 cf[idx] += t * d
                 cand = np.maximum(cf.reshape(shape), _MASS_FLOOR)
                 cand /= cand.sum(axis=0)[None, :, :]
-                cand_cost = _sender_objective(c, pzw, pw, rho, cand)
+                cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
                 if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost):
                     # a step inside the slack that lowers nothing is no move,
                     # or a stuck phase would spend its whole budget on them
                     moved = cand_cost < cost
-                    a, cost = cand, cand_cost
+                    a, cost, logratio = cand, cand_cost, cand_ratio
                     break
                 t *= 0.5
             if tmax < 0.05:
@@ -545,17 +582,19 @@ def _newton_polish(
                         c, pzw, pw, rho, a, int(yy), cost, settings.grad_tol
                     )
                     if rb:
-                        a, cost, moved = a2, c2, True
+                        a, cost, moved, logratio = a2, c2, True, None
                 if blockers[~light].size:
                     dropped, dcost, rb = _rescale_crossings(
                         c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b,
                         blockers[~light], cost,
                     )
                     if rb:
-                        a, cost, moved = dropped, dcost, True
+                        a, cost, moved, logratio = dropped, dcost, True, None
             if moved:
                 break
             lam *= 100.0
+        if logratio is None:
+            logratio = log_ratio(a)
         # the closure holds a (|W|, n + |X|, n + |X|) system; let it go before
         # the next iteration builds another
         del direction
@@ -563,51 +602,55 @@ def _newton_polish(
             break
         lam = max(lam * 0.25, 1e-12)
 
-    grad = _sender_gradient_raw(c, pzw, pw, rho, a)
-    gap = _stationarity_gap(a, grad)
+    grad = _gradient(c, rho_pzw, logratio)
+    gap = _stationarity_gap(a, grad, grad.min(axis=0))
     if best[0] < gap:
-        gap, a, cost = best
-    return a, cost, gap, it, gap <= settings.grad_tol
+        gap, a, cost, logratio = best
+    return a, cost, logratio, gap, it, gap <= settings.grad_tol
 
 
 def _mirror_phase(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, settings: SolverSettings, budget: int, handoff: float,
+    cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
+    handoff: float,
 ):
     """Multiplicative-weights segment with Armijo backtracking.
 
-    Runs until the gap tolerance, the handoff threshold, a stall, or the
-    budget, and reports the best certified iterate seen. Returns
-    (a, cost, gap, used, converged).
+    Starts from a with its cost and log-ratio (_objective_parts); the
+    evaluation that accepts a step gives the next iterate's gradient. Runs
+    until the gap tolerance, the handoff threshold, a stall, or the budget,
+    and reports the best certified iterate seen. Returns (a, cost, log-ratio,
+    gap, used, converged).
     """
+    log_pw, rho_pzw = _log_floored(pw), rho * pzw
     step = settings.step_init
-    best = (np.inf, a, cost)
+    best = (np.inf, a, cost, logratio)
     anchor = np.inf
     stalled = 0
     used = 0
     for used in range(1, budget + 1):
-        grad = _sender_gradient_raw(c, pzw, pw, rho, a)
-        gap = _stationarity_gap(a, grad)
+        grad = _gradient(c, rho_pzw, logratio)
+        low = grad.min(axis=0)
+        gap = _stationarity_gap(a, grad, low)
         if gap < best[0]:
-            best = (gap, a, cost)
+            best = (gap, a, cost, logratio)
         if gap <= settings.grad_tol:
-            return a, cost, gap, used - 1, True
+            return a, cost, logratio, gap, used - 1, True
         if gap <= handoff:
-            return a, cost, gap, used - 1, False
+            return a, cost, logratio, gap, used - 1, False
         if gap < 0.97 * anchor:
             anchor = gap
             stalled = 0
 
-        shifted = grad - grad.min(axis=0)[None, :, :]
-        new_a = a
-        new_cost = cost
+        shifted = grad - low
+        new_a, new_cost, new_ratio = a, cost, logratio
         while True:
             cand = np.maximum(a * np.exp(-step * shifted), _MASS_FLOOR)
             cand /= cand.sum(axis=0)[None, :, :]
-            cand_cost = _sender_objective(c, pzw, pw, rho, cand)
+            cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
             predicted = float((grad * (a - cand)).sum())
             if cand_cost <= cost - 1e-4 * predicted:
-                new_a, new_cost = cand, cand_cost
+                new_a, new_cost, new_ratio = cand, cand_cost, cand_ratio
                 break
             step *= 0.5
             if step < _TINY_STEP:
@@ -615,7 +658,7 @@ def _mirror_phase(
         if step < _TINY_STEP:
             break
         rel_drop = (cost - new_cost) / max(1.0, abs(cost))
-        a, cost = new_a, new_cost
+        a, cost, logratio = new_a, new_cost, new_ratio
         step = min(step * _STEP_GROWTH, _MAX_STEP)
         # objective progress routinely drops below measurable resolution while
         # the stationarity certificate is still improving, so stagnation only
@@ -624,11 +667,11 @@ def _mirror_phase(
         if stalled >= _STALL_PATIENCE:
             break
 
-    grad = _sender_gradient_raw(c, pzw, pw, rho, a)
-    gap = _stationarity_gap(a, grad)
+    grad = _gradient(c, rho_pzw, logratio)
+    gap = _stationarity_gap(a, grad, grad.min(axis=0))
     if best[0] < gap:
-        gap, a, cost = best
-    return a, cost, gap, used, gap <= settings.grad_tol
+        gap, a, cost, logratio = best
+    return a, cost, logratio, gap, used, gap <= settings.grad_tol
 
 
 def _minimize_over_blocks(
@@ -641,7 +684,8 @@ def _minimize_over_blocks(
     and renormalized per block, so that every coordinate can still grow.
     Alternates a multiplicative-weights phase that shapes the support with
     an active-set Newton phase that closes the stationarity gap, keeping the
-    best certified iterate across rounds. Returns
+    best certified iterate across rounds; each phase hands the next its
+    iterate's cost and log-ratio, so no encoder is evaluated again. Returns
     (a, cost, iterations, converged, gap).
     """
     r = c.shape[0]
@@ -650,7 +694,7 @@ def _minimize_over_blocks(
     else:
         a = np.maximum(start, _FREEZE_MASS)
         a /= a.sum(axis=0)[None, :, :]
-    cost = _sender_objective(c, pzw, pw, rho, a)
+    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
     if r == 1:
         return a, cost, 0, True, 0.0
     if rho == 0.0:
@@ -674,8 +718,8 @@ def _minimize_over_blocks(
             handoff = min(_POLISH_AT, 0.03 * best[0])
         else:
             handoff = 0.0
-        a, cost, gap, used, conv = _mirror_phase(
-            c, pzw, pw, rho, a, cost, settings, budget, handoff
+        a, cost, logratio, gap, used, conv = _mirror_phase(
+            c, pzw, pw, rho, a, cost, logratio, settings, budget, handoff
         )
         spent += used
         if gap < best[0]:
@@ -684,8 +728,8 @@ def _minimize_over_blocks(
             return a, cost, spent, True, gap
         if not polish_ok or spent >= settings.max_iters:
             break
-        a, cost, gap, used, conv = _newton_polish(
-            c, pzw, pw, rho, a, settings, settings.max_iters - spent
+        a, cost, logratio, gap, used, conv = _newton_polish(
+            c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent
         )
         spent += used
         if gap < best[0]:

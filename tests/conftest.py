@@ -10,7 +10,7 @@ from privsig.game import (
     hamming_distortion,
 )
 from privsig.prob import FiniteSpace, JointPXZW
-from privsig.solve import _linear_coeffs, sender_cost_gradient
+from privsig.solve import sender_cost_gradient
 
 # State/secret matrix of the bundled circulant5 preset. Rows and columns each
 # sum to 0.2, so both marginals are uniform.
@@ -61,12 +61,7 @@ def summed_block_gap(g: GameInstance, beta: ReceiverPolicy, result) -> float:
     """Sum over the (z, w) blocks of the linearized optimality gap at a best
     response's encoder: by convexity, a bound on its cost above the optimum."""
     a = result.policy.a
-    if g.rho == 0.0:
-        # a linear cost: the gradient is the distortion coefficients, which
-        # stay defined on the boundary, where a rho = 0 answer lies
-        grad = _linear_coeffs(g, beta)
-    else:
-        grad = sender_cost_gradient(g, result.policy, beta)
+    grad = sender_cost_gradient(g, result.policy, beta)
     return float(((a * grad).sum(axis=0) - grad.min(axis=0)).sum())
 
 

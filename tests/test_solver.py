@@ -253,6 +253,45 @@ def test_gradient_leakage_part_vanishes_at_uniform(rng):
     )
 
 
+def masked_leakage_parts(a, pzw, pw):
+    """Reference: the leakage kernel that masks every (y, w) cell, by
+    P{W} > 0 and P{Y, W} > 0, whether or not any cell lacks mass."""
+    jyw = np.einsum("yzw,zw->yw", a, pzw)
+    py = jyw.sum(axis=1)
+    valid = (pw[None, :] > 0.0) & (jyw > 0.0)
+    logratio = np.where(
+        valid,
+        np.log(np.where(valid, jyw, 1.0))
+        - np.log(np.maximum(py, 1e-300))[:, None] - np.log(np.maximum(pw, 1e-300))[None, :],
+        0.0,
+    )
+    return float((jyw * logratio).sum()), logratio
+
+
+def test_leakage_parts_match_masked_reference_to_the_bit():
+    # the kernel skips the masking when every (y, w) cell has mass
+    rng = np.random.default_rng(53)
+    every_cell = 0
+    for k in range(300):
+        r, m, q = (int(v) for v in rng.integers(2, 6, 3))
+        pzw = rng.random((m, q)) ** 2
+        pzw[rng.random((m, q)) < 0.2] = 0.0  # zero-probability cells
+        if k % 3 == 0:
+            pzw[:, rng.integers(q)] = 0.0  # a secret of probability zero
+        pzw[0, 0] += 0.1
+        pzw /= pzw.sum()
+        pw = pzw.sum(axis=0)
+        a = rng.random((r, m, q))
+        a[rng.random(a.shape) < 0.3] = 0.0  # messages left without mass
+        a /= np.maximum(a.sum(axis=0), 1e-300)
+        zeta, logratio = privsig.solve._leakage_parts(a, pzw, privsig.solve._log_floored(pw))
+        zeta_ref, logratio_ref = masked_leakage_parts(a, pzw, pw)
+        assert zeta == zeta_ref
+        np.testing.assert_array_equal(logratio, logratio_ref)
+        every_cell += bool(np.einsum("yzw,zw->yw", a, pzw).all())
+    assert 50 <= every_cell <= 250
+
+
 def test_gradient_requires_interior_point():
     g = circulant_game(1.0)
     with pytest.raises(ValueError, match="interior"):
@@ -529,6 +568,58 @@ def stochastic_decoder_draw(seed: int, index: int):
 def test_sender_br_converges_against_hard_stochastic_decoders(seed, index):
     g, beta = stochastic_decoder_draw(seed, index)
     assert_certified(g, beta, sender_best_response(g, beta))
+
+
+def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
+    # the evaluation that accepts a step (or hands an iterate to the next
+    # phase) carries its log-ratio on, so the solver's own evaluations never
+    # repeat an encoder within a solve; the row rebalance and the crossing
+    # moves price their candidates separately and are not counted
+    problems = [stochastic_decoder_draw(7, i) for i in range(20)] + [
+        (shifted_circulant_game(m, rho), ReceiverPolicy.identity(m))
+        for m in (5, 8, 16) for rho in (0.2, 0.38, 0.6)
+    ]
+    plain = [sender_best_response(g, beta) for g, beta in problems]
+
+    scope = ["solver"]
+    evaluated = {}  # encoder bytes -> the scope of its first evaluation
+    repeats = []
+    leakage_parts = privsig.solve._leakage_parts
+
+    def recording(a, *rest):
+        key = a.tobytes()
+        if scope[-1] != "helper":
+            if key in evaluated:
+                repeats.append((scope[-1], evaluated[key]))
+            evaluated.setdefault(key, scope[-1])
+        return leakage_parts(a, *rest)
+
+    def scoped(name, inner):
+        def wrapper(*args):
+            scope.append(name)
+            try:
+                return inner(*args)
+            finally:
+                scope.pop()
+        return wrapper
+
+    monkeypatch.setattr(privsig.solve, "_leakage_parts", recording)
+    for name, helper in [
+        ("mirror", "_mirror_phase"), ("newton", "_newton_polish"),
+        ("helper", "_row_rebalance"), ("helper", "_rescale_crossings"),
+    ]:
+        monkeypatch.setattr(privsig.solve, helper, scoped(name, getattr(privsig.solve, helper)))
+    phases_run = set()
+    for (g, beta), want in zip(problems, plain):
+        evaluated.clear()
+        got = sender_best_response(g, beta)
+        phases_run.update(evaluated.values())
+        assert got.iterations == want.iterations and got.converged == want.converged
+        assert repr((got.cost, got.stationarity_gap)) == repr((want.cost, want.stationarity_gap))
+        np.testing.assert_array_equal(got.policy.a, want.policy.a)
+    monkeypatch.undo()
+    assert phases_run == {"solver", "mirror", "newton"}
+    assert not repeats, f"{len(repeats)} repeated evaluations, e.g. {repeats[:3]}"
 
 
 def test_sender_br_matches_grid_oracle(rng):

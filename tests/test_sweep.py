@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -8,7 +9,7 @@ from privsig import sweep as sweep_mod
 from privsig.cli import main
 from privsig.config import load_config, preset_text
 from privsig.prob import LN2, JointPXZW
-from privsig.solve import _cost_slack
+from privsig.solve import _cost_slack, _linear_coeffs, sender_cost_gradient
 from privsig.sweep import CRITICAL_WIDTH, run_sweep, sweep_report
 
 
@@ -104,6 +105,15 @@ def test_warm_and_cold_sweeps_agree_within_their_certificates(circulant5_sweeps)
         bound = summed_block_gap(g, beta, w) + summed_block_gap(g, beta, c)
         assert abs(w.cost - c.cost) <= bound + _cost_slack(c.cost)
     assert warm["report"]["critical_rho"] == cold["report"]["critical_rho"]
+
+
+def test_rho_zero_sweep_point_has_a_gradient_and_a_zero_gap(circulant5_sweeps):
+    # the rho = 0 answer is one-hot, on the boundary, where the gradient is
+    # the distortion coefficients alone
+    g, beta, _, res = circulant5_sweeps["warm"]["solves"][0]
+    assert g.rho == 0.0 and res.policy.a.min() == 0.0
+    np.testing.assert_array_equal(sender_cost_gradient(g, res.policy, beta), _linear_coeffs(g, beta))
+    assert summed_block_gap(g, beta, res) == 0.0
 
 
 def test_warm_sweep_takes_fewer_iterations(circulant5_sweeps):
