@@ -9,6 +9,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -112,7 +113,13 @@ def _want(errors, obj, key, kinds, label=None, required=False, default=None):
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             errors.append(f"{label}: expected a number, got {val!r}")
             return default
-        val = float(val)
+        try:
+            val = float(val)
+        except OverflowError:  # an integer beyond the float range
+            val = math.inf
+        if not math.isfinite(val):
+            errors.append(f"{label}: expected a finite number, got {val!r}")
+            return default
     elif kinds == "str":
         if not isinstance(val, str):
             errors.append(f"{label}: expected a string, got {val!r}")
@@ -141,21 +148,14 @@ def _space(errors, size, labels, name):
         return None
 
 
-def _rho_field(errors, raw):
-    if raw is None:
-        errors.append("rho: missing required field")
-        return None
-    if isinstance(raw, bool):
-        errors.append("rho: expected a number or sweep object")
-        return None
-    if isinstance(raw, (int, float)):
-        if raw < 0:
+def _rho_field(errors, obj):
+    raw = obj.get("rho")
+    if not isinstance(raw, dict):
+        rho = _want(errors, obj, "rho", "number", required=True)
+        if rho is not None and rho < 0:
             errors.append("rho: must be nonnegative")
             return None
-        return float(raw)
-    if not isinstance(raw, dict):
-        errors.append("rho: expected a number or sweep object")
-        return None
+        return rho
     sub: list[str] = []
     start = _want(sub, raw, "start", "number", "rho.start", required=True)
     stop = _want(sub, raw, "stop", "number", "rho.stop", required=True)
@@ -232,6 +232,9 @@ def _dynamics_field(errors, raw):
 def _array_field(errors, raw, name):
     try:
         arr = np.array(raw, dtype=float)
+    except OverflowError:
+        # an integer too large for a float, which the check below rejects
+        arr = np.array(math.inf)
     except (ValueError, TypeError):
         errors.append(f"{name}: ragged or non-numeric nested arrays")
         return None
@@ -246,7 +249,8 @@ def load_config(text: str) -> GameConfig:
     errors: list[str] = []
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal too long to convert
         raise ConfigError([f"json: {exc}"]) from exc
     if not isinstance(obj, dict):
         raise ConfigError(["json: top level must be an object"])
@@ -298,7 +302,7 @@ def load_config(text: str) -> GameConfig:
         if d_raw is not None:
             distortion = _array_field(errors, d_raw, "distortion")
 
-    rho = _rho_field(errors, obj.get("rho"))
+    rho = _rho_field(errors, obj)
     solver = _solver_field(errors, _want(errors, obj, "solver", "dict"))
     dynamics = _dynamics_field(errors, _want(errors, obj, "dynamics", "dict"))
     seed = _want(errors, obj, "seed", "int", default=0)
@@ -422,7 +426,7 @@ def _policy_doc(text: str, kind: str, field: str) -> np.ndarray:
     errors: list[str] = []
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # as in load_config
         raise ConfigError([f"policy: {exc}"]) from exc
     if not isinstance(obj, dict):
         raise ConfigError(["policy: top level must be an object"])

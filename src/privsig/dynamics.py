@@ -9,7 +9,7 @@ epsilon, which bounds the number of rounds by ceil(3 + potential(start) / epsilo
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .game import (
     GameInstance,
@@ -72,9 +72,7 @@ def _inner_settings(settings: SolverSettings, epsilon: float) -> SolverSettings:
     want = min(settings.grad_tol, epsilon / 10.0)
     if want == settings.grad_tol:
         return settings
-    return SolverSettings(
-        settings.max_iters, want, settings.obj_tol, settings.step_init, settings.seed
-    )
+    return replace(settings, grad_tol=want)
 
 
 def _record(g, k, mover, alpha, beta, accepted):

@@ -150,8 +150,8 @@ class GameInstance:
     def __post_init__(self):
         if self.distortion.size != self.joint.x_space.size:
             raise ValueError("distortion size does not match the state alphabet")
-        if self.rho < 0.0:
-            raise ValueError("privacy weight rho must be nonnegative")
+        if not 0.0 <= self.rho < np.inf:
+            raise ValueError("privacy weight rho must be nonnegative and finite")
         object.__setattr__(self, "rho", float(self.rho))
 
     @property

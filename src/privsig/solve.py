@@ -72,8 +72,10 @@ class SolverSettings:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0.0 or self.obj_tol < 0.0 or self.step_init <= 0.0:
-            raise ValueError("tolerances and the initial step must be positive")
+        # written so that NaN fails each comparison
+        if not (0.0 < self.grad_tol < math.inf and 0.0 <= self.obj_tol < math.inf
+                and 0.0 < self.step_init < math.inf):
+            raise ValueError("tolerances and the initial step must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
 
@@ -173,15 +175,6 @@ def _gradient(c: np.ndarray, rho_pzw: np.ndarray, logratio: np.ndarray) -> np.nd
     return c + rho_pzw * logratio[:, None, :]
 
 
-def _sender_objective(c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> float:
-    return _objective_parts(c, pzw, _log_floored(pw), rho, a)[0]
-
-
-def _sender_gradient_raw(c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> np.ndarray:
-    _, logratio = _leakage_parts(a, pzw, _log_floored(pw))
-    return _gradient(c, rho * pzw, logratio)
-
-
 def sender_cost_gradient(g: GameInstance, alpha: SenderPolicy, beta: ReceiverPolicy) -> np.ndarray:
     """Coordinate gradient of the sender cost at an interior encoder.
 
@@ -194,8 +187,9 @@ def sender_cost_gradient(g: GameInstance, alpha: SenderPolicy, beta: ReceiverPol
     g.check_receiver(beta)
     if g.rho != 0.0 and np.any(alpha.a <= 0.0):
         raise ValueError("gradient requires a strictly positive (interior) encoder")
-    c = _linear_coeffs(g, beta)
-    return _sender_gradient_raw(c, g.joint.pzw, g.joint.pw, g.rho, alpha.a)
+    pzw = g.joint.pzw
+    _, logratio = _leakage_parts(alpha.a, pzw, _log_floored(g.joint.pw))
+    return _gradient(_linear_coeffs(g, beta), g.rho * pzw, logratio)
 
 
 def _stationarity_gap(a: np.ndarray, grad: np.ndarray, low: np.ndarray) -> float:
@@ -294,15 +288,14 @@ def _price_crossing(
 
 def _rescale_crossings(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    ys: np.ndarray, zs: np.ndarray, ws: np.ndarray, blocks: np.ndarray,
-    lam_b: np.ndarray, coords: np.ndarray, cost: float,
+    cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
 ):
     """Move coordinates directly to their stationary mass scale.
 
     A coordinate many orders of magnitude away from the mass where its
-    gradient meets the block minimum either holds the gap open (too small)
-    or forces boundary-pinned micro steps (too large), while its effect on
-    the objective can sit below float resolution. Each move sets the
+    gradient meets the block minimum over heavy coordinates either holds the
+    gap open (too small) or forces boundary-pinned micro steps (too large),
+    while its effect on the objective can sit below float resolution. Each move sets the
     coordinate to that crossing, clipped to [floor, 1/2], and rescales the
     rest of its block to stay normalized. The coordinate's gradient depends
     on its own mass only through P{Y=y, W=w} and P{Y=y}, both affine in it,
@@ -311,17 +304,20 @@ def _rescale_crossings(
     (y, w) joint, each priced by its cost change (_price_crossing), and
     accepted on a no-worse basis rather than strict descent, which float
     resolution could never certify; a move that lands where the coordinate
-    already sits is not tried. The batch counts only if the cost, evaluated
-    afresh once at the end, is lower than on entry; otherwise the input is
-    returned. Returns (encoder, cost, moved).
+    already sits is not tried. Starts from a with its cost, log-ratio
+    (_objective_parts) and gradient; coords index the flattened encoder. The
+    batch counts only if the cost, evaluated afresh once at the end, is lower
+    than on entry; otherwise the input is returned. Returns (encoder, cost,
+    log-ratio, moved).
     """
-    start, a_in = cost, a
-    ys, zs, ws = ys[coords], zs[coords], ws[coords]
+    start, a_in, ratio_in = cost, a, logratio
+    lam_b = np.where(a >= _FREEZE_MASS, grad, np.inf).min(axis=0)
+    ys, zs, ws = np.unravel_index(coords, a.shape)
     p = pzw[zs, ws]
     # the crossing is where P{Y=y, W=w} / P{Y=y} reaches k, which no mass
     # does when k >= 1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        k = pw[ws] * np.exp((lam_b[blocks[coords]] - c[ys, zs, ws]) / (rho * p))
+        k = pw[ws] * np.exp((lam_b[zs, ws] - c[ys, zs, ws]) / (rho * p))
     a = a.copy()
     jyw = _joint_yw(pzw, a)
     py = jyw.sum(axis=1)
@@ -347,16 +343,16 @@ def _rescale_crossings(
             cost += delta
             accepted = True
     if not accepted:
-        return a_in, start, False
-    cost = _sender_objective(c, pzw, pw, rho, a)
+        return a_in, start, ratio_in, False
+    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
     if cost < start:
-        return a, cost, True
-    return a_in, start, False
+        return a, cost, logratio, True
+    return a_in, start, ratio_in, False
 
 
 def _row_rebalance(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    y: int, cost: float, grad_tol: float,
+    y: int, cost: float, logratio: np.ndarray, grad: np.ndarray, grad_tol: float,
 ):
     """Re-profile one message row to its stationary shape and scale.
 
@@ -369,26 +365,26 @@ def _row_rebalance(
     cells shares proportional to pw * exp((price - distortion) / (rho *
     coupling)); the scale is then fixed by bisecting for the point where the
     best cell deficit vanishes, and a row priced above the blocks at every
-    scale dies at its current token size. Accepted only if the cost is no
-    worse. Returns (encoder, cost, moved).
+    scale dies at its current token size. Starts from a with its cost,
+    log-ratio (_objective_parts) and gradient, and evaluates each candidate
+    scale once. Accepted only if the cost is no worse. Returns (encoder,
+    cost, log-ratio, moved).
     """
-    if rho <= 0.0:
-        return a, cost, False
     r, m, q = a.shape
-    grad = _sender_gradient_raw(c, pzw, pw, rho, a)
+    log_pw, rho_pzw = _log_floored(pw), rho * pzw
     outside = a >= _FREEZE_MASS
     outside[y] = False
     lam_ex = np.where(outside, grad, np.inf).min(axis=0)
     cells = np.nonzero(pw > 0.0)[0]
     if cells.size == 0:
-        return a, cost, False
+        return a, cost, logratio, False
     usable = (pzw > 0.0) & np.isfinite(lam_ex)
     with np.errstate(divide="ignore", invalid="ignore"):
         tmat = np.where(usable, (lam_ex - c[y]) / (rho * np.where(usable, pzw, 1.0)), -np.inf)
     tbest = tmat.max(axis=0)
     zstar = tmat.argmax(axis=0)
     if not np.all(np.isfinite(tbest[cells])):
-        return a, cost, False
+        return a, cost, logratio, False
     shares = pw[cells] * np.exp(np.clip(tbest[cells], -700.0, 700.0))
     shares /= shares.sum()
     pzstar = pzw[zstar[cells], cells]
@@ -414,13 +410,14 @@ def _row_rebalance(
 
     def deficit_at(s: float):
         cand = build(s)
-        gc = _sender_gradient_raw(c, pzw, pw, rho, cand)
+        cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
+        gc = _gradient(c, rho_pzw, cand_ratio)
         hv = cand >= _FREEZE_MASS
         hv[y] = False
         lam2 = np.where(hv, gc, np.inf).min(axis=0)
         dvals = lam2[zstar[cells], cells] - gc[y, zstar[cells], cells]
         dvals = dvals[np.isfinite(dvals)]
-        return (float(dvals.max()) if dvals.size else -np.inf), cand
+        return (float(dvals.max()) if dvals.size else -np.inf), (cand, cand_cost, cand_ratio)
 
     s_max = float(min(0.45, (0.45 * pzstar / shares).min()))
     py_cur = float((pzw * a[y]).sum())
@@ -442,14 +439,42 @@ def _row_rebalance(
                 else:
                     hi = mid
                     chosen = cand_mid
+    new_a, new_cost, new_ratio = chosen
     gap_before = np.log(np.maximum(a[y], _MASS_FLOOR))
-    gap_after = np.log(np.maximum(chosen[y], _MASS_FLOOR))
-    if float(np.abs(gap_after - gap_before).max()) < 1e-9:
-        return a, cost, False
-    new_cost = _sender_objective(c, pzw, pw, rho, chosen)
-    if new_cost <= cost + _cost_slack(cost):
-        return chosen, new_cost, True
-    return a, cost, False
+    gap_after = np.log(np.maximum(new_a[y], _MASS_FLOOR))
+    if float(np.abs(gap_after - gap_before).max()) >= 1e-9 and new_cost <= cost + _cost_slack(cost):
+        return new_a, new_cost, new_ratio, True
+    return a, cost, logratio, False
+
+
+def _lift(
+    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
+    cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
+    grad_tol: float,
+):
+    """Move the coordinates coords (flat indices) toward their stationary mass.
+
+    A message row carrying less than _LIGHT_ROW is re-profiled whole
+    (_row_rebalance); the other coordinates move to their crossings
+    (_rescale_crossings) against block minima of the state they start from.
+    Starts from a with its cost, log-ratio and gradient. Returns (encoder,
+    cost, log-ratio, moved).
+    """
+    rows = coords // (a.shape[1] * a.shape[2])
+    light = (pzw[None, :, :] * a).sum(axis=(1, 2))[rows] < _LIGHT_ROW
+    lifted = False
+    for y in np.unique(rows[light]).tolist():
+        a, cost, logratio, moved = _row_rebalance(
+            c, pzw, pw, rho, a, y, cost, logratio, grad, grad_tol
+        )
+        if moved:
+            grad, lifted = _gradient(c, rho * pzw, logratio), True
+    if not light.all():
+        a, cost, logratio, moved = _rescale_crossings(
+            c, pzw, pw, rho, a, cost, logratio, grad, coords[~light]
+        )
+        lifted |= moved
+    return a, cost, logratio, lifted
 
 
 def _newton_polish(
@@ -469,8 +494,6 @@ def _newton_polish(
     iterations.
     """
     shape = a.shape
-    ys, zs, ws = (ix.reshape(-1) for ix in np.indices(shape))
-    blocks = zs * shape[2] + ws
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     floored = np.maximum(a, _MASS_FLOOR)
     floored /= floored.sum(axis=0)[None, :, :]
@@ -482,60 +505,31 @@ def _newton_polish(
     best = (np.inf, a, cost, logratio)
     lam = 1e-10
     it = 0
-
-    def log_ratio(a):
-        return _leakage_parts(a, pzw, log_pw)[1]
-
-    def work_state(a, logratio):
-        grad = _gradient(c, rho_pzw, logratio)
-        af = a.reshape(-1)
-        gf = grad.reshape(-1)
-        heavy = af >= _FREEZE_MASS
-        lam_b = np.where(heavy.reshape(shape), grad, np.inf).min(axis=0).reshape(-1)
-        return grad, af, gf, heavy, lam_b
-
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
-        grad, af, gf, heavy, lam_b = work_state(a, logratio)
+        grad = _gradient(c, rho_pzw, logratio)
         gap = _stationarity_gap(a, grad, grad.min(axis=0))
         if gap <= settings.grad_tol:
             return a, cost, logratio, gap, it - 1, True
         if gap < best[0]:
             best = (gap, a, cost, logratio)
 
-        deficit = lam_b[blocks] - gf
-        growers = np.nonzero(~heavy & (deficit > 0.25 * settings.grad_tol))[0]
+        heavy = a >= _FREEZE_MASS
+        lam_b = np.where(heavy, grad, np.inf).min(axis=0)
+        growers = np.flatnonzero(~heavy & (lam_b - grad > 0.25 * settings.grad_tol))
         lifted_here = False
         if growers.size:
-            row_mass = (pzw[None, :, :] * a).sum(axis=(1, 2))
-            light = row_mass[ys[growers]] < _LIGHT_ROW
-            for yy in np.unique(ys[growers[light]]):
-                a2, c2, moved = _row_rebalance(
-                    c, pzw, pw, rho, a, int(yy), cost, settings.grad_tol
-                )
-                if moved:
-                    a, cost, lifted_here = a2, c2, True
+            a, cost, logratio, lifted_here = _lift(
+                c, pzw, pw, rho, a, cost, logratio, grad, growers, settings.grad_tol
+            )
             if lifted_here:
-                logratio = log_ratio(a)
-                grad, af, gf, heavy, lam_b = work_state(a, logratio)
-                deficit = lam_b[blocks] - gf
-                growers = np.nonzero(~heavy & (deficit > 0.25 * settings.grad_tol))[0]
-                row_mass = (pzw[None, :, :] * a).sum(axis=(1, 2))
-                light = row_mass[ys[growers]] < _LIGHT_ROW
-            growers = growers[~light]
-            if growers.size:
-                lifted, lcost, moved = _rescale_crossings(
-                    c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b, growers, cost
-                )
-                if moved:
-                    # fall through to the Newton step on the refreshed state,
-                    # or lift churn between coupled coordinates can eat the
-                    # budget
-                    a, cost, lifted_here = lifted, lcost, True
-                    logratio = log_ratio(a)
-                    grad, af, gf, heavy, lam_b = work_state(a, logratio)
+                # fall through to the Newton step on the refreshed state, or
+                # lift churn between coupled coordinates can eat the budget
+                grad = _gradient(c, rho_pzw, logratio)
+                heavy = a >= _FREEZE_MASS
 
-        idx = np.nonzero(heavy)[0]
-        direction = _newton_direction(pzw, rho, a, heavy.reshape(shape), grad)
+        af, gf = a.reshape(-1), grad.reshape(-1)
+        idx = np.flatnonzero(heavy)
+        direction = _newton_direction(pzw, rho, a, heavy, grad)
         moved = False
         for _ in range(14):
             try:
@@ -575,26 +569,14 @@ def _newton_polish(
                 # rescue move when the step itself was rejected
                 order = np.argsort(ratios)
                 blockers = idx[neg][order[ratios[order] < 0.05]]
-                row_mass = (pzw[None, :, :] * a).sum(axis=(1, 2))
-                light = row_mass[ys[blockers]] < _LIGHT_ROW
-                for yy in np.unique(ys[blockers[light]]):
-                    a2, c2, rb = _row_rebalance(
-                        c, pzw, pw, rho, a, int(yy), cost, settings.grad_tol
-                    )
-                    if rb:
-                        a, cost, moved, logratio = a2, c2, True, None
-                if blockers[~light].size:
-                    dropped, dcost, rb = _rescale_crossings(
-                        c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b,
-                        blockers[~light], cost,
-                    )
-                    if rb:
-                        a, cost, moved, logratio = dropped, dcost, True, None
+                a, cost, logratio, lifted = _lift(
+                    c, pzw, pw, rho, a, cost, logratio,
+                    _gradient(c, rho_pzw, logratio), blockers, settings.grad_tol,
+                )
+                moved |= lifted
             if moved:
                 break
             lam *= 100.0
-        if logratio is None:
-            logratio = log_ratio(a)
         # the closure holds a (|W|, n + |X|, n + |X|) system; let it go before
         # the next iteration builds another
         del direction

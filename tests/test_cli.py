@@ -110,6 +110,17 @@ def test_validate_rejects_bad_config(runner, tmp_path):
     assert "error:" in all_text(result)
 
 
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_nan_rho_is_a_config_error(runner, tmp_path, command):
+    cfg = circulant_config(tmp_path, rho=float("nan"))  # json.dumps writes NaN
+    out = tmp_path / "o"
+    args = [command, "--config", cfg] + (["--out", str(out)] if command == "solve" else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_CONFIG, all_text(result)
+    assert "error: rho: expected a finite number" in all_text(result)
+    assert not out.exists()
+
+
 def test_validate_unknown_preset(runner):
     result = runner.invoke(main, ["validate", "--config", "no_such_preset"])
     assert result.exit_code == EXIT_CONFIG

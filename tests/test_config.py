@@ -161,6 +161,8 @@ def test_joint_rejects_ragged_and_nonfinite():
     )
     nan_joint = [[[0.2, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.3, None]]]
     assert any("joint" in e for e in errors_of(single_text(joint=nan_joint)))
+    huge_joint = [[[0.2, 0.2], [0.0, 0.0]], [[0.0, 0.0], [0.3, 10**400]]]
+    assert "joint: entries must be finite" in errors_of(single_text(joint=huge_joint))
 
 
 def test_rho_field_forms():
@@ -181,6 +183,40 @@ def test_rho_field_forms():
     doc = dict(MINIMAL_SINGLE)
     del doc["rho"]
     assert any("rho: missing required field" in e for e in errors_of(json.dumps(doc)))
+
+
+def patched_preset(patches):
+    """The circulant5 preset with each (path, value) of patches applied, a
+    path being a tuple of keys."""
+    doc = json.loads(preset_text("circulant5"))
+    for path, value in patches:
+        node = doc
+        for parent in path[:-1]:
+            if not isinstance(node.get(parent), dict):
+                node[parent] = {}
+            node = node[parent]
+        node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize(
+    "path",
+    [("rho",), ("rho", "start"), ("solver", "grad_tol"), ("dynamics", "epsilon"),
+     ("reference_critical_rho",)],
+    ids=".".join,
+)
+def test_non_finite_numbers_are_rejected(path, literal):
+    # json.loads reads NaN, Infinity and overflowing literals as floats
+    text = json.dumps(patched_preset([(path, "@@")])).replace('"@@"', literal)
+    label = ".".join(path)
+    assert any(e.startswith(f"{label}: expected a finite number") for e in errors_of(text))
+
+
+def test_overlong_integer_literal_is_a_config_error():
+    # json.loads refuses integers past Python's digit limit with a ValueError
+    with pytest.raises(ConfigError, match="json:"):
+        load_config(single_text().replace('"rho": 0.5', '"rho": ' + "9" * 5000))
 
 
 def test_sweep_grid_linear_hits_endpoints():
@@ -295,3 +331,53 @@ def test_policy_documents_are_validated():
         receiver_policy_from_json(json.dumps({"kind": "receiver_policy", "b": [[1.0]], "shape": [1, 1]}))
     with pytest.raises(ConfigError):
         sender_policy_from_json("not json at all")
+    with pytest.raises(ConfigError, match="policy:"):
+        sender_policy_from_json('{"a": ' + "9" * 5000 + "}")
+
+
+# ----------------------------------------------------------- properties
+
+
+def config_numbers(cfg: GameConfig) -> list[float]:
+    """Every float a loaded config carries."""
+    rho = cfg.rho
+    numbers = [rho.start, rho.stop] if isinstance(rho, SweepSpec) else [rho]
+    numbers += [cfg.solver.grad_tol, cfg.solver.obj_tol, cfg.solver.step_init, cfg.dynamics.epsilon]
+    numbers += cfg.joint.ravel().tolist()
+    if cfg.distortion is not None:
+        numbers += cfg.distortion.ravel().tolist()
+    if cfg.reference_critical_rho is not None:
+        numbers.append(cfg.reference_critical_rho)
+    return numbers
+
+
+def test_random_json_fields_load_finite_or_fail_cleanly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    preset = json.loads(preset_text("circulant5"))
+    paths = [(key,) for key in preset] + [
+        (key, sub) for key in ("rho", "solver", "dynamics") for sub in preset[key]
+    ]
+    scalars = (
+        st.none() | st.booleans() | st.text(max_size=5)
+        | st.integers(min_value=-(10**400), max_value=10**400)
+        | st.floats(allow_nan=True, allow_infinity=True)
+    )
+    values = st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(["start", "stop", "steps", "scale"]), inner, max_size=4),
+        max_leaves=12,
+    )
+    patches = st.lists(st.tuples(st.sampled_from(paths), values), min_size=1, max_size=3)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(patches)
+    def check(patch):
+        try:
+            cfg = load_config(json.dumps(patched_preset(patch)))
+        except ConfigError:
+            return
+        assert all(math.isfinite(v) for v in config_numbers(cfg))
+
+    check()

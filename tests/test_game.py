@@ -97,6 +97,9 @@ def test_game_instance_validation():
     joint = JointPXZW.from_xw_matrix(CIRCULANT_MATRIX)
     with pytest.raises(ValueError, match="rho"):
         GameInstance(joint, hamming_distortion(5), FiniteSpace(5), -0.1)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+            GameInstance(joint, hamming_distortion(5), FiniteSpace(5), rho)
     with pytest.raises(ValueError, match="distortion"):
         GameInstance(joint, hamming_distortion(4), FiniteSpace(5), 0.5)
     g = circulant_game(0.5)

@@ -448,6 +448,12 @@ def test_game_rejects_negative_rho():
         two_sender_binary(rho=-0.5)
 
 
+@pytest.mark.parametrize("rho", [math.nan, math.inf])
+def test_game_rejects_non_finite_rho(rho):
+    with pytest.raises(ValueError, match="rho must be nonnegative and finite"):
+        two_sender_binary(rho=rho)
+
+
 def test_epsilon_validation():
     g = two_sender_binary()
     alphas, beta = default_initial_state_multi(g)

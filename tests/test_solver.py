@@ -38,10 +38,11 @@ from privsig.solve import (
     DEFAULT_SETTINGS,
     SolverSettings,
     _cost_slack,
+    _gradient,
+    _log_floored,
     _newton_direction,
+    _objective_parts,
     _rescale_crossings,
-    _sender_gradient_raw,
-    _sender_objective,
     babbling_equilibrium,
     epsilon_nash_check,
     explicit_equilibrium,
@@ -352,7 +353,7 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
         return solve(mat, rhs)
 
     batches, inside = [], []  # full objective evaluations per crossing batch
-    crossings, objective = privsig.solve._rescale_crossings, privsig.solve._sender_objective
+    crossings, leakage_parts = privsig.solve._rescale_crossings, privsig.solve._leakage_parts
 
     def counting_crossings(*args):
         batches.append(0)
@@ -362,14 +363,14 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
         finally:
             inside.pop()
 
-    def counting_objective(*args):
+    def counting_leakage_parts(*args):
         if inside:
             batches[-1] += 1
-        return objective(*args)
+        return leakage_parts(*args)
 
     monkeypatch.setattr(privsig.solve.np.linalg, "solve", recording_solve)
     monkeypatch.setattr(privsig.solve, "_rescale_crossings", counting_crossings)
-    monkeypatch.setattr(privsig.solve, "_sender_objective", counting_objective)
+    monkeypatch.setattr(privsig.solve, "_leakage_parts", counting_leakage_parts)
     g = shifted_circulant_game(12, rho)
     beta = ReceiverPolicy.identity(12)
     res = sender_best_response(g, beta)
@@ -379,6 +380,12 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
     assert batches, "no crossing moves were tried"
     assert max(batches) <= 1
     assert_certified(g, beta, res)
+
+
+def evaluate(c, pzw, pw, rho, a):
+    """The solver's evaluation of a: (cost, log-ratio, gradient)."""
+    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
+    return cost, logratio, _gradient(c, rho * pzw, logratio)
 
 
 def dense_newton_direction(pzw, rho, a, heavy, grad, lam):
@@ -420,7 +427,7 @@ def test_newton_direction_matches_dense_kkt_solve():
         a[frozen] = 10.0 ** rng.uniform(-300.0, -11.0, frozen.sum())
         a /= a.sum(axis=0)
         rho = 10.0 ** rng.uniform(-2.0, 3.0)
-        grad = _sender_gradient_raw(rng.random(a.shape), pzw, pzw.sum(axis=0), rho, a)
+        grad = evaluate(rng.random(a.shape), pzw, pzw.sum(axis=0), rho, a)[2]
         heavy = a >= _FREEZE_MASS
         if rng.random() < 0.5:
             # a block whose coordinates are all frozen
@@ -466,7 +473,7 @@ def full_evaluation_crossings(c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b, coo
         cand = a.copy()
         cand[:, z, w] *= (1.0 - m) / (1.0 - cand[y, z, w])
         cand[y, z, w] = m
-        cand_cost = _sender_objective(c, pzw, pw, rho, cand)
+        cand_cost = evaluate(c, pzw, pw, rho, cand)[0]
         priced.append((y, z, w, m, cand_cost - cost))
         if cand_cost <= cost + _cost_slack(cost):
             a, cost = cand, cand_cost
@@ -498,23 +505,24 @@ def test_crossing_moves_priced_incrementally_match_full_evaluation(monkeypatch):
         a /= a.sum(axis=0)
         rho = 10.0 ** rng.uniform(-2.0, 3.0)
         c = rng.random(a.shape) * pzw
-        grad = _sender_gradient_raw(c, pzw, pw, rho, a)
+        cost, logratio, grad = evaluate(c, pzw, pw, rho, a)
         lam_b = np.where(a >= _FREEZE_MASS, grad, np.inf).min(axis=0).reshape(-1)
         ys, zs, ws = (ix.reshape(-1) for ix in np.indices(a.shape))
         blocks = zs * q + ws
         coords = rng.permutation(a.size)[: int(rng.integers(1, a.size + 1))]
-        cost = _sender_objective(c, pzw, pw, rho, a)
         fixed = (c, pzw, pw, rho)
         index = (ys, zs, ws, blocks, lam_b)
         a_in = a.copy()
 
         seen.clear()
         with np.errstate(divide="ignore", invalid="ignore"):
-            got_a, got_cost, moved = _rescale_crossings(*fixed, a, *index, coords, cost)
+            got_a, got_cost, got_ratio, moved = _rescale_crossings(
+                *fixed, a, cost, logratio, grad, coords
+            )
             # each candidate against the reference, from the state it was
             # priced in
             for state, coord, mass, delta in seen:
-                now = _sender_objective(*fixed, state)
+                now = evaluate(*fixed, state)[0]
                 one = [np.ravel_multi_index(coord, a.shape)]
                 ((*coord_ref, mass_ref, full),) = full_evaluation_crossings(
                     *fixed, state, *index, one, now
@@ -534,14 +542,17 @@ def test_crossing_moves_priced_incrementally_match_full_evaluation(monkeypatch):
                 accepted += delta <= _cost_slack(now)
         np.testing.assert_array_equal(a, a_in)  # the input is not mutated
 
-        # the returned cost is the returned encoder's, evaluated afresh; a
-        # batch counts as a move only if it lowered that cost
-        assert got_cost == _sender_objective(*fixed, got_a)
+        # the returned cost and log-ratio are the returned encoder's,
+        # evaluated afresh; a batch counts as a move only if it lowered that
+        # cost
+        want_cost, want_ratio, _ = evaluate(*fixed, got_a)
+        assert got_cost == want_cost
+        np.testing.assert_array_equal(got_ratio, want_ratio)
         assert moved == (got_cost < cost)
         if moved:
             moved_batches += 1
         else:
-            assert got_a is a and got_cost == cost
+            assert got_a is a and got_cost == cost and got_ratio is logratio
     assert compared >= 1000 and accepted >= 300 and moved_batches >= 100
 
 
@@ -571,10 +582,10 @@ def test_sender_br_converges_against_hard_stochastic_decoders(seed, index):
 
 
 def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
-    # the evaluation that accepts a step (or hands an iterate to the next
-    # phase) carries its log-ratio on, so the solver's own evaluations never
-    # repeat an encoder within a solve; the row rebalance and the crossing
-    # moves price their candidates separately and are not counted
+    # the evaluation that accepts a step or a lift (or hands an iterate to
+    # the next phase) carries its log-ratio on, so no evaluation repeats an
+    # encoder within a solve, the row rebalance's and the crossing moves'
+    # included
     problems = [stochastic_decoder_draw(7, i) for i in range(20)] + [
         (shifted_circulant_game(m, rho), ReceiverPolicy.identity(m))
         for m in (5, 8, 16) for rho in (0.2, 0.38, 0.6)
@@ -588,10 +599,9 @@ def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
 
     def recording(a, *rest):
         key = a.tobytes()
-        if scope[-1] != "helper":
-            if key in evaluated:
-                repeats.append((scope[-1], evaluated[key]))
-            evaluated.setdefault(key, scope[-1])
+        if key in evaluated:
+            repeats.append((scope[-1], evaluated[key]))
+        evaluated.setdefault(key, scope[-1])
         return leakage_parts(a, *rest)
 
     def scoped(name, inner):
@@ -606,7 +616,7 @@ def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
     monkeypatch.setattr(privsig.solve, "_leakage_parts", recording)
     for name, helper in [
         ("mirror", "_mirror_phase"), ("newton", "_newton_polish"),
-        ("helper", "_row_rebalance"), ("helper", "_rescale_crossings"),
+        ("rebalance", "_row_rebalance"), ("crossings", "_rescale_crossings"),
     ]:
         monkeypatch.setattr(privsig.solve, helper, scoped(name, getattr(privsig.solve, helper)))
     phases_run = set()
@@ -618,7 +628,7 @@ def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
         assert repr((got.cost, got.stationarity_gap)) == repr((want.cost, want.stationarity_gap))
         np.testing.assert_array_equal(got.policy.a, want.policy.a)
     monkeypatch.undo()
-    assert phases_run == {"solver", "mirror", "newton"}
+    assert phases_run == {"solver", "mirror", "newton", "rebalance", "crossings"}
     assert not repeats, f"{len(repeats)} repeated evaluations, e.g. {repeats[:3]}"
 
 
@@ -765,6 +775,10 @@ def test_solver_settings_validation():
         SolverSettings(grad_tol=0.0)
     with pytest.raises(ValueError):
         SolverSettings(step_init=-1.0)
+    for field in ("grad_tol", "obj_tol", "step_init"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SolverSettings(**{field: value})
 
 
 # ----------------------------------------------------------- equilibria
