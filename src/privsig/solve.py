@@ -4,16 +4,19 @@ The receiver's best response is exact (per-message posterior minimization).
 The sender's best response minimizes a convex objective over a product of
 message simplices, one per (measurement, secret) pair: exponentiated
 gradient steps shape the support, and on problems up to _POLISH_MAX_VARS
-coordinates an active-set Newton phase closes the gap, its steps solved one
-secret at a time. Stationarity is measured by the worst simplex-block gap.
+coordinates an active-set Newton phase closes the gap, its steps solved in
+each secret's mass-conserving coordinates, where the leakage curvature has
+rank |Y| at most. Stationarity is measured by the worst simplex-block gap.
 By convexity the sum of the block gaps bounds the cost above the optimum, so
 the worst gap bounds it only once multiplied by the block count |Z| |W|;
 reporting the sum is ROADMAP item B(a).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +45,9 @@ _STALL_PATIENCE = 30
 _POLISH_AT = 1e-5
 _POLISH_ITERS = 100
 # above this many coordinates the Newton phase costs more than it saves: with
-# it, m = 16 circulants (4096 coordinates, rho 0.2-0.6) took 0.32-0.34 s, not
-# 4-78 ms, 55% of it in crossing moves and 40% in the per-secret solves
+# it, m = 16 circulants (4096 coordinates, rho 0.2/0.38/0.6) took 87-136 ms
+# each, not 5-102 ms, about two thirds of it in crossing moves and a tenth in
+# the Newton direction
 _POLISH_MAX_VARS = 2000
 _PHASE_ONE_CAP = 600
 # below this mass a coordinate is held fixed by the Newton phase unless it
@@ -205,47 +209,148 @@ def _stationarity_gap(a: np.ndarray, grad: np.ndarray, low: np.ndarray) -> float
     return float(per_block.max())
 
 
-def _newton_direction(pzw: np.ndarray, rho: float, a: np.ndarray, heavy: np.ndarray, grad: np.ndarray):
-    """Damped Newton direction on the heavy coordinates, one secret at a time.
+@functools.lru_cache(maxsize=None)
+def _helmert_table(r: int):
+    """Helmert coefficients for blocks of up to r heavy messages.
+
+    Entry [k, p, j] is row j's coefficient on the p-th heavy message,
+    counting from 1, of a block with k of them: 1 on the first j + 1,
+    -(j + 1) on the next, 0 after, scaled to unit length; row j is real
+    when j < k - 1, and p = 0 (a frozen coordinate) reads 0. Returns
+    (coefficients, real).
+    """
+    k, p, j = np.arange(r + 1)[:, None, None], np.arange(r + 1)[:, None], np.arange(r - 1)
+    real = j < k[:, 0] - 1
+    coef = np.where(p <= j + 1, 1.0, np.where(p == j + 2, -(j + 1.0), 0.0)) / np.sqrt((j + 1.0) * (j + 2.0))
+    coef = np.where(real[:, None, :] & (p > 0), coef, 0.0)
+    # every caller shares the cached arrays
+    coef.flags.writeable = real.flags.writeable = False
+    return coef, real
+
+
+class _ActiveSetBasis(NamedTuple):
+    """One active set's Newton coordinates (_active_set_basis)."""
+
+    heavy: np.ndarray  # the active set it was built for
+    r: np.ndarray  # (|W|, k, |Y|)
+    moves: np.ndarray  # (|Y| |X|, |W|, 1, k): Q's columns as coordinate moves
+    # where a QR was needed, for the curvature-free part: the Helmert rows
+    # (|W|, |X|, |Y| - 1, |Y|), the (z, j) row behind each padded row, Q,
+    # the secrets with more loaded rows than |Y|, and each secret's heavy
+    # coordinate count; otherwise None
+    helmert: np.ndarray | None
+    order: np.ndarray | None
+    q: np.ndarray | None
+    crowded: np.ndarray | None
+    count: np.ndarray | None
+
+
+def _active_set_basis(pzw: np.ndarray, heavy: np.ndarray) -> _ActiveSetBasis:
+    """Orthonormal coordinates of each secret's mass-conserving moves.
+
+    Block (z, w) with k heavy messages gets k - 1 Helmert rows, an
+    orthonormal basis of the moves of its heavy coordinates that keep its
+    mass. In these rows message y's load p_y (P{Z=., W=w} on row y)
+    becomes column y of W, so the projected leakage Hessian is W K W^T with
+    K diagonal: rank |Y| at most, whatever the block count. Where a secret
+    has more rows than |Y|, W = Q R by a thin QR, batched over the secrets;
+    elsewhere Q is the identity and R is W. Each secret lists its rows with
+    a load first, then those of zero-probability cells, then zero padding
+    up to the largest count, so that no Householder step pivots on a zero
+    row while a loaded one is left. Depends only on heavy and P{Z, W}, so
+    the Newton phase rebuilds it only when the active set changes.
+    """
+    r, m, nq = heavy.shape
+    hv = heavy.transpose(2, 1, 0)
+    count = hv.sum(axis=2)
+    coef, real = _helmert_table(r)
+    place = np.cumsum(hv, axis=2) * hv
+    helmert = coef[count[..., None, None], place[:, :, None, :], np.arange(r - 1)[:, None]]
+    real = real[count]
+    size = max(1, int(real.sum(axis=(1, 2)).max()))
+    rank = np.where(real, pzw.T[..., None] == 0.0, 2).reshape(nq, -1)
+    order = np.argsort(rank, axis=1, kind="stable")[:, :size]
+    w_col = np.arange(nq)[:, None]
+    load = (helmert * pzw.T[:, :, None, None]).reshape(nq, -1, r)[w_col, order]
+    q_mat, r_mat = np.linalg.qr(load) if size > r else (np.eye(size), load)
+    spread = np.zeros((nq, m * (r - 1), min(size, r)))
+    spread[w_col, order] = q_mat
+    moves = helmert.transpose(0, 1, 3, 2) @ spread.reshape(nq, m, r - 1, -1)
+    moves = np.ascontiguousarray(moves.transpose(2, 1, 0, 3)).reshape(r * m, nq, 1, -1)
+    if size <= r:
+        return _ActiveSetBasis(heavy, r_mat, moves, None, None, None, None, None)
+    return _ActiveSetBasis(
+        heavy, r_mat, moves, helmert, order, q_mat, (rank == 0).sum(axis=1) > r, count.sum(axis=1)
+    )
+
+
+def _newton_direction(
+    pzw: np.ndarray, rho: float, a: np.ndarray, heavy: np.ndarray, grad: np.ndarray,
+    basis: _ActiveSetBasis | None = None,
+):
+    """Damped Newton direction on the heavy coordinates, in the active set's basis.
 
     The leakage Hessian couples coordinates sharing a message y: within a
-    secret w by rho p p^T / P{Y=y, W=w}, p = P{Z=., W=w}, across secrets by
-    -rho s s^T / P{Y=y}, s = P{Z, W}, a load on the message total s . d. So
-    [lam I + H, A^T; A, 0] [d; nu] = [-grad; 0] splits into a dense system per
-    secret (its coordinates and block multipliers) and a |Y| x |Y| one for the
-    totals, and no step divides by lam. Frozen coordinates keep a bare lam
-    diagonal and a zero right-hand side; a block without heavy coordinates
-    gets a unit diagonal. Returns direction(lam) over the flat encoder.
+    secret w by rho p_y p_y^T / P{Y=y, W=w}, across secrets by
+    -rho s s^T / P{Y=y}, s = P{Z, W}, a load on the message total s . d.
+    In a secret's Helmert rows (_active_set_basis, built here unless given)
+    [lam I + H, A^T; A, 0] [d; nu] = [-grad; 0] reads
+    (lam I + W K W^T) u = b plus the totals' loads. With W = Q R, Q^T b and
+    each load (Q^T W = R) take one k x k system per secret, k <= |Y|, and
+    one |Y| x |Y| system fixes the message totals: two small solves per
+    damping value. Only the curvature-free part (I - Q Q^T) b / lam divides
+    by lam. It is taken only in secrets with more rows than |Y|, and there
+    only past the first |Y| rows unless more than |Y| rows carry a load:
+    anywhere else it is rounding residue, which a tiny lam would magnify.
+    Frozen coordinates get no direction. Returns direction(lam, limit=inf)
+    over the flat encoder; it is None, without a solve, when the
+    curvature-free part alone makes |d|inf exceed limit.
     """
-    r, m, q = a.shape
-    n, size = r * m, r * m + m
-    ys, zs = np.arange(r), np.arange(m)
+    basis = basis or _active_set_basis(pzw, heavy)
+    r, m, nq = a.shape
     jyw = _joint_yw(pzw, a)
-    hv = heavy.transpose(2, 0, 1)
-    vy = np.where(heavy, pzw, 0.0).transpose(0, 2, 1)
-    # reshaped slices of a fresh array are views, so these assignments fill it
-    kkt = np.zeros((q, size, size))
+    # Q^T b, b = N^T (-grad) in the Helmert rows N, as the moves are N Q
+    qb = -(basis.moves[:, :, 0].transpose(1, 2, 0) @ grad.reshape(r * m, nq).T[..., None])
+    free, reach = None, 0.0
+    if basis.q is not None:
+        # (I - Q Q^T) b. Where a secret has at most |Y| loaded rows, Q spans
+        # its first |Y| rows and none of the rest, so the part is 0 and b
+        # there; only a secret with more loaded rows keeps the subtraction's
+        # rounding residue
+        b = basis.helmert @ grad.transpose(2, 1, 0)[..., None]
+        b = -b.reshape(nq, -1)[np.arange(nq)[:, None], basis.order]
+        rest = b - (basis.q @ (b[:, None, :] @ basis.q).transpose(0, 2, 1))[..., 0]
+        rest[~basis.crowded, :r] = 0.0
+        # over a secret's n heavy coordinates |d|inf >= |d|2 / sqrt(n), and
+        # |d|2 >= |rest|2 / lam
+        reach = float(np.sqrt((rest * rest).sum(axis=1) / np.maximum(basis.count, 1)).max())
+        full = np.zeros((nq, m * (r - 1)))
+        full[np.arange(nq)[:, None], basis.order] = rest
+        free = (full.reshape(nq, m, 1, r - 1) @ basis.helmert).reshape(nq, m, r)
+        free = free.transpose(2, 1, 0).reshape(r * m, nq, 1, 1)
+    # columns: b's part in Q, then each message's load
+    r_mat = basis.r
+    rhs = np.concatenate([qb, r_mat * (rho / jyw.sum(axis=1))], axis=2)
     inv_j = rho / np.where(jyw > 0.0, jyw, np.inf)
-    kkt[:, :n, :n].reshape(q, r, m, r, m)[:, ys, :, ys, :] = (vy * inv_j[:, :, None])[..., None] * vy[:, :, None, :]
-    kkt[:, :n, n:].reshape(q, r, m, m)[:, :, zs, zs] = hv
-    kkt[:, n:, :n] = kkt[:, :n, n:].transpose(0, 2, 1)
-    diag = kkt.reshape(q, -1)[:, ::size + 1]
-    diag[:, n:] = ~hv.any(axis=1)
-    top = diag[:, :n].copy()
-    # columns: the right-hand side, then each message's load
-    rhs = np.zeros((q, size, r + 1))
-    rhs[:, :n, 0] = np.where(hv, -grad.transpose(2, 0, 1), 0.0).reshape(q, n)
-    rhs[:, :n, 1:].reshape(q, r, m, r)[:, ys, :, ys] = vy
-    totals = rhs[:, :, 1:].reshape(-1, r).T.copy()
-    rhs[:, :, 1:] *= rho / jyw.sum(axis=1)
-    # row 1 + y: message y's totals of the column solutions; (I - tmat) [1; t] = e_0
-    tmat, ident = np.zeros((r + 1, r + 1)), np.eye(r + 1)
+    curv = (r_mat * inv_j.T[:, None, :]) @ r_mat.transpose(0, 2, 1)
+    diag = curv.reshape(nq, -1)[:, ::curv.shape[1] + 1]
+    top = diag.copy()
+    flat_r, ident = r_mat.reshape(-1, r).T, np.eye(r)
+    # [1; t]: the right-hand side's solution enters whole, each load's by
+    # its message total
+    coef = np.ones(r + 1)
 
-    def direction(lam: float) -> np.ndarray:
-        np.add(top, lam, out=diag[:, :n])
-        x = np.linalg.solve(kkt, rhs)
-        np.matmul(totals, x.reshape(-1, r + 1), out=tmat[1:])
-        return (x @ np.linalg.solve(ident - tmat, ident[0]))[:, :n].T.reshape(-1)
+    def direction(lam: float, limit: float = np.inf) -> np.ndarray | None:
+        if reach > limit * lam:
+            return None
+        np.add(top, lam, out=diag)
+        x = np.linalg.solve(curv, rhs)
+        # row y: message y's totals of the column solutions, so the totals
+        # solve t = tmat[:, 0] + tmat[:, 1:] t
+        tmat = flat_r @ x.reshape(-1, r + 1)
+        coef[1:] = np.linalg.solve(ident - tmat[:, 1:], tmat[:, 0])
+        d = basis.moves @ (x @ coef)[..., None]
+        return d.reshape(-1) if free is None else (d + free / lam).reshape(-1)
 
     return direction
 
@@ -504,6 +609,7 @@ def _newton_polish(
         cost, logratio = _objective_parts(c, pzw, log_pw, rho, a)
     best = (np.inf, a, cost, logratio)
     lam = 1e-10
+    basis = None
     it = 0
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
         grad = _gradient(c, rho_pzw, logratio)
@@ -529,17 +635,23 @@ def _newton_polish(
 
         af, gf = a.reshape(-1), grad.reshape(-1)
         idx = np.flatnonzero(heavy)
-        direction = _newton_direction(pzw, rho, a, heavy, grad)
-        moved = False
+        # the basis and its QR depend on the active set alone
+        if basis is None or not np.array_equal(basis.heavy, heavy):
+            basis = _active_set_basis(pzw, heavy)
+        direction = _newton_direction(pzw, rho, a, heavy, grad, basis)
+        moved = adopted = False
         for _ in range(14):
-            try:
-                d = direction(lam)[idx]
-            except np.linalg.LinAlgError:
-                lam *= 100.0
-                continue
-            slope = float(gf[idx] @ d)
             # an overlong direction means the damping has not yet tamed a
             # near-null curvature direction; trust only sane step lengths
+            try:
+                d = direction(lam, 2.0)
+            except np.linalg.LinAlgError:
+                d = None
+            if d is None:
+                lam *= 100.0
+                continue
+            d = d[idx]
+            slope = float(gf[idx] @ d)
             if not np.isfinite(slope) or slope >= 0.0 or float(np.abs(d).max()) > 2.0:
                 lam *= 100.0
                 continue
@@ -558,7 +670,7 @@ def _newton_polish(
                 if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost):
                     # a step inside the slack that lowers nothing is no move,
                     # or a stuck phase would spend its whole budget on them
-                    moved = cand_cost < cost
+                    moved, adopted = cand_cost < cost, True
                     a, cost, logratio = cand, cand_cost, cand_ratio
                     break
                 t *= 0.5
@@ -574,12 +686,11 @@ def _newton_polish(
                     _gradient(c, rho_pzw, logratio), blockers, settings.grad_tol,
                 )
                 moved |= lifted
-            if moved:
+            # a retry's step starts from the iteration's entry state, so
+            # none may follow an adopted step
+            if moved or adopted:
                 break
             lam *= 100.0
-        # the closure holds a (|W|, n + |X|, n + |X|) system; let it go before
-        # the next iteration builds another
-        del direction
         if not moved and not lifted_here:
             break
         lam = max(lam * 0.25, 1e-12)

@@ -37,6 +37,7 @@ from privsig.solve import (
     _MASS_FLOOR,
     DEFAULT_SETTINGS,
     SolverSettings,
+    _active_set_basis,
     _cost_slack,
     _gradient,
     _log_floored,
@@ -342,15 +343,20 @@ def test_sender_br_converges_on_eight_symbol_circulant(rho):
 
 @pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
 def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
-    # 1728 encoder coordinates: the Newton step solves one system per secret
-    # and one over the message totals, never one over every coordinate, and
+    # 1728 encoder coordinates: the Newton step solves systems at most
+    # |Y| + 1 wide, after a thin QR of each secret's message loads in its
+    # Helmert rows, never a system over a secret's or every coordinate, and
     # a batch of crossing moves evaluates the full objective at most once
-    sizes = []
-    solve = np.linalg.solve
+    sizes, qr_shapes = [], []
+    solve, qr = np.linalg.solve, np.linalg.qr
 
     def recording_solve(mat, rhs):
         sizes.append(mat.shape[-1])
         return solve(mat, rhs)
+
+    def recording_qr(mat, *args, **kwargs):
+        qr_shapes.append(mat.shape[-2:])
+        return qr(mat, *args, **kwargs)
 
     batches, inside = [], []  # full objective evaluations per crossing batch
     crossings, leakage_parts = privsig.solve._rescale_crossings, privsig.solve._leakage_parts
@@ -369,6 +375,7 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
         return leakage_parts(*args)
 
     monkeypatch.setattr(privsig.solve.np.linalg, "solve", recording_solve)
+    monkeypatch.setattr(privsig.solve.np.linalg, "qr", recording_qr)
     monkeypatch.setattr(privsig.solve, "_rescale_crossings", counting_crossings)
     monkeypatch.setattr(privsig.solve, "_leakage_parts", counting_leakage_parts)
     g = shifted_circulant_game(12, rho)
@@ -376,7 +383,9 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
     res = sender_best_response(g, beta)
     monkeypatch.undo()
     assert sizes, "the Newton phase never ran"
-    assert max(sizes) <= (12 + 12) * 12
+    assert max(sizes) <= 12 + 1
+    assert qr_shapes, "no active set needed a QR"
+    assert all(rows <= (12 - 1) * 12 and cols <= 12 for rows, cols in qr_shapes)
     assert batches, "no crossing moves were tried"
     assert max(batches) <= 1
     assert_certified(g, beta, res)
@@ -444,6 +453,161 @@ def test_newton_direction_matches_dense_kkt_solve():
             compared += 1
             tiny_lam += lam <= 1e-10
     assert compared >= 300 and tiny_lam >= 20
+
+
+def rank_deficient_state(rng, case: str):
+    """A random Newton state whose active set leaves curvature-free moves.
+
+    lone-message: message 0's heavy coordinates are each alone in their
+    block, so its load in the Helmert rows is 0. narrow-secret: two secrets;
+    secret 0 has probability only in block 0 and more rows than |Y|, most
+    of them in zero-probability cells, so the batch needs a QR, while
+    secret 1 has between 1 and |Y| dimensions of moves. zero-cells: about
+    half the (z, w) cells have probability zero. The distortion
+    coefficients vanish on zero-probability cells, as in a game, so the
+    gradient is 0 there. Every block keeps a heavy coordinate.
+    """
+    r, m, q = (int(v) for v in rng.integers(3, 6, 3))
+    if case == "narrow-secret":
+        q = 2
+    pzw = rng.random((m, q)) ** 2
+    pzw[0, 0] += 0.1
+    if case == "zero-cells":
+        pzw[rng.random((m, q)) < 0.5] = 0.0
+    elif case == "narrow-secret":
+        pzw[1:, 0] = 0.0
+    pzw /= pzw.sum()
+    frozen = rng.random((r, m, q)) < {"lone-message": 0.3, "narrow-secret": 0.75, "zero-cells": 0.6}[case]
+    zi, wi = np.arange(m)[:, None], np.arange(q)
+    keep = rng.integers(1, r, (m, q))
+    frozen[keep, zi, wi] = False
+    if case == "lone-message":
+        alone = rng.random((m, q)) < 0.5
+        frozen[:, alone] = True
+        frozen[0] = ~alone
+    elif case == "narrow-secret":
+        # secret 0: two or three heavy messages in its one block of positive
+        # probability, every message heavy in the others
+        frozen[:, :, 0] = False
+        frozen[1:, 0, 0] = True
+        frozen[[keep[0, 0], r - 1], 0, 0] = False
+        # secret 1: one heavy message a block, then a pair in block 0 and
+        # r - 1 more coordinates, each adding at most one dimension
+        frozen[:, :, 1] = True
+        frozen[keep[:, 1], np.arange(m), 1] = False
+        frozen[0, 0, 1] = False
+        extra = rng.integers(0, (r, m), size=(r - 1, 2))
+        frozen[extra[:, 0], extra[:, 1], 1] = False
+    # heavy masses of at least 0.05 keep every frozen one below the freeze
+    # mass once its block is normalized
+    a = rng.random((r, m, q)) + 0.05
+    a[frozen] = 10.0 ** rng.uniform(-300.0, -12.0, frozen.sum())
+    a /= a.sum(axis=0)
+    c = np.where(pzw == 0.0, 0.0, rng.random(a.shape))
+    rho = 10.0 ** rng.uniform(-2.0, 3.0)
+    return pzw, rho, a, a >= _FREEZE_MASS, evaluate(c, pzw, pzw.sum(axis=0), rho, a)[2]
+
+
+def constraint_dims(heavy: np.ndarray) -> np.ndarray:
+    """Dimensions of each secret's mass-conserving moves of heavy coordinates."""
+    return np.maximum(heavy.sum(axis=0) - 1, 0).sum(axis=0)
+
+
+@pytest.mark.parametrize("case", ["lone-message", "narrow-secret", "zero-cells"])
+def test_newton_direction_matches_dense_kkt_solve_on_rank_deficient_active_sets(case):
+    # where a secret's moves outnumber |Y| the curvature-free part is taken
+    # and divided by lam; anywhere else it is rounding residue, which a small
+    # lam would lift far above the tolerance
+    rng = np.random.default_rng({"lone-message": 41, "narrow-secret": 42, "zero-cells": 43}[case])
+    compared = small_lam = tiny_lam = 0
+    for _ in range(200):
+        pzw, rho, a, heavy, grad = rank_deficient_state(rng, case)
+        basis = _active_set_basis(pzw, heavy)
+        dims = constraint_dims(heavy)
+        if case == "lone-message":
+            assert heavy[0].any() and not np.any(basis.r[..., 0])
+        elif case == "narrow-secret":
+            assert basis.q is not None and dims[0] > a.shape[0] and 1 <= dims[1] <= a.shape[0]
+        else:
+            assert np.any(heavy & (pzw == 0.0) & (heavy.sum(axis=0) > 1))
+        direction = _newton_direction(pzw, rho, a, heavy, grad, basis)
+        for lam in 10.0 ** np.arange(-12, 1):
+            dense = dense_newton_direction(pzw, rho, a, heavy, grad, lam)
+            scale = float(np.abs(dense).max())
+            if scale > 2.0:
+                continue
+            assert float(np.abs(direction(lam) - dense).max()) <= 1e-9 * scale + 1e-15
+            compared += 1
+            small_lam += lam <= 1e-6
+            tiny_lam += lam <= 1e-10
+    assert compared >= 250 and small_lam >= 30 and tiny_lam >= 10
+
+
+def test_newton_phase_builds_one_basis_per_active_set(monkeypatch):
+    # the QR of the Helmert-row loads depends only on the active set and
+    # P{Z, W}, so a Newton iteration whose active set is unchanged reuses it
+    problems = [(circulant_game(rho), ReceiverPolicy.identity(5)) for rho in (0.2, 0.38, 0.6, 0.9)]
+    problems.append((shifted_circulant_game(12, 0.38), ReceiverPolicy.identity(12)))
+    phases, built, qr_calls = [], [], [0]
+    polish, direction = privsig.solve._newton_polish, privsig.solve._newton_direction
+    basis, qr = privsig.solve._active_set_basis, np.linalg.qr
+
+    def recording_polish(*args):
+        phases.append([])
+        return polish(*args)
+
+    def recording_direction(pzw, rho, a, heavy, *rest):
+        phases[-1].append(heavy.tobytes())
+        return direction(pzw, rho, a, heavy, *rest)
+
+    def recording_basis(*args):
+        built.append(basis(*args))
+        return built[-1]
+
+    def counting_qr(*args, **kwargs):
+        qr_calls[0] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(privsig.solve, "_newton_polish", recording_polish)
+    monkeypatch.setattr(privsig.solve, "_newton_direction", recording_direction)
+    monkeypatch.setattr(privsig.solve, "_active_set_basis", recording_basis)
+    monkeypatch.setattr(privsig.solve.np.linalg, "qr", counting_qr)
+    for g, beta in problems:
+        assert sender_best_response(g, beta).converged
+    monkeypatch.undo()
+    changes = sum(1 + sum(x != y for x, y in zip(sets, sets[1:])) for sets in phases if sets)
+    directions = sum(len(sets) for sets in phases)
+    assert len(built) == changes < directions
+    # a basis needs a QR where some secret has more rows than |Y|
+    assert qr_calls[0] == sum(b.q is not None for b in built) >= 3
+
+
+def test_damping_skip_drops_only_overlong_directions(monkeypatch):
+    # a damping value whose curvature-free part alone makes the direction
+    # longer than the Newton phase accepts is skipped without a solve; the
+    # solve it skips would have been rejected as overlong
+    problems = [(circulant_game(rho), ReceiverPolicy.identity(5)) for rho in (0.1, 0.38, 0.9)]
+    problems += [stochastic_decoder_draw(7, i) for i in range(10)]
+    skipped, overlong = [], []
+    direction = privsig.solve._newton_direction
+
+    def checking_direction(*args):
+        inner = direction(*args)
+
+        def checked(lam, limit=np.inf):
+            d = inner(lam, limit)
+            if d is None:
+                skipped.append(lam)
+                overlong.append(float(np.abs(inner(lam)).max()) > limit)
+            return d
+
+        return checked
+
+    monkeypatch.setattr(privsig.solve, "_newton_direction", checking_direction)
+    for g, beta in problems:
+        assert sender_best_response(g, beta).converged
+    monkeypatch.undo()
+    assert len(skipped) >= 20 and all(overlong)
 
 
 def full_evaluation_crossings(c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b, coords, cost):
@@ -713,8 +877,11 @@ def test_solver_seed_has_no_effect():
 
 
 def test_sender_br_newton_phase_holds_one_system_at_a_time():
-    # each Newton direction holds a (|W|, n + |X|, n + |X|) system, 2.3 MB at
-    # m = 12; with the previous iteration's still alive the peak was 5.6 MB
+    # the Newton phase holds one active-set basis, (|W|, |X| |Y|, |Y|) moves
+    # and the QR's factors, 0.17 MB each at m = 12, and systems at most
+    # |Y| + 1 wide; a dense (|W|, n + |X|, n + |X|) system per direction
+    # took the peak to 3.0 MB, and with the previous iteration's still alive
+    # to 5.6 MB
     g = shifted_circulant_game(12, 0.38)
     beta = ReceiverPolicy.identity(12)
     # a first solve does the lazy imports, whose allocations would count too
@@ -726,7 +893,7 @@ def test_sender_br_newton_phase_holds_one_system_at_a_time():
     finally:
         tracemalloc.stop()
     assert res.converged
-    assert peak <= 4 * 2**20
+    assert peak <= 1.5 * 2**20
 
 
 def run_circulant5(rhos, threads: int) -> list[str]:
