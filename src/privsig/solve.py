@@ -257,8 +257,10 @@ def _active_set_basis(pzw: np.ndarray, heavy: np.ndarray) -> _ActiveSetBasis:
     elsewhere Q is the identity and R is W. Each secret lists its rows with
     a load first, then those of zero-probability cells, then zero padding
     up to the largest count, so that no Householder step pivots on a zero
-    row while a loaded one is left. Depends only on heavy and P{Z, W}, so
-    the Newton phase rebuilds it only when the active set changes.
+    row while a loaded one is left; when all |X| (|Y| - 1) possible rows fit
+    in |Y| columns they stay as they are. Depends only on heavy and
+    P{Z, W}, so the Newton phase rebuilds it only when the active set
+    changes.
     """
     r, m, nq = heavy.shape
     hv = heavy.transpose(2, 1, 0)
@@ -266,6 +268,14 @@ def _active_set_basis(pzw: np.ndarray, heavy: np.ndarray) -> _ActiveSetBasis:
     coef, real = _helmert_table(r)
     place = np.cumsum(hv, axis=2) * hv
     helmert = coef[count[..., None, None], place[:, :, None, :], np.arange(r - 1)[:, None]]
+    if m * (r - 1) <= r:
+        # all the rows fit in |Y| columns as they stand, a row that is not
+        # real being a zero row, so nothing needs compacting or a QR
+        zs = np.arange(m)
+        moves = np.zeros((r, m, nq, m, r - 1))
+        moves[:, zs, :, zs, :] = helmert.transpose(1, 3, 0, 2)
+        load = (helmert * pzw.T[:, :, None, None]).reshape(nq, -1, r)
+        return _ActiveSetBasis(heavy, load, moves.reshape(r * m, nq, 1, -1), None, None, None, None, None)
     real = real[count]
     size = max(1, int(real.sum(axis=(1, 2)).max()))
     rank = np.where(real, pzw.T[..., None] == 0.0, 2).reshape(nq, -1)
