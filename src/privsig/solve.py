@@ -53,6 +53,10 @@ _PHASE_ONE_CAP = 600
 # below this mass a coordinate is held fixed by the Newton phase unless it
 # wants to grow, which lifts it; it always counts in the stationarity gap
 _FREEZE_MASS = 1e-10
+# a Newton direction longer than this in any coordinate means the damping
+# has not yet tamed a near-null curvature direction; only shorter ones are
+# trusted
+_NEWTON_MAX_LEN = 2.0
 # a row carrying less than this much probability is re-profiled whole by the
 # row rebalance instead of moving single coordinates to their crossings
 _LIGHT_ROW = 1e-3
@@ -257,10 +261,8 @@ def _active_set_basis(pzw: np.ndarray, heavy: np.ndarray) -> _ActiveSetBasis:
     elsewhere Q is the identity and R is W. Each secret lists its rows with
     a load first, then those of zero-probability cells, then zero padding
     up to the largest count, so that no Householder step pivots on a zero
-    row while a loaded one is left; when all |X| (|Y| - 1) possible rows fit
-    in |Y| columns they stay as they are. Depends only on heavy and
-    P{Z, W}, so the Newton phase rebuilds it only when the active set
-    changes.
+    row while a loaded one is left. Depends only on heavy and P{Z, W}, so
+    the Newton phase rebuilds it only when the active set changes.
     """
     r, m, nq = heavy.shape
     hv = heavy.transpose(2, 1, 0)
@@ -268,14 +270,6 @@ def _active_set_basis(pzw: np.ndarray, heavy: np.ndarray) -> _ActiveSetBasis:
     coef, real = _helmert_table(r)
     place = np.cumsum(hv, axis=2) * hv
     helmert = coef[count[..., None, None], place[:, :, None, :], np.arange(r - 1)[:, None]]
-    if m * (r - 1) <= r:
-        # all the rows fit in |Y| columns as they stand, a row that is not
-        # real being a zero row, so nothing needs compacting or a QR
-        zs = np.arange(m)
-        moves = np.zeros((r, m, nq, m, r - 1))
-        moves[:, zs, :, zs, :] = helmert.transpose(1, 3, 0, 2)
-        load = (helmert * pzw.T[:, :, None, None]).reshape(nq, -1, r)
-        return _ActiveSetBasis(heavy, load, moves.reshape(r * m, nq, 1, -1), None, None, None, None, None)
     real = real[count]
     size = max(1, int(real.sum(axis=(1, 2)).max()))
     rank = np.where(real, pzw.T[..., None] == 0.0, 2).reshape(nq, -1)
@@ -651,10 +645,8 @@ def _newton_polish(
         direction = _newton_direction(pzw, rho, a, heavy, grad, basis)
         moved = adopted = False
         for _ in range(14):
-            # an overlong direction means the damping has not yet tamed a
-            # near-null curvature direction; trust only sane step lengths
             try:
-                d = direction(lam, 2.0)
+                d = direction(lam, _NEWTON_MAX_LEN)
             except np.linalg.LinAlgError:
                 d = None
             if d is None:
@@ -662,7 +654,7 @@ def _newton_polish(
                 continue
             d = d[idx]
             slope = float(gf[idx] @ d)
-            if not np.isfinite(slope) or slope >= 0.0 or float(np.abs(d).max()) > 2.0:
+            if not np.isfinite(slope) or slope >= 0.0 or float(np.abs(d).max()) > _NEWTON_MAX_LEN:
                 lam *= 100.0
                 continue
             neg = d < 0.0
