@@ -22,6 +22,7 @@ from .game import (
 from .solve import (
     DEFAULT_SETTINGS,
     SolverSettings,
+    _check_epsilon,
     _prior_estimate,
     receiver_best_response,
     sender_best_response,
@@ -94,8 +95,7 @@ def best_response_dynamics(
     After any round the mover's own gap is zero, so the pair is certified as
     soon as the next mover's available improvement is at most epsilon.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     g.check_sender(alpha0)
     g.check_receiver(beta0)
     inner = _inner_settings(settings, epsilon)
@@ -139,8 +139,7 @@ def thresholded_dynamics(
     to the inner solver's tolerance. Exceeding the potential-based round bound
     is impossible for a sound inner solver, so that raises instead of looping.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     g.check_sender(alpha0)
     g.check_receiver(beta0)
     inner = _inner_settings(settings, epsilon)

@@ -28,6 +28,10 @@ from .solve import (
     DEFAULT_SETTINGS,
     BestResponseResult,
     SolverSettings,
+    _check_epsilon,
+    _gradient,
+    _leakage_parts,
+    _log_floored,
     _minimize_over_blocks,
     _posterior_decoder,
     _prior_estimate,
@@ -251,6 +255,13 @@ def _linear_coeffs_multi(
     return np.moveaxis(c, -1, 0)
 
 
+# sender index -> (problem key, answer) of the last best response solved for
+# that index; at most MAX_SENDERS entries. Each entry is one immutable pair,
+# read and replaced whole, so threads sharing it can lose a remembered answer
+# but never get another problem's.
+_last_answers: dict[int, tuple[tuple, BestResponseResult]] = {}
+
+
 def sender_best_response_multi(
     g: MultiGameInstance,
     alphas: SenderPolicySet,
@@ -258,14 +269,49 @@ def sender_best_response_multi(
     j: int,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> BestResponseResult:
-    """Best response of sender j with every other player held fixed."""
+    """Best response of sender j with every other player held fixed.
+
+    Sender j's problem is its distortion coefficients, its own (Z_j, W_j)
+    marginal, rho and the solver settings. The last answer for each sender
+    index is remembered, and a request posing the same problem, byte for
+    byte, gets that same answer back without a solve: the audit after play
+    reuses play's final solves this way. The solver is deterministic, so
+    the answer is the one a fresh solve would give.
+    """
     g.check_policies(alphas, beta)
     c = _linear_coeffs_multi(g, alphas, beta, j)
     pzw = g.joint.pzw(j)
+    key = (c.shape, c.tobytes(), pzw.shape, pzw.tobytes(), g.rho, settings)
+    last = _last_answers.get(j)
+    if last is not None and last[0] == key:
+        return last[1]
     a, cost, iterations, converged, gap = _minimize_over_blocks(
         c, pzw, pzw.sum(axis=0), g.rho, settings
     )
-    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
+    res = BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
+    _last_answers[j] = (key, res)
+    return res
+
+
+def _improvement_bound(
+    g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int
+) -> float:
+    """Bound on how much any encoder can lower sender j's cost, or inf.
+
+    This is the summed block gap of the solver's own gradient at sender j's
+    current encoder. The cost is convex over the product of message
+    simplices, so the gap bounds the current cost above the optimum, as the
+    Frank-Wolfe duality gap does. With rho > 0 the gradient bounds nothing
+    on the boundary, so an encoder with a zero entry gets inf.
+    """
+    a = alphas[j].a
+    if g.rho != 0.0 and not np.all(a > 0.0):
+        return np.inf
+    c = _linear_coeffs_multi(g, alphas, beta, j)
+    pzw = g.joint.pzw(j)
+    _, logratio = _leakage_parts(a, pzw, _log_floored(pzw.sum(axis=0)))
+    grad = _gradient(c, g.rho * pzw, logratio)
+    return float(((a * grad).sum(axis=0) - grad.min(axis=0)).sum())
 
 
 @dataclass(frozen=True)
@@ -285,8 +331,7 @@ def epsilon_nash_check_multi(
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> MultiEpsilonNashReport:
     """Per-player improvement gaps at a multi-sender strategy state."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     xi = expected_distortion_multi(g, alphas, beta)
     receiver_gap = xi - expected_distortion_multi(
         g, alphas, receiver_best_response_multi(g, alphas)
@@ -330,9 +375,13 @@ def random_best_response_dynamics(
     adopts its best response only when that improves its own cost by strictly
     more than epsilon. Play stops once every player has been checked without
     an acceptable improvement since the last adoption.
+
+    A drawn sender whose current encoder already has a summed block gap of at
+    most epsilon is checked without a solve: by convexity no best response
+    can improve it by more than that gap, so the check could not adopt, and
+    play takes the same path as with the solve.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     g.check_policies(alphas0, beta0)
     inner = _inner_settings(settings, epsilon)
 
@@ -368,12 +417,13 @@ def random_best_response_dynamics(
                     beta, xi, own, accepted = cand_beta, after, after, True
             else:
                 i = pick - 1
-                res = sender_best_response_multi(g, alphas, beta, i, inner)
-                if own - res.cost > epsilon:
-                    alphas = alphas.replace(i, res.policy)
-                    xi = expected_distortion_multi(g, alphas, beta)
-                    zetas[i] = leakage_j(g, alphas, i)
-                    own, accepted = res.cost, True
+                if _improvement_bound(g, alphas, beta, i) > epsilon:
+                    res = sender_best_response_multi(g, alphas, beta, i, inner)
+                    if own - res.cost > epsilon:
+                        alphas = alphas.replace(i, res.policy)
+                        xi = expected_distortion_multi(g, alphas, beta)
+                        zetas[i] = leakage_j(g, alphas, i)
+                        own, accepted = res.cost, True
             frozen = {pick} if accepted else frozen | {pick}
         records.append(TrajectoryRecord(k, mover, psi(), own, xi, accepted))
         if len(frozen) == n + 1:

@@ -109,6 +109,13 @@ class EpsilonNashReport:
     epsilon: float
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Reject an epsilon that no improvement threshold can use."""
+    # written so that NaN fails the comparison
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+
+
 def _prior_estimate(d: np.ndarray, px: np.ndarray) -> int:
     """Estimate minimizing prior expected distortion, lowest index on ties."""
     return int(np.argmin(d.T @ px))
@@ -919,6 +926,5 @@ def epsilon_nash_check(
     The receiver gap is exact; the sender gap is relative to the iterative
     best response, so it is meaningful down to the solver's stationarity gap.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    _check_epsilon(epsilon)
     return _nash_report(g, alpha, beta, epsilon, sender_best_response(g, beta, settings))

@@ -170,11 +170,15 @@ def test_thresholded_babbling_start_never_moves():
 def test_epsilon_must_be_positive():
     g = circulant_game(0.5)
     alpha0, beta0 = truthful_pair()
-    for bad in (0.0, -0.1):
-        with pytest.raises(ValueError, match="epsilon"):
+    # NaN used to pass a plain epsilon <= 0 guard and then spin play to its
+    # round cap or fail converting the round bound to an integer
+    for bad in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             best_response_dynamics(g, alpha0, beta0, bad)
-        with pytest.raises(ValueError, match="epsilon"):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             thresholded_dynamics(g, alpha0, beta0, bad)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            epsilon_nash_check(g, alpha0, beta0, bad)
 
 
 def test_default_initial_pair_shapes():

@@ -1,10 +1,13 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from conftest import random_game, random_receiver, random_sender
+from privsig import multi as multi_module
 from privsig.game import (
     DistortionMatrix,
     ReceiverPolicy,
@@ -31,7 +34,7 @@ from privsig.multi import (
     sender_cost_multi,
 )
 from privsig.prob import FiniteSpace
-from privsig.solve import receiver_best_response, sender_best_response
+from privsig.solve import SolverSettings, receiver_best_response, sender_best_response
 
 # ---------------------------------------------------------------- fixtures
 
@@ -411,6 +414,161 @@ def test_randomized_dynamics_rho_zero_reaches_low_distortion():
     assert receiver_cost_multi(g, *report.final_pair) <= 0.01
 
 
+# ------------------------------------------------ skipped and reused solves
+
+
+def play_fingerprint(report):
+    """Every trajectory row, the final policies' bytes and the verdict."""
+    alphas, beta = report.final_pair
+    return (
+        [(r.k, r.mover, r.potential, r.sender_cost, r.receiver_cost, r.accepted)
+         for r in report.trajectory],
+        b"".join(pol.a.tobytes() for pol in alphas.policies) + beta.b.tobytes(),
+        report.reached_eps_nash,
+    )
+
+
+def skip_cases():
+    """(name, game, encoders, decoder, seed): seeded n = 2 and n = 3 games at
+    rho 0.4, the binary game at rho 0, and a rho > 0 start whose first
+    encoder has a zero entry."""
+    cases = []
+    # draws whose play adopts moves of both kinds before it freezes
+    for n, draw in ((2, 45), (3, 31)):
+        gen = np.random.default_rng(draw)
+        g = random_multi(gen, 2, (2,) * n, (2,) * n, 0.4)
+        cases.append((f"n{n}", g, *random_state(gen, g), n))
+    g = two_sender_binary(rho=0.0)
+    cases.append(("rho0", g, *random_state(np.random.default_rng(4), g), 9))
+    g = two_sender_binary()
+    alphas, beta = random_state(np.random.default_rng(13), g)
+    a = alphas[0].a.copy()
+    a[:, 0, 0] = (1.0, 0.0)
+    cases.append(("zero_entry", g, alphas.replace(0, SenderPolicy(a)), beta, 3))
+    return cases
+
+
+def test_certificate_skip_leaves_play_unchanged(monkeypatch):
+    eps = 0.02
+    bound, solve = multi_module._improvement_bound, multi_module.sender_best_response_multi
+    skips, zero_solves = {}, {}
+
+    for name, g, alphas0, beta0, seed in skip_cases():
+        skips[name], zero_solves[name] = 0, 0
+
+        def counted_bound(g, alphas, beta, j):
+            out = bound(g, alphas, beta, j)
+            skips[name] += out <= eps
+            if g.rho > 0.0 and np.any(alphas[j].a == 0.0):
+                assert out == math.inf
+            return out
+
+        def counted_solve(g, alphas, beta, j, settings):
+            zero_solves[name] += bool(np.any(alphas[j].a == 0.0))
+            return solve(g, alphas, beta, j, settings)
+
+        monkeypatch.setattr(multi_module, "_improvement_bound", counted_bound)
+        monkeypatch.setattr(multi_module, "sender_best_response_multi", counted_solve)
+        with_skip = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        monkeypatch.setattr(multi_module, "_improvement_bound", lambda *args: math.inf)
+        without = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        assert play_fingerprint(with_skip) == play_fingerprint(without)
+        assert with_skip.reached_eps_nash
+
+    assert all(count > 0 for count in skips.values()), skips
+    # the start's zero-entry encoder faced a solve when its sender was drawn
+    assert zero_solves["zero_entry"] > 0
+
+
+def test_improvement_bound_is_sound():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(1, 3), st.integers(2, 3), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1)
+    )
+    def check(n, m, rho, seed):
+        gen = np.random.default_rng(seed)
+        w_sizes = tuple(int(w) for w in gen.integers(1, 4, size=n))
+        y_sizes = tuple(int(y) for y in gen.integers(2, 4, size=n))
+        g = random_multi(gen, m, w_sizes, y_sizes, rho)
+        alphas, beta = random_state(gen, g)
+        j = int(gen.integers(n))
+        own = sender_cost_multi(g, alphas, beta, j)
+        best = sender_best_response_multi(g, alphas, beta, j).cost
+        assert own - best <= multi_module._improvement_bound(g, alphas, beta, j) + 1e-12
+
+    check()
+
+
+def test_audit_solves_only_what_play_did_not(monkeypatch):
+    gen = np.random.default_rng(33)
+    g = random_multi(gen, 2, (2,) * 3, (2,) * 3, 0.4)
+    alphas0, beta0 = random_state(gen, g)
+    eps = 0.05
+    report = random_best_response_dynamics(g, alphas0, beta0, eps, seed=3)
+    alphas, beta = report.final_pair
+
+    solves = []
+    minimize = multi_module._minimize_over_blocks
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(multi_module, "_minimize_over_blocks", counted)
+    audit = epsilon_nash_check_multi(g, alphas, beta, eps)
+    assert len(solves) < g.n
+    multi_module._last_answers.clear()
+    solves.clear()
+    fresh = epsilon_nash_check_multi(g, alphas, beta, eps)
+    assert len(solves) == g.n
+    assert repr(audit) == repr(fresh)
+    # the same request again is answered from memory
+    solves.clear()
+    epsilon_nash_check_multi(g, alphas, beta, eps)
+    assert not solves
+    # other solver settings, or another decoder, pose another problem
+    epsilon_nash_check_multi(g, alphas, beta, eps, SolverSettings(grad_tol=1e-9))
+    assert len(solves) == g.n
+    b = gen.random(beta.b.shape) + 0.05
+    epsilon_nash_check_multi(g, alphas, MultiReceiverPolicy(b / b.sum(axis=0)), eps)
+    assert len(solves) == 2 * g.n
+
+
+def test_remembered_answers_stay_with_their_problem_across_threads():
+    # threads alternate two problems for the same sender index, so each
+    # call replaces the other problem's remembered answer; every call must
+    # still get its own problem's answer
+    gen = np.random.default_rng(8)
+    g = random_multi(gen, 2, (2, 2), (2, 2), 0.4)
+    states = [random_state(gen, g) for _ in range(2)]
+    multi_module._last_answers.clear()
+    want = [sender_best_response_multi(g, *state, 0) for state in states]
+    wrong = []
+
+    def work(t):
+        for k in range(30):
+            s = (t + k) % 2
+            res = sender_best_response_multi(g, *states[s], 0)
+            if res.policy.a.tobytes() != want[s].policy.a.tobytes() or res.cost != want[s].cost:
+                wrong.append((t, k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+
+
 # ----------------------------------------------------------------- guards
 
 
@@ -457,7 +615,10 @@ def test_game_rejects_non_finite_rho(rho):
 def test_epsilon_validation():
     g = two_sender_binary()
     alphas, beta = default_initial_state_multi(g)
-    with pytest.raises(ValueError, match="epsilon"):
-        epsilon_nash_check_multi(g, alphas, beta, 0.0)
-    with pytest.raises(ValueError, match="epsilon"):
-        random_best_response_dynamics(g, alphas, beta, -1.0)
+    # NaN used to pass a plain epsilon <= 0 guard, and play then reported an
+    # epsilon-equilibrium after n + 1 idle rounds
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            epsilon_nash_check_multi(g, alphas, beta, bad)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            random_best_response_dynamics(g, alphas, beta, bad)
