@@ -281,7 +281,7 @@ def sender_best_response_multi(
     g.check_policies(alphas, beta)
     c = _linear_coeffs_multi(g, alphas, beta, j)
     pzw = g.joint.pzw(j)
-    key = (c.shape, c.tobytes(), pzw.shape, pzw.tobytes(), g.rho, settings)
+    key = (c.shape, c.tobytes(), pzw.tobytes(), g.rho, settings)
     last = _last_answers.get(j)
     if last is not None and last[0] == key:
         return last[1]
