@@ -8,9 +8,9 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 import click
-import numpy as np
 
 from . import multi as multi_mod
 from .config import (
@@ -20,17 +20,19 @@ from .config import (
     receiver_policy_to_json,
     resolve_config,
     sender_policy_from_json,
+    sender_policy_set_from_json,
     sender_policy_to_json,
 )
 from .dynamics import (
+    TrajectoryRecord,
     best_response_dynamics,
     default_initial_pair,
     thresholded_dynamics,
-    trajectory_rows,
 )
 from .game import expected_distortion, leakage, potential, receiver_cost, sender_cost
+from .prob import nats_to_bits
 from .solve import _identity_best_response, _nash_report, epsilon_nash_check
-from .sweep import run_sweep, sweep_report
+from .sweep import SweepRow, run_sweep, sweep_report
 
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
@@ -48,19 +50,27 @@ def _fail_no_convergence(exc: RuntimeError):
 
 
 def _load(config_path: str, log_base: str | None, seed: int | None = None) -> GameConfig:
-    import dataclasses
-
     cfg = resolve_config(config_path)
     if seed is not None:
-        cfg = dataclasses.replace(cfg, seed=seed)
+        cfg = replace(cfg, seed=seed)
     if log_base is not None:
-        cfg = dataclasses.replace(cfg, log_base=log_base)
+        cfg = replace(cfg, log_base=log_base)
     return cfg
 
 
-def _outdir(out: str) -> str:
+def _game(
+    config_path: str, out: str, log_base: str | None, multi: bool = False, seed: int | None = None
+):
+    """(config, scalar rho, game) for a command that plays one game, with out
+    created; exits with EXIT_CONFIG on a config problem."""
+    try:
+        cfg = _load(config_path, log_base, seed)
+        rho = cfg.scalar_rho()
+        g = cfg.build_multi(rho) if multi else cfg.build_single(rho)
+    except ConfigError as exc:
+        _fail_config(exc)
     os.makedirs(out, exist_ok=True)
-    return out
+    return cfg, rho, g
 
 
 def _write(out: str, name: str, text: str) -> str:
@@ -78,16 +88,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: str, name: str, header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_csv(out: str, name: str, record_type, records) -> str:
+    """One column per field of the record dataclass, headed by its name."""
+    names = [f.name for f in fields(record_type)]
+    lines = [",".join(names)]
+    for record in records:
+        lines.append(",".join(_fmt(getattr(record, n)) for n in names))
     return _write(out, name, "\n".join(lines) + "\n")
 
 
-def _write_trajectory(out: str, report) -> str:
-    header = ["k", "mover", "potential", "sender_cost", "receiver_cost", "accepted"]
-    return _write_csv(out, "trajectory.csv", header, trajectory_rows(report))
+def _write_policies(out: str, alpha, beta) -> None:
+    """alpha.json, or alpha_1.json, alpha_2.json, ... for a multi-sender set, and beta.json."""
+    if isinstance(alpha, multi_mod.SenderPolicySet):
+        for i, pol in enumerate(alpha.policies, start=1):
+            _write(out, f"alpha_{i}.json", sender_policy_to_json(pol))
+    else:
+        _write(out, "alpha.json", sender_policy_to_json(alpha))
+    _write(out, "beta.json", receiver_policy_to_json(beta))
 
 
 def _json_report(out: str, doc: dict) -> str:
@@ -131,14 +148,7 @@ def validate(config_path):
 )
 def solve(config_path, out, log_base, method):
     """Compute one equilibrium at the configured scalar rho."""
-    try:
-        cfg = _load(config_path, log_base)
-        rho = cfg.scalar_rho()
-        g = cfg.build_single(rho)
-    except ConfigError as exc:
-        _fail_config(exc)
-    out = _outdir(out)
-
+    cfg, rho, g = _game(config_path, out, log_base)
     if method == "explicit":
         try:
             br, beta = _identity_best_response(g, cfg.solver)
@@ -160,8 +170,7 @@ def solve(config_path, out, log_base, method):
         check = epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
     xi = expected_distortion(g, alpha, beta)
     zeta_nats = leakage(g, alpha)
-    _write(out, "alpha.json", sender_policy_to_json(alpha))
-    _write(out, "beta.json", receiver_policy_to_json(beta))
+    _write_policies(out, alpha, beta)
     _json_report(out, {
         "mode": "single",
         "method": method,
@@ -169,7 +178,7 @@ def solve(config_path, out, log_base, method):
         "log_base": cfg.log_base,
         "expected_distortion": xi,
         "leakage_nats": zeta_nats,
-        "leakage_bits": zeta_nats / float(np.log(2.0)),
+        "leakage_bits": nats_to_bits(zeta_nats),
         "sender_cost": xi + g.rho * zeta_nats,
         "epsilon": cfg.dynamics.epsilon,
         "member": check.member,
@@ -199,13 +208,7 @@ def solve(config_path, out, log_base, method):
 )
 def dynamics(config_path, out, log_base, variant):
     """Run best-response play at the configured scalar rho."""
-    try:
-        cfg = _load(config_path, log_base)
-        rho = cfg.scalar_rho()
-        g = cfg.build_single(rho)
-    except ConfigError as exc:
-        _fail_config(exc)
-    out = _outdir(out)
+    cfg, rho, g = _game(config_path, out, log_base)
     variant = variant or cfg.dynamics.variant
     a0, b0 = default_initial_pair(g)
     if variant == "thresholded":
@@ -218,9 +221,8 @@ def dynamics(config_path, out, log_base, variant):
             g, a0, b0, cfg.dynamics.epsilon, cfg.solver, cfg.dynamics.max_rounds
         )
     alpha, beta = rep.final_pair
-    _write_trajectory(out, rep)
-    _write(out, "alpha.json", sender_policy_to_json(alpha))
-    _write(out, "beta.json", receiver_policy_to_json(beta))
+    _write_csv(out, "trajectory.csv", TrajectoryRecord, rep.trajectory)
+    _write_policies(out, alpha, beta)
     _json_report(out, {
         "mode": "single",
         "variant": variant,
@@ -250,13 +252,7 @@ def dynamics(config_path, out, log_base, variant):
 @base_opt
 def multi(config_path, out, seed, log_base):
     """Run randomized best-response play for a multi-sender game."""
-    try:
-        cfg = _load(config_path, log_base, seed)
-        rho = cfg.scalar_rho()
-        g = cfg.build_multi(rho)
-    except ConfigError as exc:
-        _fail_config(exc)
-    out = _outdir(out)
+    cfg, rho, g = _game(config_path, out, log_base, multi=True, seed=seed)
     alphas0, beta0 = multi_mod.default_initial_state_multi(g)
     rep = multi_mod.random_best_response_dynamics(
         g,
@@ -268,11 +264,10 @@ def multi(config_path, out, seed, log_base):
         cfg.seed,
     )
     alphas, beta = rep.final_pair
-    _write_trajectory(out, rep)
-    for i, pol in enumerate(alphas.policies, start=1):
-        _write(out, f"alpha_{i}.json", sender_policy_to_json(pol))
-    _write(out, "beta.json", receiver_policy_to_json(beta))
+    _write_csv(out, "trajectory.csv", TrajectoryRecord, rep.trajectory)
+    _write_policies(out, alphas, beta)
     audit = multi_mod.epsilon_nash_check_multi(g, alphas, beta, rep.epsilon, cfg.solver)
+    xi = multi_mod.receiver_cost_multi(g, alphas, beta)
     _json_report(out, {
         "mode": "multi",
         "n": g.n,
@@ -285,7 +280,7 @@ def multi(config_path, out, seed, log_base):
         "member": audit.member,
         "receiver_gap": audit.receiver_gap,
         "sender_gaps": list(audit.sender_gaps),
-        "expected_distortion": multi_mod.receiver_cost_multi(g, alphas, beta),
+        "expected_distortion": xi,
         "potential": multi_mod.potential_multi(g, alphas, beta),
         "leakage_nats": [multi_mod.leakage_j(g, alphas, j) for j in range(g.n)],
         "coalition_leakage_nats": [
@@ -294,7 +289,7 @@ def multi(config_path, out, seed, log_base):
     })
     click.echo(
         f"rounds used: {rep.iterations_used}, reached: {rep.reached_eps_nash}, "
-        f"distortion: {multi_mod.receiver_cost_multi(g, alphas, beta):.6f}"
+        f"distortion: {xi:.6f}"
     )
     if not rep.reached_eps_nash:
         click.echo("error: dynamics did not reach an epsilon-equilibrium", err=True)
@@ -326,16 +321,8 @@ def sweep(config_path, out, log_base, method):
         sys.exit(EXIT_CONFIG)
     except RuntimeError as exc:
         _fail_no_convergence(exc)
-    out = _outdir(out)
-    header = [
-        "rho", "expected_distortion", "mutual_information", "potential",
-        "iterations", "converged", "method",
-    ]
-    _write_csv(out, "sweep.csv", header, [
-        (r.rho, r.expected_distortion, r.mutual_information, r.potential,
-         r.iterations, r.converged, r.method)
-        for r in rows
-    ])
+    os.makedirs(out, exist_ok=True)
+    _write_csv(out, "sweep.csv", SweepRow, rows)
     try:
         # the critical-ratio bisection solves more points
         report = sweep_report(cfg, rows, method)
@@ -396,9 +383,7 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
             gaps = f"sender_gap={check.sender_gap:.3e}, receiver_gap={check.receiver_gap:.3e}"
         else:
             g = cfg.build_multi(rho)
-            alphas = multi_mod.SenderPolicySet(
-                tuple(sender_policy_from_json(t) for t in texts)
-            )
+            alphas = sender_policy_set_from_json(texts)
             beta = receiver_policy_from_json(beta_text, multi=True)
             check = multi_mod.epsilon_nash_check_multi(g, alphas, beta, eps, cfg.solver)
             doc = {
@@ -414,7 +399,7 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
     except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    out = _outdir(out)
+    os.makedirs(out, exist_ok=True)
     _json_report(out, doc)
     verdict = "PASS" if doc["member"] else "FAIL"
     click.echo(f"epsilon-equilibrium check at eps={eps:g}: {verdict} ({gaps})")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -36,6 +37,22 @@ class SweepSpec:
     steps: int
     scale: str = "linear"
 
+    def __post_init__(self):
+        # written so that NaN fails each comparison
+        errors = []
+        if not self.start >= 0:
+            errors.append("rho.start: must be nonnegative")
+        if not self.start < self.stop:
+            errors.append("rho.start: must be strictly below rho.stop")
+        if self.steps < 2:
+            errors.append("rho.steps: must be at least 2")
+        if self.scale not in ("linear", "log"):
+            errors.append("rho.scale: must be 'linear' or 'log'")
+        elif self.scale == "log" and not self.start > 0:
+            errors.append("rho.scale: log spacing needs start > 0")
+        if errors:
+            raise ConfigError(errors)
+
     def grid(self) -> np.ndarray:
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.steps)
@@ -47,6 +64,17 @@ class DynamicsSettings:
     epsilon: float = 0.01
     max_rounds: int = 500
     variant: str = "thresholded"
+
+    def __post_init__(self):
+        errors = []
+        if not self.epsilon > 0:
+            errors.append("dynamics.epsilon: must be positive")
+        if self.max_rounds < 1:
+            errors.append("dynamics.max_rounds: must be at least 1")
+        if self.variant not in ("plain", "thresholded"):
+            errors.append("dynamics.variant: must be 'plain' or 'thresholded'")
+        if errors:
+            raise ConfigError(errors)
 
 
 @dataclass(frozen=True)
@@ -98,18 +126,21 @@ class GameConfig:
         )
 
 
-def _want(errors, obj, key, kinds, label=None, required=False, default=None):
+def _want(errors, obj, key, kind, label=None, required=False, default=None):
+    """obj[key] if it has the given kind, else default with the problem
+    recorded. The kinds are "dict", "list" and the annotation names of the
+    settings fields: "int", "float" (any finite number) and "str"."""
     label = label or key
     if key not in obj:
         if required:
             errors.append(f"{label}: missing required field")
         return default
     val = obj[key]
-    if kinds == "int":
+    if kind == "int":
         if isinstance(val, bool) or not isinstance(val, int):
             errors.append(f"{label}: expected an integer, got {val!r}")
             return default
-    elif kinds == "number":
+    elif kind == "float":
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             errors.append(f"{label}: expected a number, got {val!r}")
             return default
@@ -120,15 +151,15 @@ def _want(errors, obj, key, kinds, label=None, required=False, default=None):
         if not math.isfinite(val):
             errors.append(f"{label}: expected a finite number, got {val!r}")
             return default
-    elif kinds == "str":
+    elif kind == "str":
         if not isinstance(val, str):
             errors.append(f"{label}: expected a string, got {val!r}")
             return default
-    elif kinds == "dict":
+    elif kind == "dict":
         if not isinstance(val, dict):
             errors.append(f"{label}: expected an object, got {val!r}")
             return default
-    elif kinds == "list":
+    elif kind == "list":
         if not isinstance(val, list):
             errors.append(f"{label}: expected an array, got {val!r}")
             return default
@@ -148,85 +179,46 @@ def _space(errors, size, labels, name):
         return None
 
 
-def _rho_field(errors, obj):
-    raw = obj.get("rho")
-    if not isinstance(raw, dict):
-        rho = _want(errors, obj, "rho", "number", required=True)
-        if rho is not None and rho < 0:
-            errors.append("rho: must be nonnegative")
-            return None
-        return rho
-    sub: list[str] = []
-    start = _want(sub, raw, "start", "number", "rho.start", required=True)
-    stop = _want(sub, raw, "stop", "number", "rho.stop", required=True)
-    steps = _want(sub, raw, "steps", "int", "rho.steps", required=True)
-    scale = _want(sub, raw, "scale", "str", "rho.scale", default="linear")
-    if not sub:
-        if start < 0:
-            sub.append("rho.start: must be nonnegative")
-        if start >= stop:
-            sub.append("rho.start: must be strictly below rho.stop")
-        if steps < 2:
-            sub.append("rho.steps: must be at least 2")
-        if scale not in ("linear", "log"):
-            sub.append("rho.scale: must be 'linear' or 'log'")
-        elif scale == "log" and start <= 0:
-            sub.append("rho.scale: log spacing needs start > 0")
-    if sub:
-        errors.extend(sub)
-        return None
-    return SweepSpec(float(start), float(stop), int(steps), scale)
+def _labeled_space(errors, obj, name):
+    """The space of the {name}_size and {name}_labels fields."""
+    size = _want(errors, obj, f"{name}_size", "int", required=True)
+    return _space(errors, size, _want(errors, obj, f"{name}_labels", "list"), f"{name}_size")
 
 
-def _solver_field(errors, raw):
-    if raw is None:
-        return SolverSettings()
+def _section(errors, cls, raw, label):
+    """Settings dataclass cls built from the JSON object raw.
+
+    Each field's kind is its annotation, a field without a default is
+    required, and keys that are not fields are flagged.
+    """
     sub: list[str] = []
     kwargs = {}
-    for key, kind in (
-        ("max_iters", "int"),
-        ("grad_tol", "number"),
-        ("obj_tol", "number"),
-        ("step_init", "number"),
-        ("seed", "int"),
-    ):
-        val = _want(sub, raw, key, kind, f"solver.{key}")
+    for f in fields(cls):
+        val = _want(sub, raw, f.name, f.type, f"{label}.{f.name}", required=f.default is MISSING)
         if val is not None:
-            kwargs[key] = val
-    unknown = set(raw) - {"max_iters", "grad_tol", "obj_tol", "step_init", "seed"}
-    for key in sorted(unknown):
-        sub.append(f"solver.{key}: unknown field")
-    if sub:
-        errors.extend(sub)
-        return SolverSettings()
-    try:
-        return SolverSettings(**kwargs)
-    except ValueError as exc:
-        errors.append(f"solver: {exc}")
-        return SolverSettings()
-
-
-def _dynamics_field(errors, raw):
-    if raw is None:
-        return DynamicsSettings()
-    sub: list[str] = []
-    eps = _want(sub, raw, "epsilon", "number", "dynamics.epsilon", default=0.01)
-    max_rounds = _want(sub, raw, "max_rounds", "int", "dynamics.max_rounds", default=500)
-    variant = _want(sub, raw, "variant", "str", "dynamics.variant", default="thresholded")
-    unknown = set(raw) - {"epsilon", "max_rounds", "variant"}
-    for key in sorted(unknown):
-        sub.append(f"dynamics.{key}: unknown field")
+            kwargs[f.name] = val
+    names = {f.name for f in fields(cls)}
+    sub += [f"{label}.{key}: unknown field" for key in sorted(set(raw) - names)]
     if not sub:
-        if eps <= 0:
-            sub.append("dynamics.epsilon: must be positive")
-        if max_rounds < 1:
-            sub.append("dynamics.max_rounds: must be at least 1")
-        if variant not in ("plain", "thresholded"):
-            sub.append("dynamics.variant: must be 'plain' or 'thresholded'")
-    if sub:
-        errors.extend(sub)
-        return DynamicsSettings()
-    return DynamicsSettings(float(eps), int(max_rounds), variant)
+        try:
+            return cls(**kwargs)
+        except ConfigError as exc:
+            sub = exc.errors
+        except ValueError as exc:
+            sub = [f"{label}: {exc}"]
+    errors.extend(sub)
+    return None
+
+
+def _rho_field(errors, obj):
+    raw = obj.get("rho")
+    if isinstance(raw, dict):
+        return _section(errors, SweepSpec, raw, "rho")
+    rho = _want(errors, obj, "rho", "float", required=True)
+    if rho is not None and rho < 0:
+        errors.append("rho: must be nonnegative")
+        return None
+    return rho
 
 
 def _array_field(errors, raw, name):
@@ -263,15 +255,11 @@ def load_config(text: str) -> GameConfig:
         errors.append(f"mode: must be 'single' or 'multi', got {mode!r}")
         raise ConfigError(errors)
 
-    x_size = _want(errors, obj, "x_size", "int", required=True)
-    x_labels = _want(errors, obj, "x_labels", "list")
-    x_space = _space(errors, x_size, x_labels, "x_size")
-
+    x_space = _labeled_space(errors, obj, "x")
     if mode == "single":
-        w_size = _want(errors, obj, "w_size", "int", required=True)
-        y_size = _want(errors, obj, "y_size", "int", required=True)
-        w_spaces = [_space(errors, w_size, _want(errors, obj, "w_labels", "list"), "w_size")]
-        y_spaces = [_space(errors, y_size, _want(errors, obj, "y_labels", "list"), "y_size")]
+        w_spaces = [_labeled_space(errors, obj, "w")]
+        y_spaces = [_labeled_space(errors, obj, "y")]
+        mode_keys = {"w_size", "w_labels", "y_size", "y_labels"}
     else:
         n = _want(errors, obj, "n", "int", required=True)
         if n is not None and n < 1:
@@ -292,30 +280,28 @@ def load_config(text: str) -> GameConfig:
                     spaces.append(None)
                 else:
                     spaces.append(_space(errors, s, None, f"{label}[{i}]"))
+        mode_keys = {"n", "w_sizes", "y_sizes"}
 
     joint_raw = _want(errors, obj, "joint", "list", required=True)
-    joint = _array_field(errors, joint_raw, "joint") if joint_raw is not None else None
-
-    distortion = None
-    if "distortion" in obj:
-        d_raw = _want(errors, obj, "distortion", "list")
-        if d_raw is not None:
-            distortion = _array_field(errors, d_raw, "distortion")
+    joint = None if joint_raw is None else _array_field(errors, joint_raw, "joint")
+    d_raw = _want(errors, obj, "distortion", "list")
+    distortion = None if d_raw is None else _array_field(errors, d_raw, "distortion")
 
     rho = _rho_field(errors, obj)
-    solver = _solver_field(errors, _want(errors, obj, "solver", "dict"))
-    dynamics = _dynamics_field(errors, _want(errors, obj, "dynamics", "dict"))
+    solver_raw = _want(errors, obj, "solver", "dict", default={})
+    solver = _section(errors, SolverSettings, solver_raw, "solver")
+    dynamics_raw = _want(errors, obj, "dynamics", "dict", default={})
+    dynamics = _section(errors, DynamicsSettings, dynamics_raw, "dynamics")
     seed = _want(errors, obj, "seed", "int", default=0)
     if seed is not None and seed < 0:
         errors.append("seed: must be nonnegative")
     log_base = _want(errors, obj, "log_base", "str", default="nats")
     if log_base not in ("nats", "bits"):
         errors.append(f"log_base: must be 'nats' or 'bits', got {log_base!r}")
-    reference = _want(errors, obj, "reference_critical_rho", "number")
+    reference = _want(errors, obj, "reference_critical_rho", "float")
 
-    known = {
-        "schema_version", "mode", "x_size", "x_labels", "w_size", "w_labels",
-        "y_size", "y_labels", "n", "w_sizes", "y_sizes", "joint", "distortion",
+    known = mode_keys | {
+        "schema_version", "mode", "x_size", "x_labels", "joint", "distortion",
         "rho", "solver", "dynamics", "seed", "log_base", "reference_critical_rho",
     }
     for key in sorted(set(obj) - known):
@@ -323,12 +309,7 @@ def load_config(text: str) -> GameConfig:
 
     # shape and pmf validation, once the skeleton fields parsed
     if joint is not None and x_space is not None and all(s is not None for s in w_spaces):
-        if mode == "single":
-            want = (x_space.size, x_space.size, w_spaces[0].size)
-        else:
-            want = (x_space.size,) + (x_space.size,) * len(w_spaces) + tuple(
-                s.size for s in w_spaces
-            )
+        want = (x_space.size,) * (1 + len(w_spaces)) + tuple(s.size for s in w_spaces)
         if joint.shape != want:
             errors.append(f"joint: shape {joint.shape} does not match spaces {want}")
         else:
@@ -359,9 +340,9 @@ def load_config(text: str) -> GameConfig:
         rho=rho,
         solver=solver,
         dynamics=dynamics,
-        seed=int(seed),
+        seed=seed,
         log_base=log_base,
-        reference_critical_rho=None if reference is None else float(reference),
+        reference_critical_rho=reference,
     )
 
 
@@ -385,18 +366,15 @@ def preset_text(name: str) -> str:
 
 def resolve_config(path_or_preset: str) -> GameConfig:
     """Load a config from a file path, falling back to bundled preset names."""
-    import os
-
     if os.path.exists(path_or_preset):
         return load_config_file(path_or_preset)
     try:
-        return load_config(preset_text(path_or_preset))
+        text = preset_text(path_or_preset)
     except ConfigError as exc:
-        if "no bundled preset" in str(exc):
-            raise ConfigError(
-                [f"config: {path_or_preset!r} is neither a file nor a bundled preset"]
-            ) from exc
-        raise
+        raise ConfigError(
+            [f"config: {path_or_preset!r} is neither a file nor a bundled preset"]
+        ) from exc
+    return load_config(text)
 
 
 # policy serialization
@@ -464,44 +442,24 @@ def sender_policy_set_from_json(texts: list[str]) -> SenderPolicySet:
 
 def config_to_json(cfg: GameConfig) -> str:
     """Serialize a config back to JSON (round-trips bit-exactly)."""
-    doc: dict = {"schema_version": SCHEMA_VERSION, "mode": cfg.mode, "x_size": cfg.x_space.size}
-    if cfg.x_space.labels:
-        doc["x_labels"] = list(cfg.x_space.labels)
+    doc: dict = {"schema_version": SCHEMA_VERSION, "mode": cfg.mode}
+    spaces = {"x": cfg.x_space}
     if cfg.mode == "single":
-        doc["w_size"] = cfg.w_spaces[0].size
-        if cfg.w_spaces[0].labels:
-            doc["w_labels"] = list(cfg.w_spaces[0].labels)
-        doc["y_size"] = cfg.y_spaces[0].size
-        if cfg.y_spaces[0].labels:
-            doc["y_labels"] = list(cfg.y_spaces[0].labels)
-    else:
+        spaces.update(w=cfg.w_spaces[0], y=cfg.y_spaces[0])
+    for name, space in spaces.items():
+        doc[f"{name}_size"] = space.size
+        if space.labels:
+            doc[f"{name}_labels"] = list(space.labels)
+    if cfg.mode == "multi":
         doc["n"] = len(cfg.w_spaces)
         doc["w_sizes"] = [s.size for s in cfg.w_spaces]
         doc["y_sizes"] = [s.size for s in cfg.y_spaces]
     doc["joint"] = cfg.joint.tolist()
     if cfg.distortion is not None:
         doc["distortion"] = cfg.distortion.tolist()
-    if isinstance(cfg.rho, SweepSpec):
-        doc["rho"] = {
-            "start": cfg.rho.start,
-            "stop": cfg.rho.stop,
-            "steps": cfg.rho.steps,
-            "scale": cfg.rho.scale,
-        }
-    else:
-        doc["rho"] = cfg.rho
-    doc["solver"] = {
-        "max_iters": cfg.solver.max_iters,
-        "grad_tol": cfg.solver.grad_tol,
-        "obj_tol": cfg.solver.obj_tol,
-        "step_init": cfg.solver.step_init,
-        "seed": cfg.solver.seed,
-    }
-    doc["dynamics"] = {
-        "epsilon": cfg.dynamics.epsilon,
-        "max_rounds": cfg.dynamics.max_rounds,
-        "variant": cfg.dynamics.variant,
-    }
+    doc["rho"] = asdict(cfg.rho) if isinstance(cfg.rho, SweepSpec) else cfg.rho
+    doc["solver"] = asdict(cfg.solver)
+    doc["dynamics"] = asdict(cfg.dynamics)
     doc["seed"] = cfg.seed
     doc["log_base"] = cfg.log_base
     if cfg.reference_critical_rho is not None:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from privsig.config import (
 )
 from privsig.game import ReceiverPolicy, SenderPolicy
 from privsig.multi import MultiReceiverPolicy
-from privsig.prob import JointPXZW
+from privsig.prob import FiniteSpace, JointPXZW
+from privsig.solve import SolverSettings
 
 
 MINIMAL_SINGLE = {
@@ -241,6 +243,40 @@ def test_dynamics_validation():
     assert cfg.dynamics == DynamicsSettings(epsilon=0.2)
 
 
+def test_settings_validate_on_construction():
+    with pytest.raises(ConfigError) as err:
+        SweepSpec(1.0, 0.5, 1, "cubic")
+    assert err.value.errors == [
+        "rho.start: must be strictly below rho.stop",
+        "rho.steps: must be at least 2",
+        "rho.scale: must be 'linear' or 'log'",
+    ]
+    with pytest.raises(ConfigError) as err:
+        DynamicsSettings(epsilon=-1.0, max_rounds=0, variant="eager")
+    assert err.value.errors == [
+        "dynamics.epsilon: must be positive",
+        "dynamics.max_rounds: must be at least 1",
+        "dynamics.variant: must be 'plain' or 'thresholded'",
+    ]
+    with pytest.raises(ConfigError, match="rho.start: must be nonnegative"):
+        SweepSpec(float("nan"), 1.0, 3)
+
+
+def test_rho_sweep_object_flags_unknown_keys():
+    rho = {"start": 0.1, "stop": 1.0, "steps": 3, "spacing": "log"}
+    assert errors_of(single_text(rho=rho)) == ["rho.spacing: unknown field"]
+
+
+def test_keys_of_the_other_mode_are_unknown_fields():
+    errors = errors_of(multi_text(w_size=2, w_labels=["a", "b"], y_size=2, y_labels=["c", "d"]))
+    assert errors == [
+        "w_labels: unknown field", "w_size: unknown field",
+        "y_labels: unknown field", "y_size: unknown field",
+    ]
+    errors = errors_of(single_text(n=1, w_sizes="junk", y_sizes=[2]))
+    assert errors == ["n: unknown field", "w_sizes: unknown field", "y_sizes: unknown field"]
+
+
 def test_multi_config_builds():
     cfg = load_config(multi_text())
     assert cfg.mode == "multi"
@@ -379,5 +415,116 @@ def test_random_json_fields_load_finite_or_fail_cleanly():
         except ConfigError:
             return
         assert all(math.isfinite(v) for v in config_numbers(cfg))
+
+    check()
+
+
+def same_config(a: GameConfig, b: GameConfig) -> bool:
+    """Field by field, arrays compared bit for bit."""
+    for f in fields(GameConfig):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if not (isinstance(y, np.ndarray) and x.dtype == y.dtype and x.shape == y.shape
+                    and x.tobytes() == y.tobytes()):
+                return False
+        elif type(x) is not type(y) or x != y:
+            return False
+    return True
+
+
+def test_random_configs_round_trip_exactly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = st.just(0.0) | st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+    nonneg = st.floats(min_value=0.0, allow_infinity=False)
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
+    def space(size, labeled=True):
+        labels = st.lists(st.text(max_size=3), min_size=size, max_size=size, unique=True)
+        return st.builds(FiniteSpace, st.just(size), (st.none() | labels) if labeled else st.none())
+
+    @st.composite
+    def sweeps(draw):
+        start = draw(st.floats(min_value=0.0, max_value=1e300))
+        stop = draw(st.floats(min_value=start, exclude_min=True, allow_infinity=False))
+        scale = draw(st.sampled_from(["linear", "log"] if start > 0 else ["linear"]))
+        return SweepSpec(start, stop, draw(st.integers(2, 10**6)), scale)
+
+    @st.composite
+    def configs(draw):
+        mode = draw(st.sampled_from(["single", "multi"]))
+        m = draw(st.integers(1, 3))
+        if mode == "single":
+            w_spaces = (draw(space(draw(st.integers(1, 3)))),)
+            y_spaces = (draw(space(draw(st.integers(1, 3)))),)
+        else:
+            n = draw(st.integers(1, 2))
+            w_spaces = tuple(draw(space(draw(st.integers(1, 2)), False)) for _ in range(n))
+            y_spaces = tuple(draw(space(draw(st.integers(1, 2)), False)) for _ in range(n))
+        shape = (m,) * (1 + len(w_spaces)) + tuple(s.size for s in w_spaces)
+        size = math.prod(shape)
+        raw = np.array(draw(st.lists(weights, min_size=size, max_size=size)))
+        if raw.sum() == 0.0:
+            raw[:] = 1.0
+        distortion = draw(st.none() | st.lists(nonneg, min_size=m * m, max_size=m * m))
+        return GameConfig(
+            mode=mode,
+            x_space=draw(space(m)),
+            w_spaces=w_spaces,
+            y_spaces=y_spaces,
+            joint=(raw / raw.sum()).reshape(shape),
+            distortion=None if distortion is None else np.array(distortion).reshape(m, m),
+            rho=draw(nonneg | sweeps()),
+            solver=draw(st.builds(
+                SolverSettings, max_iters=st.integers(1, 10**9), grad_tol=positive,
+                obj_tol=nonneg, step_init=positive, seed=st.integers(0, 2**63),
+            )),
+            dynamics=draw(st.builds(
+                DynamicsSettings, epsilon=positive, max_rounds=st.integers(1, 10**9),
+                variant=st.sampled_from(["plain", "thresholded"]),
+            )),
+            seed=draw(st.integers(0, 2**63)),
+            log_base=draw(st.sampled_from(["nats", "bits"])),
+            reference_critical_rho=draw(st.none() | finite),
+        )
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(configs())
+    def check(cfg):
+        text = config_to_json(cfg)
+        again = load_config(text)
+        assert same_config(again, cfg)
+        assert config_to_json(again) == text
+
+    check()
+
+
+def test_random_policies_round_trip_bit_exactly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = st.just(0.0) | st.floats(min_value=0.0, max_value=1.0, allow_subnormal=False)
+
+    @st.composite
+    def stochastic(draw, rank):
+        """An array of the given rank, each slice along axis 0 a pmf."""
+        shape = tuple(draw(st.integers(1, 3)) for _ in range(rank))
+        raw = np.array(draw(st.lists(weights, min_size=math.prod(shape), max_size=math.prod(shape))))
+        raw = raw.reshape(shape)
+        raw[:, raw.sum(axis=0) == 0.0] = 1.0
+        return raw / raw.sum(axis=0)
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(stochastic(3), stochastic(2), stochastic(3))
+    def check(a, b, b_multi):
+        sender = SenderPolicy(a)
+        back = sender_policy_from_json(sender_policy_to_json(sender))
+        assert back.a.shape == a.shape and back.a.tobytes() == sender.a.tobytes()
+        receiver = ReceiverPolicy(b)
+        back = receiver_policy_from_json(receiver_policy_to_json(receiver))
+        assert back.b.shape == b.shape and back.b.tobytes() == receiver.b.tobytes()
+        joint = MultiReceiverPolicy(b_multi)
+        back = receiver_policy_from_json(receiver_policy_to_json(joint), multi=True)
+        assert back.b.shape == b_multi.shape and back.b.tobytes() == joint.b.tobytes()
 
     check()

@@ -311,6 +311,16 @@ def test_sender_br_rho_zero_reaches_zero_cost():
     assert res.stationarity_gap <= DEFAULT_SETTINGS.grad_tol
 
 
+def test_sender_br_single_message_returns_the_only_encoder(rng):
+    # with |Y| = 1 every block's simplex is one point: no iterations, no gap
+    g = random_game(rng, 3, 2, 1, 0.7)
+    beta = random_receiver(rng, 3, 1)
+    res = sender_best_response(g, beta)
+    assert (res.iterations, res.converged, res.stationarity_gap) == (0, True, 0.0)
+    np.testing.assert_array_equal(res.policy.a, np.ones((1, 3, 2)))
+    assert res.cost == pytest.approx(sender_cost(g, res.policy, beta), rel=1e-12)
+
+
 def test_sender_br_huge_rho_goes_silent():
     g = circulant_game(1e3)
     res = sender_best_response(g, ReceiverPolicy.identity(5))
@@ -735,10 +745,12 @@ def stochastic_decoder_draw(seed: int, index: int):
 # Against these decoders a frozen coordinate in a heavy message row wants to
 # grow (only a crossing move lifts it), a boundary-pinned Newton step needs
 # its blockers crossed, or one Newton phase stalls and a second round of
-# support re-shaping is needed.
+# support re-shaping is needed. Draws 505 and 758 of seed 8 each bisect once
+# for a row rebalance's scale, a branch no other test reaches.
 @pytest.mark.parametrize(
     "seed, index",
-    [(7, 127), (8, 22), (8, 290), (8, 379), (8, 462), (8, 509), (8, 733), (8, 833)],
+    [(7, 127), (8, 22), (8, 290), (8, 379), (8, 462), (8, 505), (8, 509), (8, 733),
+     (8, 758), (8, 833)],
 )
 def test_sender_br_converges_against_hard_stochastic_decoders(seed, index):
     g, beta = stochastic_decoder_draw(seed, index)
