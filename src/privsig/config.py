@@ -16,18 +16,13 @@ from importlib import resources
 
 import numpy as np
 
+from .errors import ConfigError, _check_settings
 from .game import DistortionMatrix, GameInstance, ReceiverPolicy, SenderPolicy, hamming_distortion
 from .multi import MultiGameInstance, MultiJoint, MultiReceiverPolicy, SenderPolicySet
 from .prob import LN2, FiniteSpace, JointPXZW
 from .solve import SolverSettings
 
 SCHEMA_VERSION = 1
-
-
-class ConfigError(ValueError):
-    def __init__(self, errors):
-        self.errors = list(errors)
-        super().__init__("; ".join(self.errors))
 
 
 @dataclass(frozen=True)
@@ -39,19 +34,13 @@ class SweepSpec:
 
     def __post_init__(self):
         # written so that NaN fails each comparison
-        errors = []
-        if not self.start >= 0:
-            errors.append("rho.start: must be nonnegative")
-        if not self.start < self.stop:
-            errors.append("rho.start: must be strictly below rho.stop")
-        if self.steps < 2:
-            errors.append("rho.steps: must be at least 2")
-        if self.scale not in ("linear", "log"):
-            errors.append("rho.scale: must be 'linear' or 'log'")
-        elif self.scale == "log" and not self.start > 0:
-            errors.append("rho.scale: log spacing needs start > 0")
-        if errors:
-            raise ConfigError(errors)
+        _check_settings("rho", self, ("start", "stop"), [
+            ("start", self.start >= 0, "must be nonnegative"),
+            ("start", self.start < self.stop, "must be strictly below rho.stop"),
+            ("steps", self.steps >= 2, "must be at least 2"),
+            ("scale", self.scale in ("linear", "log"), "must be 'linear' or 'log'"),
+            ("scale", self.scale != "log" or self.start > 0, "log spacing needs start > 0"),
+        ])
 
     def grid(self) -> np.ndarray:
         if self.scale == "log":
@@ -66,15 +55,12 @@ class DynamicsSettings:
     variant: str = "thresholded"
 
     def __post_init__(self):
-        errors = []
-        if not self.epsilon > 0:
-            errors.append("dynamics.epsilon: must be positive")
-        if self.max_rounds < 1:
-            errors.append("dynamics.max_rounds: must be at least 1")
-        if self.variant not in ("plain", "thresholded"):
-            errors.append("dynamics.variant: must be 'plain' or 'thresholded'")
-        if errors:
-            raise ConfigError(errors)
+        # written so that NaN fails the comparison
+        _check_settings("dynamics", self, ("epsilon",), [
+            ("epsilon", self.epsilon > 0, "must be positive"),
+            ("max_rounds", self.max_rounds >= 1, "must be at least 1"),
+            ("variant", self.variant in ("plain", "thresholded"), "must be 'plain' or 'thresholded'"),
+        ])
 
 
 @dataclass(frozen=True)
@@ -204,8 +190,6 @@ def _section(errors, cls, raw, label):
             return cls(**kwargs)
         except ConfigError as exc:
             sub = exc.errors
-        except ValueError as exc:
-            sub = [f"{label}: {exc}"]
     errors.extend(sub)
     return None
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import DistortionMatrix, SenderPolicy, _check_blocks
+from .game import DistortionMatrix, SenderPolicy, _check_blocks, _joint_yw
 from .prob import (
     FiniteSpace,
     _check_entries,
@@ -198,8 +198,7 @@ def expected_distortion_multi(
 def leakage_j(g: MultiGameInstance, alphas: SenderPolicySet, j: int) -> float:
     """I(Y_j; W_j) in nats for sender j (0-based)."""
     g.check_policies(alphas)
-    jyw = np.einsum("yzw,zw->yw", alphas[j].a, g.joint.pzw(j))
-    return _mutual_information(jyw)
+    return _mutual_information(_joint_yw(g.joint.pzw(j), alphas[j].a))
 
 
 def coalition_leakage(g: MultiGameInstance, alphas: SenderPolicySet, j: int) -> float:

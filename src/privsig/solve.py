@@ -3,13 +3,14 @@
 The receiver's best response is exact (per-message posterior minimization).
 The sender's best response minimizes a convex objective over a product of
 message simplices, one per (measurement, secret) pair: exponentiated
-gradient steps shape the support, and on problems up to _POLISH_MAX_VARS
-coordinates an active-set Newton phase closes the gap, its steps solved in
-each secret's mass-conserving coordinates, where the leakage curvature has
-rank |Y| at most. Stationarity is measured by the worst simplex-block gap.
-By convexity the sum of the block gaps bounds the cost above the optimum, so
-the worst gap bounds it only once multiplied by the block count |Z| |W|;
-reporting the sum is ROADMAP item B(a).
+gradient steps shape the support and an active-set Newton phase closes the
+gap, its steps solved in each secret's mass-conserving coordinates, where the
+leakage curvature has rank |Y| at most. Above _POLISH_MAX_VARS coordinates
+the Newton phase runs only after a mirror phase that stalls. Stationarity is
+measured by the worst simplex-block gap. By convexity the sum of the block
+gaps bounds the cost above the optimum, so the worst gap bounds it only once
+multiplied by the block count |Z| |W|; reporting the sum is ROADMAP item
+B(a).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .errors import _check_settings
 from .game import (
     GameInstance,
     ReceiverPolicy,
@@ -44,8 +46,9 @@ _STALL_PATIENCE = 30
 # hand off to the Newton phase once multiplicative steps are this close
 _POLISH_AT = 1e-5
 _POLISH_ITERS = 100
-# above this many coordinates the Newton phase costs more than it saves: with
-# it, m = 16 circulants (4096 coordinates, rho 0.2/0.38/0.6) took 87-136 ms
+# above this many coordinates a mirror phase keeps the whole remaining budget
+# and the Newton phase runs only after it stalls: handing off at _POLISH_AT
+# made m = 16 circulants (4096 coordinates, rho 0.2/0.38/0.6) take 87-136 ms
 # each, not 5-102 ms, about two thirds of it in crossing moves and a tenth in
 # the Newton direction
 _POLISH_MAX_VARS = 2000
@@ -78,14 +81,14 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
         # written so that NaN fails each comparison
-        if not (0.0 < self.grad_tol < math.inf and 0.0 <= self.obj_tol < math.inf
-                and 0.0 < self.step_init < math.inf):
-            raise ValueError("tolerances and the initial step must be positive and finite")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        _check_settings("solver", self, ("grad_tol", "obj_tol", "step_init"), [
+            ("max_iters", self.max_iters >= 1, "must be positive"),
+            ("grad_tol", self.grad_tol > 0.0, "must be positive"),
+            ("obj_tol", self.obj_tol >= 0.0, "must be nonnegative"),
+            ("step_init", self.step_init > 0.0, "must be positive"),
+            ("seed", self.seed >= 0, "must be nonnegative"),
+        ])
 
 
 DEFAULT_SETTINGS = SolverSettings()
@@ -787,18 +790,10 @@ def _minimize_over_blocks(
     Alternates a multiplicative-weights phase that shapes the support with
     an active-set Newton phase that closes the stationarity gap, keeping the
     best certified iterate across rounds; each phase hands the next its
-    iterate's cost and log-ratio, so no encoder is evaluated again. Returns
-    (a, cost, iterations, converged, gap).
+    iterate's cost and log-ratio, so no encoder is evaluated again. Above
+    _POLISH_MAX_VARS coordinates a mirror phase hands off only when it
+    stalls. Returns (a, cost, iterations, converged, gap).
     """
-    r = c.shape[0]
-    if start is None:
-        a = np.full_like(c, 1.0 / r)
-    else:
-        a = np.maximum(start, _FREEZE_MASS)
-        a /= a.sum(axis=0)[None, :, :]
-    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
-    if r == 1:
-        return a, cost, 0, True, 0.0
     if rho == 0.0:
         # no leakage term: each block independently loads its cheapest message
         a = np.zeros_like(c)
@@ -806,20 +801,23 @@ def _minimize_over_blocks(
         mi, qi = np.indices(rows.shape)
         a[rows, mi, qi] = 1.0
         return a, float((c * a).sum()), 0, True, 0.0
+    if start is None:
+        a = np.full_like(c, 1.0 / c.shape[0])
+    else:
+        a = np.maximum(start, _FREEZE_MASS)
+        a /= a.sum(axis=0)[None, :, :]
+    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
 
-    polish_ok = a.size <= _POLISH_MAX_VARS
     best = (np.inf, a, cost)
     spent = 0
     while spent < settings.max_iters:
         round_entry = best[0]
-        budget = settings.max_iters - spent
-        if polish_ok:
+        budget, handoff = settings.max_iters - spent, 0.0
+        if a.size <= _POLISH_MAX_VARS:
             # after a stalled Newton phase, re-shape the support until the
             # certificate is well below the best so far
             budget = min(_PHASE_ONE_CAP, budget)
             handoff = min(_POLISH_AT, 0.03 * best[0])
-        else:
-            handoff = 0.0
         a, cost, logratio, gap, used, conv = _mirror_phase(
             c, pzw, pw, rho, a, cost, logratio, settings, budget, handoff
         )
@@ -828,7 +826,7 @@ def _minimize_over_blocks(
             best = (gap, a, cost)
         if conv:
             return a, cost, spent, True, gap
-        if not polish_ok or spent >= settings.max_iters:
+        if spent >= settings.max_iters:
             break
         a, cost, logratio, gap, used, conv = _newton_polish(
             c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent

@@ -9,8 +9,9 @@ from privsig import cli as cli_mod
 from privsig import solve as solve_mod
 from privsig import sweep as sweep_mod
 from privsig.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, main
-from privsig.config import load_config_file, receiver_policy_to_json
-from privsig.game import ReceiverPolicy, expected_distortion, leakage
+from privsig.config import load_config_file, receiver_policy_to_json, sender_policy_to_json
+from privsig.game import ReceiverPolicy, SenderPolicy, expected_distortion, leakage
+from privsig.multi import MultiReceiverPolicy
 from privsig.prob import JointPXZW
 
 
@@ -147,6 +148,16 @@ def test_solve_writes_equilibrium_outputs(runner, tmp_path):
     assert report["expected_distortion"] == pytest.approx(0.0704, abs=2e-3)
     assert (out / "alpha.json").exists() and (out / "beta.json").exists()
     assert "distortion=" in result.output
+
+
+def test_solve_explicit_needs_as_many_messages_as_states(runner, tmp_path):
+    cfg = circulant_config(tmp_path, y_size=4)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == EXIT_CONFIG, all_text(result)
+    assert "Traceback" not in all_text(result)
+    assert "error: explicit construction needs message alphabet = state alphabet" in result.stderr
+    assert not (out / "report.json").exists()
 
 
 def test_solve_is_deterministic(runner, tmp_path):
@@ -330,6 +341,15 @@ def test_sweep_rejects_scalar_rho(runner, tmp_path):
     assert result.exit_code == EXIT_CONFIG
 
 
+def test_sweep_rejects_multi_sender_config(runner, tmp_path):
+    cfg = binary_multi_config(tmp_path, rho={"start": 0.2, "stop": 0.6, "steps": 3})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == EXIT_CONFIG, all_text(result)
+    assert "error: mode: sweep supports single-sender configs" in result.stderr
+    assert not out.exists()
+
+
 def test_sweep_has_no_seed_option(runner, tmp_path):
     # only multi draws a random move order, so only multi takes a seed
     result = runner.invoke(
@@ -416,3 +436,46 @@ def test_verify_epsilon_override(runner, tmp_path):
     )
     assert result.exit_code == 0, all_text(result)
     assert "eps=1e-06" in result.output
+
+
+def verify_multi(runner, tmp_path, alpha_paths, beta_path):
+    cfg = binary_multi_config(tmp_path)
+    args = ["verify", "--config", cfg, "--out", str(tmp_path / "check"), "--beta", beta_path]
+    for path in alpha_paths:
+        args += ["--alpha", path]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, all_text(result)
+    report = json.loads((tmp_path / "check" / "report.json").read_text())
+    assert sorted(report) == ["epsilon", "member", "mode", "receiver_gap", "sender_gaps"]
+    assert report["mode"] == "multi"
+    assert report["epsilon"] == 0.05
+    assert len(report["sender_gaps"]) == 2
+    return result, report
+
+
+def test_verify_multi_round_trip(runner, tmp_path):
+    out = tmp_path / "out"
+    cfg = binary_multi_config(tmp_path)
+    assert runner.invoke(main, ["multi", "--config", cfg, "--out", str(out)]).exit_code == 0
+    alphas = [str(out / "alpha_1.json"), str(out / "alpha_2.json")]
+    result, report = verify_multi(runner, tmp_path, alphas, str(out / "beta.json"))
+    assert "PASS" in result.output
+    assert report["member"] is True
+
+
+def test_verify_multi_flags_non_equilibrium(runner, tmp_path):
+    # both senders reveal their measurement, which is the state, but the
+    # decoder always estimates state 0: the receiver gains 0.5 by listening
+    a = np.zeros((2, 2, 2))
+    a[0, 0, :] = a[1, 1, :] = 1.0
+    alphas = []
+    for i in (1, 2):
+        alphas.append(str(tmp_path / f"alpha_{i}.json"))
+        (tmp_path / f"alpha_{i}.json").write_text(sender_policy_to_json(SenderPolicy(a)))
+    b = np.zeros((2, 2, 2))
+    b[0] = 1.0
+    (tmp_path / "beta.json").write_text(receiver_policy_to_json(MultiReceiverPolicy(b)))
+    result, report = verify_multi(runner, tmp_path, alphas, str(tmp_path / "beta.json"))
+    assert "FAIL" in result.output
+    assert report["member"] is False
+    assert report["receiver_gap"] == pytest.approx(0.5)

@@ -262,6 +262,36 @@ def test_settings_validate_on_construction():
         SweepSpec(float("nan"), 1.0, 3)
 
 
+def test_settings_reject_infinities_on_construction():
+    # the loader rejects these before construction, but library code builds
+    # the dataclasses directly; an infinite stop would put nan in grid()
+    with pytest.raises(ConfigError) as err:
+        SweepSpec(0.0, math.inf, 3)
+    assert err.value.errors == ["rho.stop: expected a finite number, got inf"]
+    with pytest.raises(ConfigError) as err:
+        DynamicsSettings(epsilon=math.inf)
+    assert err.value.errors == ["dynamics.epsilon: expected a finite number, got inf"]
+    with pytest.raises(ConfigError) as err:
+        SolverSettings(step_init=math.inf)
+    assert err.value.errors == ["solver.step_init: expected a finite number, got inf"]
+
+
+def test_solver_settings_name_every_bad_field():
+    text = json.dumps(patched_preset([
+        (("solver", "max_iters"), 0), (("solver", "grad_tol"), -1.0), (("solver", "seed"), -2),
+    ]))
+    assert errors_of(text) == [
+        "solver.max_iters: must be positive",
+        "solver.grad_tol: must be positive",
+        "solver.seed: must be nonnegative",
+    ]
+    with pytest.raises(ConfigError) as err:
+        SolverSettings(obj_tol=-1.0, step_init=0.0)
+    assert err.value.errors == [
+        "solver.obj_tol: must be nonnegative", "solver.step_init: must be positive",
+    ]
+
+
 def test_rho_sweep_object_flags_unknown_keys():
     rho = {"start": 0.1, "stop": 1.0, "steps": 3, "spacing": "log"}
     assert errors_of(single_text(rho=rho)) == ["rho.spacing: unknown field"]

@@ -351,6 +351,27 @@ def test_sender_br_converges_on_eight_symbol_circulant(rho):
     assert_certified(g, beta, sender_best_response(g, beta))
 
 
+def test_sender_br_stalled_mirror_phase_above_the_cap_hands_off():
+    # 4096 encoder coordinates, above _POLISH_MAX_VARS. Each row is drawn on
+    # its own, so the game is not a circulant: 0.7 on the diagonal, the rest
+    # spread by weights falling off as 1 / cyclic distance. The mirror phase
+    # stalls after 717 iterations at a largest block gap of 2.1e-5, and only
+    # the Newton phase certifies the answer
+    m, rng = 16, np.random.default_rng(4)
+    dist = np.minimum(np.arange(1, m), m - np.arange(1, m))
+    rows = []
+    for x in range(m):
+        u = rng.uniform(0.5, 1.5, m - 1) / dist
+        rows.append(np.roll(np.concatenate([[0.7], 0.3 * u / u.sum()]), x))
+    g = GameInstance(
+        JointPXZW.from_xw_matrix(np.array(rows) / m), hamming_distortion(m), FiniteSpace(m), 0.38
+    )
+    beta = ReceiverPolicy.identity(m)
+    res = sender_best_response(g, beta)
+    assert g.joint.pzw.size * m > privsig.solve._POLISH_MAX_VARS
+    assert_certified(g, beta, res)
+
+
 @pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
 def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
     # 1728 encoder coordinates: the Newton step solves systems at most
