@@ -58,22 +58,22 @@ def _load(config_path: str, log_base: str | None, seed: int | None = None) -> Ga
     return cfg
 
 
-def _game(
-    config_path: str, out: str, log_base: str | None, multi: bool = False, seed: int | None = None
-):
-    """(config, scalar rho, game) for a command that plays one game, with out
-    created; exits with EXIT_CONFIG on a config problem."""
+def _game(config_path: str, log_base: str | None, multi: bool = False, seed: int | None = None):
+    """(config, scalar rho, game) for a command that plays one game; exits
+    with EXIT_CONFIG on a config problem."""
     try:
         cfg = _load(config_path, log_base, seed)
         rho = cfg.scalar_rho()
         g = cfg.build_multi(rho) if multi else cfg.build_single(rho)
     except ConfigError as exc:
         _fail_config(exc)
-    os.makedirs(out, exist_ok=True)
     return cfg, rho, g
 
 
 def _write(out: str, name: str, text: str) -> str:
+    # out is made by the first write, so a command that fails before it
+    # writes leaves no directory behind
+    os.makedirs(out, exist_ok=True)
     path = os.path.join(out, name)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -148,7 +148,7 @@ def validate(config_path):
 )
 def solve(config_path, out, log_base, method):
     """Compute one equilibrium at the configured scalar rho."""
-    cfg, rho, g = _game(config_path, out, log_base)
+    cfg, rho, g = _game(config_path, log_base)
     if method == "explicit":
         try:
             br, beta = _identity_best_response(g, cfg.solver)
@@ -208,7 +208,7 @@ def solve(config_path, out, log_base, method):
 )
 def dynamics(config_path, out, log_base, variant):
     """Run best-response play at the configured scalar rho."""
-    cfg, rho, g = _game(config_path, out, log_base)
+    cfg, rho, g = _game(config_path, log_base)
     variant = variant or cfg.dynamics.variant
     a0, b0 = default_initial_pair(g)
     if variant == "thresholded":
@@ -252,7 +252,7 @@ def dynamics(config_path, out, log_base, variant):
 @base_opt
 def multi(config_path, out, seed, log_base):
     """Run randomized best-response play for a multi-sender game."""
-    cfg, rho, g = _game(config_path, out, log_base, multi=True, seed=seed)
+    cfg, rho, g = _game(config_path, log_base, multi=True, seed=seed)
     alphas0, beta0 = multi_mod.default_initial_state_multi(g)
     rep = multi_mod.random_best_response_dynamics(
         g,
@@ -321,7 +321,6 @@ def sweep(config_path, out, log_base, method):
         sys.exit(EXIT_CONFIG)
     except RuntimeError as exc:
         _fail_no_convergence(exc)
-    os.makedirs(out, exist_ok=True)
     _write_csv(out, "sweep.csv", SweepRow, rows)
     try:
         # the critical-ratio bisection solves more points
@@ -399,7 +398,6 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
     except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    os.makedirs(out, exist_ok=True)
     _json_report(out, doc)
     verdict = "PASS" if doc["member"] else "FAIL"
     click.echo(f"epsilon-equilibrium check at eps={eps:g}: {verdict} ({gaps})")

@@ -5,12 +5,16 @@ The sender's best response minimizes a convex objective over a product of
 message simplices, one per (measurement, secret) pair: exponentiated
 gradient steps shape the support and an active-set Newton phase closes the
 gap, its steps solved in each secret's mass-conserving coordinates, where the
-leakage curvature has rank |Y| at most. Above _POLISH_MAX_VARS coordinates
-the Newton phase runs only after a mirror phase that stalls. Stationarity is
-measured by the worst simplex-block gap. By convexity the sum of the block
-gaps bounds the cost above the optimum, so the worst gap bounds it only once
-multiplied by the block count |Z| |W|; reporting the sum is ROADMAP item
-B(a).
+leakage curvature has rank |Y| at most. The mirror phase hands off at a
+largest block gap of _POLISH_AT, or as soon as a gap below _CRAWL_AT stops
+halving within _STALL_PATIENCE iterations, a rule on the iterates' progress
+alone; the Newton phase then finds the active set itself, cutting shrinking
+coordinates at the floor and lifting growers along their moves. Above
+_POLISH_MAX_VARS coordinates the Newton phase runs only after a mirror phase
+that stalls. Stationarity is measured by the worst simplex-block gap. By
+convexity the sum of the block gaps bounds the cost above the optimum, so
+the worst gap bounds it only once multiplied by the block count |Z| |W|;
+the Newton phase stops on the sum, and reporting it is ROADMAP item B(a).
 """
 from __future__ import annotations
 
@@ -43,8 +47,14 @@ _MASS_FLOOR = 1e-300
 # power-of-two limit cycle around the scale a flat block needs
 _STEP_GROWTH = 1.3
 _STALL_PATIENCE = 30
-# hand off to the Newton phase once multiplicative steps are this close
+# hand off to the Newton phase once multiplicative steps are this close, or
+# once they crawl below _CRAWL_AT: a gap that has not halved in
+# _STALL_PATIENCE iterations. On small problems the mirror phase otherwise
+# spends most of a solve creeping from 1e-3 to 1e-5 (the 200 seed-7 games
+# against stochastic decoders in tests/test_solver.py: 69,769 iterations in
+# all, 18,958 with the crawl hand-off)
 _POLISH_AT = 1e-5
+_CRAWL_AT = 1e-3
 _POLISH_ITERS = 100
 # above this many coordinates a mirror phase keeps the whole remaining budget
 # and the Newton phase runs only after it stalls: handing off at _POLISH_AT
@@ -498,7 +508,9 @@ def _row_rebalance(
     if cells.size == 0:
         return a, cost, logratio, False
     usable = (pzw > 0.0) & np.isfinite(lam_ex)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a subnormal rho overflows the ratio; the isfinite test below then
+    # returns a unmoved
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         tmat = np.where(usable, (lam_ex - c[y]) / (rho * np.where(usable, pzw, 1.0)), -np.inf)
     tbest = tmat.max(axis=0)
     zstar = tmat.argmax(axis=0)
@@ -529,7 +541,11 @@ def _row_rebalance(
 
     def deficit_at(s: float):
         cand = build(s)
-        cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
+        # a scale that moves nothing keeps a's own evaluation
+        if np.array_equal(cand, a):
+            cand_cost, cand_ratio = cost, logratio
+        else:
+            cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
         gc = _gradient(c, rho_pzw, cand_ratio)
         hv = cand >= _FREEZE_MASS
         hv[y] = False
@@ -563,6 +579,49 @@ def _row_rebalance(
     gap_after = np.log(np.maximum(new_a[y], _MASS_FLOOR))
     if float(np.abs(gap_after - gap_before).max()) >= 1e-9 and new_cost <= cost + _cost_slack(cost):
         return new_a, new_cost, new_ratio, True
+    return a, cost, logratio, False
+
+
+def _admit_growers(
+    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
+    cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
+):
+    """Lift growers that no crossing lifted by one Newton step along their move.
+
+    A crossing tracks only the grower's own gradient. In a heavy row that
+    gradient moves slowly with the grower's mass, so the crossing lies far
+    out, and the rest of the block, rescaled to make room, prices the move
+    above its start. The move that sets a[y, z, w] = x and rescales the rest
+    of its block is a line v in the block's column, with slope grad . v and
+    curvature rho P{z, w}^2 sum_y' v_y'^2 (1 / P{Y=y', W=w} - 1 / P{Y=y'});
+    each grower takes that line's Newton step, capped at mass 1/2. All of
+    them move together from a's (y, w) joint, and the batch is evaluated
+    once and kept only if it lowers the cost. Returns (encoder, cost,
+    log-ratio, moved).
+    """
+    jyw = _joint_yw(pzw, a)
+    py = jyw.sum(axis=1)
+    cand = a.copy()
+    for y, z, w in zip(*(ix.tolist() for ix in np.unravel_index(coords, a.shape))):
+        p = pzw[z, w]
+        if p <= 0.0:
+            continue
+        col = a[:, z, w]
+        v = col / (col[y] - 1.0)
+        v[y] = 1.0
+        slope = float(grad[:, z, w] @ v)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            curv = rho * p * p * float((v * v) @ (1.0 / jyw[:, w] - 1.0 / py))
+        if not slope < 0.0 < curv < math.inf:
+            continue
+        x = min(col[y] - slope / curv, 0.5)
+        cand[:, z, w] = col * ((1.0 - x) / (1.0 - col[y]))
+        cand[y, z, w] = x
+    if np.array_equal(cand, a):
+        return a, cost, logratio, False
+    cand_cost, cand_ratio = _objective_parts(c, pzw, _log_floored(pw), rho, cand)
+    if cand_cost < cost:
+        return cand, cand_cost, cand_ratio, True
     return a, cost, logratio, False
 
 
@@ -604,13 +663,17 @@ def _newton_polish(
 
     Starts from a with its cost and log-ratio (_objective_parts). Coordinates
     below the freeze mass are held fixed unless they want to grow, which
-    lifts them (a light row by a whole-row rebalance); the rest take damped
-    Newton steps constrained to conserve each block's mass, with a
-    fraction-to-boundary rule keeping the iterate strictly positive. The
+    lifts them (a light row by a whole-row rebalance, others by crossings or,
+    where a crossing is rejected, by a Newton step along their move); the
+    rest take damped Newton steps constrained to conserve each block's mass.
+    A step that overshoots is first tried whole, with the shrinking
+    coordinates it overshoots cut at the floor; otherwise a
+    fraction-to-boundary rule keeps the iterate strictly positive. The
     stationarity gap is always measured over all coordinates, so freezing
-    cannot fake convergence. Returns (encoder, cost, log-ratio, gap,
+    cannot fake convergence, and the phase stops once the summed gap meets
+    grad_tol. Returns (encoder, cost, log-ratio, largest block gap,
     iterations, converged) after at most min(_POLISH_ITERS, budget)
-    iterations.
+    iterations; converged means the largest block gap meets grad_tol.
     """
     shape = a.shape
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
@@ -624,11 +687,33 @@ def _newton_polish(
     best = (np.inf, a, cost, logratio)
     lam = 1e-10
     basis = None
+
+    def trial(flat):
+        cand = np.maximum(flat.reshape(shape), _MASS_FLOOR)
+        cand /= cand.sum(axis=0)[None, :, :]
+        return (cand, *_objective_parts(c, pzw, log_pw, rho, cand))
+
+    refused = None  # the last lift refused, and the iterate it was refused at
+
+    def lift(a, cost, logratio, grad, coords):
+        # the blockers a step leaves behind are often the next iteration's
+        # growers; a lift refused at this very iterate would be refused again
+        nonlocal refused
+        if refused is not None and refused[0] is a and np.array_equal(refused[1], coords):
+            return a, cost, logratio, False
+        out = _lift(c, pzw, pw, rho, a, cost, logratio, grad, coords, settings.grad_tol)
+        refused = None if out[3] else (a, coords)
+        return out
+
     it = 0
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
         grad = _gradient(c, rho_pzw, logratio)
-        gap = _stationarity_gap(a, grad, grad.min(axis=0))
-        if gap <= settings.grad_tol:
+        per_block = (a * grad).sum(axis=0) - grad.min(axis=0)
+        gap = float(per_block.max())
+        # the summed gap, which bounds the cost above the optimum, sets the
+        # phase's own stop: near the answer a quadratic step closes it for
+        # about the price of the largest one
+        if float(per_block.sum()) <= settings.grad_tol:
             return a, cost, logratio, gap, it - 1, True
         if gap < best[0]:
             best = (gap, a, cost, logratio)
@@ -638,14 +723,20 @@ def _newton_polish(
         growers = np.flatnonzero(~heavy & (lam_b - grad > 0.25 * settings.grad_tol))
         lifted_here = False
         if growers.size:
-            a, cost, logratio, lifted_here = _lift(
-                c, pzw, pw, rho, a, cost, logratio, grad, growers, settings.grad_tol
-            )
+            a, cost, logratio, lifted_here = lift(a, cost, logratio, grad, growers)
             if lifted_here:
                 # fall through to the Newton step on the refreshed state, or
                 # lift churn between coupled coordinates can eat the budget
                 grad = _gradient(c, rho_pzw, logratio)
                 heavy = a >= _FREEZE_MASS
+            stuck = growers[a.reshape(-1)[growers] < _FREEZE_MASS]
+            if stuck.size:
+                a, cost, logratio, admitted = _admit_growers(
+                    c, pzw, pw, rho, a, cost, logratio, grad, stuck
+                )
+                if admitted:
+                    grad, lifted_here = _gradient(c, rho_pzw, logratio), True
+                    heavy = a >= _FREEZE_MASS
 
         af, gf = a.reshape(-1), grad.reshape(-1)
         idx = np.flatnonzero(heavy)
@@ -673,29 +764,53 @@ def _newton_polish(
                 ratios = af[idx][neg] / -d[neg]
             tmax = float(ratios.min()) if np.any(neg) else np.inf
             t = min(1.0, 0.995 * tmax)
-            for _ in range(30):
+            cut = False
+            if tmax < 1.0 and lam <= 1.0:
+                # an overshooting step, not yet damped into a short gradient
+                # step: taken whole with the coordinates it overshoots cut at
+                # the floor, if each of them wants to shrink, it finds in one
+                # evaluation the active set that blocker crossings reach one
+                # coordinate at a time. Heavier damping cut on a gradient's
+                # say-so and churned (circulant5 at rho = 1e8)
+                full = af.copy()
+                full[idx] += d
+                lam_b = np.where(heavy, grad, np.inf).min(axis=0)
+                if np.all((grad > lam_b).reshape(-1)[full < _MASS_FLOOR]):
+                    cand, cand_cost, cand_ratio = trial(full)
+                    if cand_cost <= cost + 1e-4 * float(gf @ (cand.reshape(-1) - af)):
+                        moved, adopted, cut = cand_cost < cost, True, True
+                        a, cost, logratio = cand, cand_cost, cand_ratio
+            # a step whose whole predicted decrease is below the rounding of a
+            # cost that sums terms up to rho in size cannot be ranked by the
+            # cost. Near the answer the certificate can: the first trial is
+            # taken if it halves the largest block gap
+            now = np.inf
+            if not adopted and -slope <= 1e-15 * (abs(cost) + rho):
+                now = _stationarity_gap(a, grad, grad.min(axis=0))
+            for k in range(0 if adopted else 30):
                 cf = af.copy()
                 cf[idx] += t * d
-                cand = np.maximum(cf.reshape(shape), _MASS_FLOOR)
-                cand /= cand.sum(axis=0)[None, :, :]
-                cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
+                cand, cand_cost, cand_ratio = trial(cf)
                 if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost):
                     # a step inside the slack that lowers nothing is no move,
                     # or a stuck phase would spend its whole budget on them
                     moved, adopted = cand_cost < cost, True
+                elif k == 0 and now <= _POLISH_AT:
+                    cand_grad = _gradient(c, rho_pzw, cand_ratio)
+                    moved = adopted = _stationarity_gap(cand, cand_grad, cand_grad.min(axis=0)) <= 0.5 * now
+                if adopted:
                     a, cost, logratio = cand, cand_cost, cand_ratio
                     break
                 t *= 0.5
-            if tmax < 0.05:
+            if tmax < 0.05 and not cut:
                 # a boundary-pinned step leaves the blocking coordinates
                 # crawling toward the face a fixed fraction per iteration;
                 # crossing them directly removes the pin, and doubles as the
                 # rescue move when the step itself was rejected
                 order = np.argsort(ratios)
                 blockers = idx[neg][order[ratios[order] < 0.05]]
-                a, cost, logratio, lifted = _lift(
-                    c, pzw, pw, rho, a, cost, logratio,
-                    _gradient(c, rho_pzw, logratio), blockers, settings.grad_tol,
+                a, cost, logratio, lifted = lift(
+                    a, cost, logratio, _gradient(c, rho_pzw, logratio), blockers
                 )
                 moved |= lifted
             # a retry's step starts from the iteration's entry state, so
@@ -717,15 +832,18 @@ def _newton_polish(
 def _mirror_phase(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
-    handoff: float,
+    handoff: float, crawl: float,
 ):
     """Multiplicative-weights segment with Armijo backtracking.
 
     Starts from a with its cost and log-ratio (_objective_parts); the
     evaluation that accepts a step gives the next iterate's gradient. Runs
-    until the gap tolerance, the handoff threshold, a stall, or the budget,
-    and reports the best certified iterate seen. Returns (a, cost, log-ratio,
-    gap, used, converged).
+    until the gap tolerance, the handoff threshold, a crawl (a gap at most
+    crawl that is more than half its value _STALL_PATIENCE iterations
+    earlier), a stall, or the budget, and reports the best certified iterate
+    seen; at the handoff or a crawl it returns the current iterate for the
+    Newton phase. handoff and crawl 0 keep the phase to the end. Returns (a,
+    cost, log-ratio, gap, used, converged).
     """
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     step = settings.step_init
@@ -733,6 +851,7 @@ def _mirror_phase(
     anchor = np.inf
     stalled = 0
     used = 0
+    gaps = []
     for used in range(1, budget + 1):
         grad = _gradient(c, rho_pzw, logratio)
         low = grad.min(axis=0)
@@ -742,6 +861,11 @@ def _mirror_phase(
         if gap <= settings.grad_tol:
             return a, cost, logratio, gap, used - 1, True
         if gap <= handoff:
+            return a, cost, logratio, gap, used - 1, False
+        # a certificate that has not halved in _STALL_PATIENCE iterations is
+        # crawling: the Newton phase closes it from here in fewer iterations
+        gaps.append(gap)
+        if gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]:
             return a, cost, logratio, gap, used - 1, False
         if gap < 0.97 * anchor:
             anchor = gap
@@ -790,9 +914,11 @@ def _minimize_over_blocks(
     Alternates a multiplicative-weights phase that shapes the support with
     an active-set Newton phase that closes the stationarity gap, keeping the
     best certified iterate across rounds; each phase hands the next its
-    iterate's cost and log-ratio, so no encoder is evaluated again. Above
-    _POLISH_MAX_VARS coordinates a mirror phase hands off only when it
-    stalls. Returns (a, cost, iterations, converged, gap).
+    iterate's cost and log-ratio, so no encoder is evaluated again. A mirror
+    phase hands off at _POLISH_AT or when its gap crawls below _CRAWL_AT,
+    both lowered to 0.03 times the best gap after a stalled Newton phase.
+    Above _POLISH_MAX_VARS coordinates it hands off only when it stalls.
+    Returns (a, cost, iterations, converged, gap).
     """
     if rho == 0.0:
         # no leakage term: each block independently loads its cheapest message
@@ -812,14 +938,15 @@ def _minimize_over_blocks(
     spent = 0
     while spent < settings.max_iters:
         round_entry = best[0]
-        budget, handoff = settings.max_iters - spent, 0.0
+        budget, handoff, crawl = settings.max_iters - spent, 0.0, 0.0
         if a.size <= _POLISH_MAX_VARS:
             # after a stalled Newton phase, re-shape the support until the
             # certificate is well below the best so far
             budget = min(_PHASE_ONE_CAP, budget)
             handoff = min(_POLISH_AT, 0.03 * best[0])
+            crawl = min(_CRAWL_AT, 0.03 * best[0])
         a, cost, logratio, gap, used, conv = _mirror_phase(
-            c, pzw, pw, rho, a, cost, logratio, settings, budget, handoff
+            c, pzw, pw, rho, a, cost, logratio, settings, budget, handoff, crawl
         )
         spent += used
         if gap < best[0]:

@@ -160,6 +160,16 @@ def test_solve_explicit_needs_as_many_messages_as_states(runner, tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_solve_alphabet_error_leaves_no_output_directory(runner, tmp_path):
+    # the alphabets are checked before anything is written, so the failed
+    # command leaves no empty --out behind
+    cfg = circulant_config(tmp_path, y_size=4)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["solve", "--config", cfg, "--out", str(out)])
+    assert result.exit_code == EXIT_CONFIG == 2, all_text(result)
+    assert not out.exists()
+
+
 def test_solve_is_deterministic(runner, tmp_path):
     cfg = circulant_config(tmp_path)
     first, second = tmp_path / "a", tmp_path / "b"
