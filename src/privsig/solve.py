@@ -9,12 +9,13 @@ leakage curvature has rank |Y| at most. The mirror phase hands off at a
 largest block gap of _POLISH_AT, or as soon as a gap below _CRAWL_AT stops
 halving within _STALL_PATIENCE iterations, a rule on the iterates' progress
 alone; the Newton phase then finds the active set itself, cutting shrinking
-coordinates at the floor and lifting growers along their moves. Above
-_POLISH_MAX_VARS coordinates the Newton phase runs only after a mirror phase
-that stalls. Stationarity is measured by the worst simplex-block gap. By
-convexity the sum of the block gaps bounds the cost above the optimum, so
-the worst gap bounds it only once multiplied by the block count |Z| |W|;
-the Newton phase stops on the sum, and reporting it is ROADMAP item B(a).
+coordinates at the floor and lifting growers to their crossings, each set of
+them in one evaluated batch. Above _POLISH_MAX_VARS coordinates the Newton
+phase runs only after a mirror phase that stalls. Stationarity is measured
+by the worst simplex-block gap. By convexity the sum of the block gaps
+bounds the cost above the optimum, so the worst gap bounds it only once
+multiplied by the block count |Z| |W|; the Newton phase stops on the sum,
+and reporting it is ROADMAP item B(a).
 """
 from __future__ import annotations
 
@@ -58,9 +59,9 @@ _CRAWL_AT = 1e-3
 _POLISH_ITERS = 100
 # above this many coordinates a mirror phase keeps the whole remaining budget
 # and the Newton phase runs only after it stalls: handing off at _POLISH_AT
-# made m = 16 circulants (4096 coordinates, rho 0.2/0.38/0.6) take 87-136 ms
-# each, not 5-102 ms, about two thirds of it in crossing moves and a tenth in
-# the Newton direction
+# takes m = 16 circulants (4096 coordinates, rho 0.2/0.38/0.6) from 5-92 ms
+# each to 19-29 ms, but their heap peak from 0.3 MB to 3.1-3.3 MB (1 BLAS
+# thread, tracemalloc)
 _POLISH_MAX_VARS = 2000
 _PHASE_ONE_CAP = 600
 # below this mass a coordinate is held fixed by the Newton phase unless it
@@ -71,7 +72,7 @@ _FREEZE_MASS = 1e-10
 # trusted
 _NEWTON_MAX_LEN = 2.0
 # a row carrying less than this much probability is re-profiled whole by the
-# row rebalance instead of moving single coordinates to their crossings
+# row rebalance instead of joining the batch lift of single coordinates
 _LIGHT_ROW = 1e-3
 
 
@@ -385,103 +386,9 @@ def _cost_slack(cost: float) -> float:
     return 1e-15 * max(1.0, abs(cost))
 
 
-def _xlogx_sum(x: np.ndarray) -> float:
-    """Sum of x log x, with 0 log 0 = 0."""
-    return float(x @ _log_floored(x))
-
-
-def _price_crossing(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    jyw: np.ndarray, py: np.ndarray, fsums: list, y: int, z: int, w: int, m: float,
-):
-    """Cost change of setting a[y, z, w] to m and rescaling the rest of its block.
-
-    The move changes one column, so of the (y, w) joint only P{Y, W=w} and
-    P{Y} move, each by P{z, w} times the column change. The leakage is then
-    sum x log x over the joint, less that over P{Y} and the joint's column
-    sums times log P{W}; the last term moves only by the rounding in the
-    column's mass. fsums holds the current sums over each P{Y, W=w}, then
-    over P{Y}. Returns (new column, new P{Y, W=w}, new P{Y}, their sums,
-    cost change).
-    """
-    col = a[:, z, w]
-    new = col * ((1.0 - m) / (1.0 - col[y]))
-    new[y] = m
-    dcol = new - col
-    shift = pzw[z, w] * dcol
-    jw, py_new = jyw[:, w] + shift, py + shift
-    f = _xlogx_sum(jw), _xlogx_sum(py_new)
-    leak = f[0] - fsums[w] - f[1] + fsums[-1] - float(shift.sum()) * math.log(pw[w])
-    return new, jw, py_new, f, float(c[:, z, w] @ dcol) + rho * leak
-
-
-def _rescale_crossings(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
-):
-    """Move coordinates directly to their stationary mass scale.
-
-    A coordinate many orders of magnitude away from the mass where its
-    gradient meets the block minimum over heavy coordinates either holds the
-    gap open (too small) or forces boundary-pinned micro steps (too large),
-    while its effect on the objective can sit below float resolution. Each move sets the
-    coordinate to that crossing, clipped to [floor, 1/2], and rescales the
-    rest of its block to stay normalized. The coordinate's gradient depends
-    on its own mass only through P{Y=y, W=w} and P{Y=y}, both affine in it,
-    so the crossing solves a linear equation; the floor end means the
-    coordinate wants zero mass. Moves are tried in order against a running
-    (y, w) joint, each priced by its cost change (_price_crossing), and
-    accepted on a no-worse basis rather than strict descent, which float
-    resolution could never certify; a move that lands where the coordinate
-    already sits is not tried. Starts from a with its cost, log-ratio
-    (_objective_parts) and gradient; coords index the flattened encoder. The
-    batch counts only if the cost, evaluated afresh once at the end, is lower
-    than on entry; otherwise the input is returned. Returns (encoder, cost,
-    log-ratio, moved).
-    """
-    start, a_in, ratio_in = cost, a, logratio
-    lam_b = np.where(a >= _FREEZE_MASS, grad, np.inf).min(axis=0)
-    ys, zs, ws = np.unravel_index(coords, a.shape)
-    p = pzw[zs, ws]
-    # the crossing is where P{Y=y, W=w} / P{Y=y} reaches k, which no mass
-    # does when k >= 1
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        k = pw[ws] * np.exp((lam_b[zs, ws] - c[ys, zs, ws]) / (rho * p))
-    a = a.copy()
-    jyw = _joint_yw(pzw, a)
-    py = jyw.sum(axis=1)
-    fsums = [_xlogx_sum(col) for col in jyw.T] + [_xlogx_sum(py)]
-    accepted = False
-    for y, z, w, pv, kv in zip(ys.tolist(), zs.tolist(), ws.tolist(), p.tolist(), k.tolist()):
-        if pv <= 0.0:
-            # a zero-probability cell moves nothing; as P{W=w} >= P{z, w},
-            # this also skips every secret of probability zero
-            continue
-        cur = a.item(y, z, w)
-        own = pv * cur
-        j0, p0 = jyw.item(y, w) - own, py.item(y) - own
-        m = 0.5 if kv >= 1.0 else min(max((kv * p0 - j0) / (pv * (1.0 - kv)), _MASS_FLOOR), 0.5)
-        if abs(math.log(m) - math.log(max(cur, _MASS_FLOOR))) < 1e-9:
-            continue
-        new, jw, py_new, f, delta = _price_crossing(
-            c, pzw, pw, rho, a, jyw, py, fsums, y, z, w, m
-        )
-        if delta <= _cost_slack(cost):
-            a[:, z, w], jyw[:, w], py = new, jw, py_new
-            fsums[w], fsums[-1] = f
-            cost += delta
-            accepted = True
-    if not accepted:
-        return a_in, start, ratio_in, False
-    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
-    if cost < start:
-        return a, cost, logratio, True
-    return a_in, start, ratio_in, False
-
-
 def _row_rebalance(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    y: int, cost: float, logratio: np.ndarray, grad: np.ndarray, grad_tol: float,
+    cost: float, logratio: np.ndarray, grad: np.ndarray, y: int, grad_tol: float,
 ):
     """Re-profile one message row to its stationary shape and scale.
 
@@ -582,77 +489,84 @@ def _row_rebalance(
     return a, cost, logratio, False
 
 
-def _admit_growers(
+def _batch_lift(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
 ):
-    """Lift growers that no crossing lifted by one Newton step along their move.
+    """Move the coordinates coords (flat indices) toward their stationary mass at once.
 
-    A crossing tracks only the grower's own gradient. In a heavy row that
-    gradient moves slowly with the grower's mass, so the crossing lies far
-    out, and the rest of the block, rescaled to make room, prices the move
-    above its start. The move that sets a[y, z, w] = x and rescales the rest
-    of its block is a line v in the block's column, with slope grad . v and
-    curvature rho P{z, w}^2 sum_y' v_y'^2 (1 / P{Y=y', W=w} - 1 / P{Y=y'});
-    each grower takes that line's Newton step, capped at mass 1/2. All of
-    them move together from a's (y, w) joint, and the batch is evaluated
-    once and kept only if it lowers the cost. Returns (encoder, cost,
+    Against the block minima over heavy coordinates, a coordinate whose
+    gradient lies above its block's minimum wants to shrink and is cut at
+    the floor; one whose gradient lies below it grows to its crossing, the
+    mass where the two meet. The gradient depends on the coordinate's own
+    mass only through P{Y=y, W=w} and P{Y=y}, both affine in it, so the
+    crossing solves a linear equation in a's (y, w) joint; it is clipped to
+    [floor, 1/2], and a coordinate already at its target stays. Each move
+    rescales the rest of its block to keep its mass. The batch is evaluated
+    once and kept only if it lowers the cost.
+
+    A cut can overshoot, and in a heavy row a grower's gradient moves slowly
+    with its mass, so its crossing lies far out and the rest of the block,
+    rescaled to make room, can price the move above its start. Then each
+    coordinate takes a Newton step along its move instead: setting
+    a[y, z, w] = x and rescaling the rest of its block is a line v in the
+    block's column, with slope grad . v and curvature rho P{z, w}^2
+    sum_y' v_y'^2 (1 / P{Y=y', W=w} - 1 / P{Y=y'}). Coordinates that share a
+    (y, w) cell all shift P{Y=y, W=w}, so each takes an equal share of its
+    step; a grower stops at mass 1/2 and a shrinking coordinate at the
+    floor. This batch too is evaluated once, unless it repeats the first,
+    and kept only if it lowers the cost. Starts from a with its cost,
+    log-ratio (_objective_parts) and gradient. Returns (encoder, cost,
     log-ratio, moved).
     """
+    ys, zs, ws = np.unravel_index(coords, a.shape)
+    p, cur = pzw[zs, ws], a[ys, zs, ws]
     jyw = _joint_yw(pzw, a)
     py = jyw.sum(axis=1)
-    cand = a.copy()
-    for y, z, w in zip(*(ix.tolist() for ix in np.unravel_index(coords, a.shape))):
-        p = pzw[z, w]
-        if p <= 0.0:
-            continue
-        col = a[:, z, w]
-        v = col / (col[y] - 1.0)
-        v[y] = 1.0
-        slope = float(grad[:, z, w] @ v)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            curv = rho * p * p * float((v * v) @ (1.0 / jyw[:, w] - 1.0 / py))
-        if not slope < 0.0 < curv < math.inf:
-            continue
-        x = min(col[y] - slope / curv, 0.5)
-        cand[:, z, w] = col * ((1.0 - x) / (1.0 - col[y]))
-        cand[y, z, w] = x
-    if np.array_equal(cand, a):
-        return a, cost, logratio, False
-    cand_cost, cand_ratio = _objective_parts(c, pzw, _log_floored(pw), rho, cand)
-    if cand_cost < cost:
-        return cand, cand_cost, cand_ratio, True
-    return a, cost, logratio, False
+    lam_b = np.where(a >= _FREEZE_MASS, grad, np.inf).min(axis=0)[zs, ws]
+    # a zero-probability cell moves nothing; as P{W=w} >= P{z, w}, this also
+    # leaves out every secret of probability zero
+    shrink = (p > 0.0) & (grad[ys, zs, ws] > lam_b)
+    grow = (p > 0.0) & (grad[ys, zs, ws] < lam_b)
+    own = p * cur
+    j0, p0 = jyw[ys, ws] - own, py[ys] - own
+    # a subnormal rho overflows the exponent; the crossing is then 1/2, the
+    # floor or NaN, which moves nothing
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # the crossing is where P{Y=y, W=w} / P{Y=y} reaches k, which no mass
+        # does when k >= 1
+        k = pw[ws] * np.exp((lam_b - c[ys, zs, ws]) / (rho * p))
+        cross = np.where(k >= 1.0, 0.5, np.clip((k * p0 - j0) / (p * (1.0 - k)), _MASS_FLOOR, 0.5))
+        mass = np.where(shrink, _MASS_FLOOR, cross)
+        first = (shrink | grow) & (np.abs(np.log(mass) - np.log(np.maximum(cur, _MASS_FLOOR))) >= 1e-9)
 
+    def attempt(sel, x):
+        if not sel.any():
+            return None
+        y, z, w, cy = ys[sel], zs[sel], ws[sel], cur[sel]
+        cand = a.copy()
+        # a lone move in its block ends at mass x once the block is
+        # renormalized
+        cand[y, z, w] = x[sel] * (1.0 - cy) / (1.0 - x[sel])
+        cand[:, z, w] /= cand[:, z, w].sum(axis=0)
+        cand_cost, cand_ratio = _objective_parts(c, pzw, _log_floored(pw), rho, cand)
+        return (cand, cand_cost, cand_ratio, True) if cand_cost < cost else None
 
-def _lift(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
-    grad_tol: float,
-):
-    """Move the coordinates coords (flat indices) toward their stationary mass.
-
-    A message row carrying less than _LIGHT_ROW is re-profiled whole
-    (_row_rebalance); the other coordinates move to their crossings
-    (_rescale_crossings) against block minima of the state they start from.
-    Starts from a with its cost, log-ratio and gradient. Returns (encoder,
-    cost, log-ratio, moved).
-    """
-    rows = coords // (a.shape[1] * a.shape[2])
-    light = (pzw[None, :, :] * a).sum(axis=(1, 2))[rows] < _LIGHT_ROW
-    lifted = False
-    for y in np.unique(rows[light]).tolist():
-        a, cost, logratio, moved = _row_rebalance(
-            c, pzw, pw, rho, a, y, cost, logratio, grad, grad_tol
-        )
-        if moved:
-            grad, lifted = _gradient(c, rho * pzw, logratio), True
-    if not light.all():
-        a, cost, logratio, moved = _rescale_crossings(
-            c, pzw, pw, rho, a, cost, logratio, grad, coords[~light]
-        )
-        lifted |= moved
-    return a, cost, logratio, lifted
+    out = attempt(first, mass)
+    if out is None:
+        v = a[:, zs, ws] / (cur - 1.0)
+        v[ys, np.arange(ys.size)] = 1.0
+        slope = (grad[:, zs, ws] * v).sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            curv = rho * p * p * (v * v * (1.0 / jyw[:, ws] - 1.0 / py[:, None])).sum(axis=0)
+            again = np.where(grow, slope < 0.0, shrink & (slope > 0.0)) & (0.0 < curv) & (curv < np.inf)
+            cell = np.where(again, ys * pw.size + ws, -1)
+            _, at, count = np.unique(cell, return_inverse=True, return_counts=True)
+            x = cur - slope / (curv * count[at])
+        x = np.where(grow, np.minimum(x, 0.5), np.maximum(x, _MASS_FLOOR))
+        if not (np.array_equal(again, first) and np.array_equal(x[again], mass[again])):
+            out = attempt(again, x)
+    return out or (a, cost, logratio, False)
 
 
 def _newton_polish(
@@ -663,9 +577,9 @@ def _newton_polish(
 
     Starts from a with its cost and log-ratio (_objective_parts). Coordinates
     below the freeze mass are held fixed unless they want to grow, which
-    lifts them (a light row by a whole-row rebalance, others by crossings or,
-    where a crossing is rejected, by a Newton step along their move); the
-    rest take damped Newton steps constrained to conserve each block's mass.
+    lifts them (a light row by a whole-row rebalance, the others in one
+    batch, _batch_lift); the rest take damped Newton steps constrained to
+    conserve each block's mass.
     A step that overshoots is first tried whole, with the shrinking
     coordinates it overshoots cut at the floor; otherwise a
     fraction-to-boundary rule keeps the iterate strictly positive. The
@@ -693,17 +607,34 @@ def _newton_polish(
         cand /= cand.sum(axis=0)[None, :, :]
         return (cand, *_objective_parts(c, pzw, log_pw, rho, cand))
 
-    refused = None  # the last lift refused, and the iterate it was refused at
+    refused = (None, set())  # an iterate, and the lifts refused at it
 
     def lift(a, cost, logratio, grad, coords):
-        # the blockers a step leaves behind are often the next iteration's
-        # growers; a lift refused at this very iterate would be refused again
+        # moves coords (flat indices) toward their stationary mass: a message
+        # row carrying less than _LIGHT_ROW is re-profiled whole, the other
+        # coordinates move as one batch. A rebalance depends only on its row
+        # and the iterate, a batch only on its coordinates and the iterate,
+        # and the blockers a step leaves behind are often the next
+        # iteration's growers, so none refused at an iterate is tried there
+        # again
         nonlocal refused
-        if refused is not None and refused[0] is a and np.array_equal(refused[1], coords):
-            return a, cost, logratio, False
-        out = _lift(c, pzw, pw, rho, a, cost, logratio, grad, coords, settings.grad_tol)
-        refused = None if out[3] else (a, coords)
-        return out
+        rows = coords // (shape[1] * shape[2])
+        light = (pzw * a).sum(axis=(1, 2))[rows] < _LIGHT_ROW
+        moves = [(y, _row_rebalance, (y, settings.grad_tol)) for y in np.unique(rows[light]).tolist()]
+        if not light.all():
+            moves.append((coords[~light].tobytes(), _batch_lift, (coords[~light],)))
+        lifted = False
+        for key, move, args in moves:
+            if refused[0] is not a:
+                refused = (a, set())
+            if key in refused[1]:
+                continue
+            a, cost, logratio, moved = move(c, pzw, pw, rho, a, cost, logratio, grad, *args)
+            if moved:
+                grad, lifted = _gradient(c, rho_pzw, logratio), True
+            else:
+                refused[1].add(key)
+        return a, cost, logratio, lifted
 
     it = 0
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
@@ -729,20 +660,16 @@ def _newton_polish(
                 # lift churn between coupled coordinates can eat the budget
                 grad = _gradient(c, rho_pzw, logratio)
                 heavy = a >= _FREEZE_MASS
-            stuck = growers[a.reshape(-1)[growers] < _FREEZE_MASS]
-            if stuck.size:
-                a, cost, logratio, admitted = _admit_growers(
-                    c, pzw, pw, rho, a, cost, logratio, grad, stuck
-                )
-                if admitted:
-                    grad, lifted_here = _gradient(c, rho_pzw, logratio), True
-                    heavy = a >= _FREEZE_MASS
 
         af, gf = a.reshape(-1), grad.reshape(-1)
         idx = np.flatnonzero(heavy)
-        # the basis and its QR depend on the active set alone
-        if basis is None or not np.array_equal(basis.heavy, heavy):
-            basis = _active_set_basis(pzw, heavy)
+        # the basis and its QR depend on the active set alone. The last
+        # direction, and a basis of another active set, are let go first, or
+        # they are alive at the heap's peak while the next basis is built
+        direction = None
+        if basis is not None and not np.array_equal(basis.heavy, heavy):
+            basis = None
+        basis = basis or _active_set_basis(pzw, heavy)
         direction = _newton_direction(pzw, rho, a, heavy, grad, basis)
         moved = adopted = False
         for _ in range(14):
@@ -768,10 +695,10 @@ def _newton_polish(
             if tmax < 1.0 and lam <= 1.0:
                 # an overshooting step, not yet damped into a short gradient
                 # step: taken whole with the coordinates it overshoots cut at
-                # the floor, if each of them wants to shrink, it finds in one
-                # evaluation the active set that blocker crossings reach one
-                # coordinate at a time. Heavier damping cut on a gradient's
-                # say-so and churned (circulant5 at rho = 1e8)
+                # the floor, if each of them wants to shrink, it finds the
+                # next active set and the step on it in one evaluation.
+                # Heavier damping cut on a gradient's say-so and churned
+                # (circulant5 at rho = 1e8)
                 full = af.copy()
                 full[idx] += d
                 lam_b = np.where(heavy, grad, np.inf).min(axis=0)
@@ -805,10 +732,9 @@ def _newton_polish(
             if tmax < 0.05 and not cut:
                 # a boundary-pinned step leaves the blocking coordinates
                 # crawling toward the face a fixed fraction per iteration;
-                # crossing them directly removes the pin, and doubles as the
-                # rescue move when the step itself was rejected
-                order = np.argsort(ratios)
-                blockers = idx[neg][order[ratios[order] < 0.05]]
+                # lifting them in one batch removes the pin, and doubles as
+                # the rescue move when the step itself was rejected
+                blockers = idx[neg][ratios < 0.05]
                 a, cost, logratio, lifted = lift(
                     a, cost, logratio, _gradient(c, rho_pzw, logratio), blockers
                 )

@@ -23,7 +23,6 @@ from privsig.game import (
     GameInstance,
     ReceiverPolicy,
     SenderPolicy,
-    _joint_yw,
     expected_distortion,
     hamming_distortion,
     leakage,
@@ -38,12 +37,12 @@ from privsig.solve import (
     DEFAULT_SETTINGS,
     SolverSettings,
     _active_set_basis,
+    _batch_lift,
     _cost_slack,
     _gradient,
     _log_floored,
     _newton_direction,
     _objective_parts,
-    _rescale_crossings,
     babbling_equilibrium,
     epsilon_nash_check,
     explicit_equilibrium,
@@ -377,7 +376,7 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
     # 1728 encoder coordinates: the Newton step solves systems at most
     # |Y| + 1 wide, after a thin QR of each secret's message loads in its
     # Helmert rows, never a system over a secret's or every coordinate, and
-    # a batch of crossing moves evaluates the full objective at most once
+    # a batch lift evaluates the full objective at most once
     sizes, qr_shapes = [], []
     solve, qr = np.linalg.solve, np.linalg.qr
 
@@ -389,14 +388,14 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
         qr_shapes.append(mat.shape[-2:])
         return qr(mat, *args, **kwargs)
 
-    batches, inside = [], []  # full objective evaluations per crossing batch
-    crossings, leakage_parts = privsig.solve._rescale_crossings, privsig.solve._leakage_parts
+    batches, inside = [], []  # full objective evaluations per batch lift
+    batch_lift, leakage_parts = privsig.solve._batch_lift, privsig.solve._leakage_parts
 
-    def counting_crossings(*args):
+    def counting_batch_lift(*args):
         batches.append(0)
         inside.append(True)
         try:
-            return crossings(*args)
+            return batch_lift(*args)
         finally:
             inside.pop()
 
@@ -407,7 +406,7 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
 
     monkeypatch.setattr(privsig.solve.np.linalg, "solve", recording_solve)
     monkeypatch.setattr(privsig.solve.np.linalg, "qr", recording_qr)
-    monkeypatch.setattr(privsig.solve, "_rescale_crossings", counting_crossings)
+    monkeypatch.setattr(privsig.solve, "_batch_lift", counting_batch_lift)
     monkeypatch.setattr(privsig.solve, "_leakage_parts", counting_leakage_parts)
     g = shifted_circulant_game(12, rho)
     beta = ReceiverPolicy.identity(12)
@@ -417,7 +416,7 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
     assert max(sizes) <= 12 + 1
     assert qr_shapes, "no active set needed a QR"
     assert all(rows <= (12 - 1) * 12 and cols <= 12 for rows, cols in qr_shapes)
-    assert batches, "no crossing moves were tried"
+    assert batches, "no batch lift was tried"
     assert max(batches) <= 1
     assert_certified(g, beta, res)
 
@@ -641,52 +640,22 @@ def test_damping_skip_drops_only_overlong_directions(monkeypatch):
     assert len(skipped) >= 20 and all(overlong)
 
 
-def full_evaluation_crossings(c, pzw, pw, rho, a, ys, zs, ws, blocks, lam_b, coords, cost):
-    """Reference: each crossing move priced by evaluating the full objective
-    of a copy of the encoder, against a freshly built (y, w) joint.
+def test_batch_lift_hands_back_its_own_evaluation(monkeypatch):
+    # on random states and coordinate sets: the cost and log-ratio returned
+    # are the returned encoder's, evaluated afresh; a call counts as a move
+    # exactly when it lowered the cost, and moves only the blocks of its
+    # coordinates; a call evaluates at most two candidates, the second only
+    # after the first is refused
+    evaluations = []
+    leakage_parts = privsig.solve._leakage_parts
 
-    Returns the final encoder and cost, and (y, z, w, mass, cost change) for
-    every candidate priced, in order.
-    """
-    priced = []
-    for i in coords:
-        y, z, w = int(ys[i]), int(zs[i]), int(ws[i])
-        p = pzw[z, w]
-        if p <= 0.0 or pw[w] <= 0.0:
-            continue
-        jy = _joint_yw(pzw, a)[y]
-        own = p * a[y, z, w]
-        j0, p0 = jy[w] - own, jy.sum() - own
-        with np.errstate(over="ignore"):
-            k = pw[w] * np.exp((float(lam_b[blocks[i]]) - c[y, z, w]) / (rho * p))
-        if k >= 1.0:
-            m = 0.5
-        else:
-            m = min(max((k * p0 - j0) / (p * (1.0 - k)), _MASS_FLOOR), 0.5)
-        if abs(np.log(m) - np.log(max(a[y, z, w], _MASS_FLOOR))) < 1e-9:
-            continue
-        cand = a.copy()
-        cand[:, z, w] *= (1.0 - m) / (1.0 - cand[y, z, w])
-        cand[y, z, w] = m
-        cand_cost = evaluate(c, pzw, pw, rho, cand)[0]
-        priced.append((y, z, w, m, cand_cost - cost))
-        if cand_cost <= cost + _cost_slack(cost):
-            a, cost = cand, cand_cost
-    return a, cost, priced
+    def counting(*args):
+        evaluations.append(args[0].copy())
+        return leakage_parts(*args)
 
-
-def test_crossing_moves_priced_incrementally_match_full_evaluation(monkeypatch):
-    seen = []  # (encoder, coordinate, mass, cost change) per candidate priced
-    price = privsig.solve._price_crossing
-
-    def recording_price(c, pzw, pw, rho, a, jyw, py, fsums, y, z, w, m):
-        out = price(c, pzw, pw, rho, a, jyw, py, fsums, y, z, w, m)
-        seen.append((a.copy(), (y, z, w), m, out[-1]))
-        return out
-
-    monkeypatch.setattr(privsig.solve, "_price_crossing", recording_price)
+    monkeypatch.setattr(privsig.solve, "_leakage_parts", counting)
     rng = np.random.default_rng(47)
-    compared = accepted = moved_batches = 0
+    moved_calls = second_tries = 0
     for _ in range(300):
         r, m, q = (int(v) for v in rng.integers(2, 6, 3))
         pzw = rng.random((m, q)) ** 2
@@ -700,55 +669,36 @@ def test_crossing_moves_priced_incrementally_match_full_evaluation(monkeypatch):
         a /= a.sum(axis=0)
         rho = 10.0 ** rng.uniform(-2.0, 3.0)
         c = rng.random(a.shape) * pzw
-        cost, logratio, grad = evaluate(c, pzw, pw, rho, a)
-        lam_b = np.where(a >= _FREEZE_MASS, grad, np.inf).min(axis=0).reshape(-1)
-        ys, zs, ws = (ix.reshape(-1) for ix in np.indices(a.shape))
-        blocks = zs * q + ws
-        coords = rng.permutation(a.size)[: int(rng.integers(1, a.size + 1))]
         fixed = (c, pzw, pw, rho)
-        index = (ys, zs, ws, blocks, lam_b)
+        cost, logratio, grad = evaluate(*fixed, a)
+        coords = rng.permutation(a.size)[: int(rng.integers(1, a.size + 1))]
         a_in = a.copy()
 
-        seen.clear()
+        evaluations.clear()
         with np.errstate(divide="ignore", invalid="ignore"):
-            got_a, got_cost, got_ratio, moved = _rescale_crossings(
-                *fixed, a, cost, logratio, grad, coords
-            )
-            # each candidate against the reference, from the state it was
-            # priced in
-            for state, coord, mass, delta in seen:
-                now = evaluate(*fixed, state)[0]
-                one = [np.ravel_multi_index(coord, a.shape)]
-                ((*coord_ref, mass_ref, full),) = full_evaluation_crossings(
-                    *fixed, state, *index, one, now
-                )[2]
-                assert tuple(coord_ref) == coord
-                # near the floor the crossing's numerator cancels, so the
-                # running and the fresh joint agree on it only absolutely
-                assert abs(mass - mass_ref) <= 1e-9 * mass_ref + 1e-12
-                if not np.isfinite(full):
-                    # a column the coordinate owns whole has no rest to rescale
-                    assert not np.isfinite(delta)
-                    continue
-                # the objective sums terms up to rho in size, so the full
-                # evaluation's own rounding is a few ulps of cost + rho
-                assert abs(delta - full) <= 2.0 * _cost_slack(now + rho), (delta, full)
-                compared += 1
-                accepted += delta <= _cost_slack(now)
+            got_a, got_cost, got_ratio, moved = _batch_lift(*fixed, a, cost, logratio, grad, coords)
+        tried = list(evaluations)
         np.testing.assert_array_equal(a, a_in)  # the input is not mutated
-
-        # the returned cost and log-ratio are the returned encoder's,
-        # evaluated afresh; a batch counts as a move only if it lowered that
-        # cost
+        assert len(tried) <= 2
+        if len(tried) == 2:
+            second_tries += 1
+            assert not np.array_equal(tried[0], tried[1])
         want_cost, want_ratio, _ = evaluate(*fixed, got_a)
         assert got_cost == want_cost
         np.testing.assert_array_equal(got_ratio, want_ratio)
         assert moved == (got_cost < cost)
         if moved:
-            moved_batches += 1
+            moved_calls += 1
+            np.testing.assert_array_equal(got_a, tried[-1])
+            touched = np.zeros(a.size, dtype=bool)
+            touched[coords] = True
+            kept = ~touched.reshape(a.shape).any(axis=0)
+            np.testing.assert_array_equal(got_a[:, kept], a[:, kept])
+            assert got_a.min() > 0.0
+            np.testing.assert_allclose(got_a.sum(axis=0), 1.0, rtol=0.0, atol=1e-15)
         else:
             assert got_a is a and got_cost == cost and got_ratio is logratio
-    assert compared >= 1000 and accepted >= 300 and moved_batches >= 100
+    assert moved_calls >= 200 and second_tries >= 50
 
 
 def stochastic_decoder_draws(seed: int, count: int):
@@ -769,38 +719,42 @@ def stochastic_decoder_draw(seed: int, index: int):
 
 
 # Against these decoders a frozen coordinate in a heavy message row wants to
-# grow (only a crossing move or a Newton step along its move lifts it), a
-# boundary-pinned Newton step needs its blockers crossed, or one Newton phase
-# stalls and a second round of support re-shaping is needed. Draws 505 and
-# 758 of seed 8 each bisect once for a row rebalance's scale, a branch no
-# other test reaches. Seed 7 draws 2, 78, 103 and 109 and seed 8 draws 90,
-# 130, 172, 509, 711, 903 and 972 stalled in the Newton phase in builds whose
-# mirror phase handed off earlier than at 1e-5 (seed 8 draw 972: a grower at
-# the floor in a row of mass 0.70 held a block gap of 4.6e-5, its crossing
-# rejected on every iteration).
+# grow (only a batch lift of its crossing, or of a Newton step along its
+# move, lifts it), a boundary-pinned Newton step needs its blockers cut, or
+# one Newton phase stalls and a second round of support re-shaping is
+# needed. Draws 505 and 758 of seed 8 each bisect once for a row rebalance's
+# scale, a branch no other test reaches. Seed 7 draws 2, 78, 103 and 109 and
+# seed 8 draws 90, 130, 172, 509, 711, 903 and 972 stalled in the Newton
+# phase in builds whose mirror phase handed off earlier than at 1e-5 (seed 8
+# draw 972: a grower at the floor in a row of mass 0.70 held a block gap of
+# 4.6e-5, its crossing rejected on every iteration). Seed 8 draw 795 stalled
+# at a gap of 1.9e-4 with the growers of one (y, w) cell each taking its
+# whole Newton step along its move: together they overshoot.
 @pytest.mark.parametrize(
     "seed, index",
     [(7, 2), (7, 78), (7, 103), (7, 109), (7, 127), (8, 22), (8, 90), (8, 130),
      (8, 172), (8, 290), (8, 379), (8, 462), (8, 505), (8, 509), (8, 711), (8, 733),
-     (8, 758), (8, 833), (8, 903), (8, 972)],
+     (8, 758), (8, 795), (8, 833), (8, 903), (8, 972)],
 )
 def test_sender_br_converges_against_hard_stochastic_decoders(seed, index):
     g, beta = stochastic_decoder_draw(seed, index)
     assert_certified(g, beta, sender_best_response(g, beta))
 
 
-def test_sender_br_converges_on_every_seed_seven_draw():
-    # the seed-7 stream's first 200 draws, each certified: the largest block
-    # gap <= grad_tol bounds the summed one by |Z| |W| grad_tol. The mirror
-    # phase hands a crawling certificate to the Newton phase, which keeps the
-    # replay near 19,000 iterations (about 70,000 when it waited for 1e-5)
+@pytest.mark.parametrize("seed, count, budget", [(7, 200, 30_000), (8, 1000, 130_000)])
+def test_sender_br_converges_on_every_stream_draw(seed, count, budget):
+    # a seeded stream's first draws, each certified: the largest block gap
+    # <= grad_tol bounds the summed one by |Z| |W| grad_tol. The mirror phase
+    # hands a crawling certificate to the Newton phase, which keeps the seed-7
+    # replay near 18,000 iterations and the seed-8 one near 100,000 (about
+    # 70,000 and 357,000 when it waited for 1e-5)
     total = 0
-    for g, beta in stochastic_decoder_draws(7, 200):
+    for g, beta in stochastic_decoder_draws(seed, count):
         res = sender_best_response(g, beta)
         assert res.converged
         assert summed_block_gap(g, beta, res) <= g.joint.pzw.size * DEFAULT_SETTINGS.grad_tol
         total += res.iterations
-    assert total <= 30_000
+    assert total <= budget
 
 
 def test_sender_br_subnormal_rho_raises_no_warning():
@@ -816,10 +770,13 @@ def test_sender_br_subnormal_rho_raises_no_warning():
 
 def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
     # the evaluation that accepts a step or a lift (or hands an iterate to
-    # the next phase) carries its log-ratio on, so no evaluation repeats an
-    # encoder within a solve, the row rebalance's and the crossing moves'
-    # included
+    # the next phase) carries its log-ratio on, and a lift refused at an
+    # iterate is not tried there again, so no evaluation repeats an encoder
+    # within a solve, the row rebalance's and the batch lift's included.
+    # Seed 8 draws 734 and 862 each re-tried a refused rebalance when the
+    # lifts were remembered by their coordinate lists
     problems = [stochastic_decoder_draw(7, i) for i in range(20)] + [
+        stochastic_decoder_draw(8, 734), stochastic_decoder_draw(8, 862)] + [
         (shifted_circulant_game(m, rho), ReceiverPolicy.identity(m))
         for m in (5, 8, 16) for rho in (0.2, 0.38, 0.6)
     ]
@@ -849,7 +806,7 @@ def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
     monkeypatch.setattr(privsig.solve, "_leakage_parts", recording)
     for name, helper in [
         ("mirror", "_mirror_phase"), ("newton", "_newton_polish"),
-        ("rebalance", "_row_rebalance"), ("crossings", "_rescale_crossings"),
+        ("rebalance", "_row_rebalance"), ("batch lift", "_batch_lift"),
     ]:
         monkeypatch.setattr(privsig.solve, helper, scoped(name, getattr(privsig.solve, helper)))
     phases_run = set()
@@ -861,7 +818,7 @@ def test_sender_solver_evaluates_each_iterate_once(monkeypatch):
         assert repr((got.cost, got.stationarity_gap)) == repr((want.cost, want.stationarity_gap))
         np.testing.assert_array_equal(got.policy.a, want.policy.a)
     monkeypatch.undo()
-    assert phases_run == {"solver", "mirror", "newton", "rebalance", "crossings"}
+    assert phases_run == {"solver", "mirror", "newton", "rebalance", "batch lift"}
     assert not repeats, f"{len(repeats)} repeated evaluations, e.g. {repeats[:3]}"
 
 
