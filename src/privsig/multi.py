@@ -254,6 +254,28 @@ def _linear_coeffs_multi(
     return np.moveaxis(c, -1, 0)
 
 
+# (game, encoders, decoder, sender index, coefficients) of the last sender
+# problem posed. The objects are matched by identity, which is sound because
+# they are immutable and their arrays read-only; so play's check of a drawn
+# sender computes its coefficients once, for the improvement bound and for
+# the solve that follows. Replaced whole, like _last_answers below.
+_last_coeffs: tuple | None = None
+
+
+def _sender_coeffs(
+    g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int
+) -> np.ndarray:
+    """_linear_coeffs_multi, computed once for the last problem posed."""
+    global _last_coeffs
+    last = _last_coeffs
+    if last is not None and last[0] is g and last[1] is alphas and last[2] is beta and last[3] == j:
+        return last[4]
+    c = _linear_coeffs_multi(g, alphas, beta, j)
+    c.setflags(write=False)
+    _last_coeffs = (g, alphas, beta, j, c)
+    return c
+
+
 # sender index -> (problem key, answer) of the last best response solved for
 # that index; at most MAX_SENDERS entries. Each entry is one immutable pair,
 # read and replaced whole, so threads sharing it can lose a remembered answer
@@ -278,7 +300,7 @@ def sender_best_response_multi(
     the answer is the one a fresh solve would give.
     """
     g.check_policies(alphas, beta)
-    c = _linear_coeffs_multi(g, alphas, beta, j)
+    c = _sender_coeffs(g, alphas, beta, j)
     pzw = g.joint.pzw(j)
     key = (c.shape, c.tobytes(), pzw.tobytes(), g.rho, settings)
     last = _last_answers.get(j)
@@ -306,7 +328,7 @@ def _improvement_bound(
     a = alphas[j].a
     if g.rho != 0.0 and not np.all(a > 0.0):
         return np.inf
-    c = _linear_coeffs_multi(g, alphas, beta, j)
+    c = _sender_coeffs(g, alphas, beta, j)
     pzw = g.joint.pzw(j)
     _, logratio = _leakage_parts(a, pzw, _log_floored(pzw.sum(axis=0)))
     grad = _gradient(c, g.rho * pzw, logratio)

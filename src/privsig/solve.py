@@ -5,21 +5,19 @@ The sender's best response minimizes a convex objective over a product of
 message simplices, one per (measurement, secret) pair: exponentiated
 gradient steps shape the support and an active-set Newton phase closes the
 gap, its steps solved in each secret's mass-conserving coordinates, where the
-leakage curvature has rank |Y| at most. The mirror phase hands off at a
-largest block gap of _POLISH_AT, or as soon as a gap below _CRAWL_AT stops
-halving within _STALL_PATIENCE iterations, a rule on the iterates' progress
-alone; the Newton phase then finds the active set itself, cutting shrinking
-coordinates at the floor and lifting growers to their crossings, each set of
-them in one evaluated batch. Above _POLISH_MAX_VARS coordinates the Newton
-phase runs only after a mirror phase that stalls. Stationarity is measured
-by the worst simplex-block gap. By convexity the sum of the block gaps
-bounds the cost above the optimum, so the worst gap bounds it only once
-multiplied by the block count |Z| |W|; the Newton phase stops on the sum,
-and reporting it is ROADMAP item B(a).
+leakage curvature has rank |Y| at most. Every problem size runs the same
+rounds: the mirror phase hands off at a largest block gap of _POLISH_AT, or
+as soon as a gap below _CRAWL_AT stops halving within _STALL_PATIENCE
+iterations, a rule on the iterates' progress alone; the Newton phase then
+finds the active set itself, cutting shrinking coordinates at the floor and
+lifting growers to their crossings, each set of them in one evaluated batch.
+Stationarity is measured by the worst simplex-block gap. By convexity the
+sum of the block gaps bounds the cost above the optimum, so the worst gap
+bounds it only once multiplied by the block count |Z| |W|; the Newton phase
+stops on the sum, and reporting it is ROADMAP item B(a).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -57,13 +55,10 @@ _STALL_PATIENCE = 30
 _POLISH_AT = 1e-5
 _CRAWL_AT = 1e-3
 _POLISH_ITERS = 100
-# above this many coordinates a mirror phase keeps the whole remaining budget
-# and the Newton phase runs only after it stalls: handing off at _POLISH_AT
-# takes m = 16 circulants (4096 coordinates, rho 0.2/0.38/0.6) from 5-92 ms
-# each to 19-29 ms, but their heap peak from 0.3 MB to 3.1-3.3 MB (1 BLAS
-# thread, tracemalloc)
-_POLISH_MAX_VARS = 2000
 _PHASE_ONE_CAP = 600
+# entries of W one batched QR takes at most (_active_set_basis), so that W
+# and LAPACK's copy of it stay small beside Q
+_QR_BATCH = 1 << 14
 # below this mass a coordinate is held fixed by the Newton phase unless it
 # wants to grow, which lifts it; it always counts in the stationarity gap
 _FREEZE_MASS = 1e-10
@@ -234,23 +229,18 @@ def _stationarity_gap(a: np.ndarray, grad: np.ndarray, low: np.ndarray) -> float
     return float(per_block.max())
 
 
-@functools.lru_cache(maxsize=None)
-def _helmert_table(r: int):
-    """Helmert coefficients for blocks of up to r heavy messages.
+def _helmert_rows(heavy: np.ndarray):
+    """Each block's Helmert rows, one per heavy coordinate after the first.
 
-    Entry [k, p, j] is row j's coefficient on the p-th heavy message,
-    counting from 1, of a block with k of them: 1 on the first j + 1,
-    -(j + 1) on the next, 0 after, scaled to unit length; row j is real
-    when j < k - 1, and p = 0 (a frozen coordinate) reads 0. Returns
-    (coefficients, real).
+    Block (z, w) with k heavy messages gets k - 1 rows, an orthonormal basis
+    of the moves of its heavy coordinates that keep its mass. The row that
+    ends at the heavy message of place p (counting from 1 in message order)
+    reads 1 on each earlier heavy message and 1 - p on its own, over its
+    length sqrt(p (p - 1)). Returns (place, length), both (|Y|, |X|, |W|):
+    place is 0 on a frozen coordinate, and length is inf where no row ends.
     """
-    k, p, j = np.arange(r + 1)[:, None, None], np.arange(r + 1)[:, None], np.arange(r - 1)
-    real = j < k[:, 0] - 1
-    coef = np.where(p <= j + 1, 1.0, np.where(p == j + 2, -(j + 1.0), 0.0)) / np.sqrt((j + 1.0) * (j + 2.0))
-    coef = np.where(real[:, None, :] & (p > 0), coef, 0.0)
-    # every caller shares the cached arrays
-    coef.flags.writeable = real.flags.writeable = False
-    return coef, real
+    place = np.cumsum(heavy, axis=0) * heavy
+    return place, np.where(place >= 2, np.sqrt(place * (place - 1.0)), np.inf)
 
 
 class _ActiveSetBasis(NamedTuple):
@@ -258,54 +248,89 @@ class _ActiveSetBasis(NamedTuple):
 
     heavy: np.ndarray  # the active set it was built for
     r: np.ndarray  # (|W|, k, |Y|)
-    moves: np.ndarray  # (|Y| |X|, |W|, 1, k): Q's columns as coordinate moves
-    # where a QR was needed, for the curvature-free part: the Helmert rows
-    # (|W|, |X|, |Y| - 1, |Y|), the (z, j) row behind each padded row, Q,
+    # where no QR was needed, the rows as coordinate moves (|Y| |X|, |W|, 1,
+    # k); otherwise None
+    moves: np.ndarray | None
+    # where a QR was needed: _helmert_rows of heavy and each secret's padded
+    # rows as (message, measurement) pairs in its order, Q (|W|, size, |Y|),
     # the secrets with more loaded rows than |Y|, and each secret's heavy
     # coordinate count; otherwise None
-    helmert: np.ndarray | None
-    order: np.ndarray | None
+    rows: tuple | None
     q: np.ndarray | None
     crowded: np.ndarray | None
     count: np.ndarray | None
 
 
+def _from_rows(rows: np.ndarray, basis: _ActiveSetBasis) -> np.ndarray:
+    """The coordinate move N^T u of weights u on the Helmert rows N.
+
+    rows is (|W|, size): each secret's row weights in its own order
+    (_active_set_basis). Returns (|Y|, |X|, |W|), 0 on frozen coordinates.
+    """
+    place, length, ys, zs = basis.rows
+    us = np.zeros(place.shape)
+    us[ys, zs, np.arange(place.shape[2])[:, None]] = rows
+    us /= length
+    # on the heavy message of place p: the weights of the rows ending at
+    # later messages, plus 1 - p times that of the row ending at it
+    later = np.cumsum(us[::-1], axis=0)[::-1]
+    return np.where(place > 0, later - place * us, 0.0)
+
+
 def _active_set_basis(pzw: np.ndarray, heavy: np.ndarray) -> _ActiveSetBasis:
     """Orthonormal coordinates of each secret's mass-conserving moves.
 
-    Block (z, w) with k heavy messages gets k - 1 Helmert rows, an
-    orthonormal basis of the moves of its heavy coordinates that keep its
-    mass. In these rows message y's load p_y (P{Z=., W=w} on row y)
-    becomes column y of W, so the projected leakage Hessian is W K W^T with
-    K diagonal: rank |Y| at most, whatever the block count. Where a secret
-    has more rows than |Y|, W = Q R by a thin QR, batched over the secrets;
-    elsewhere Q is the identity and R is W. Each secret lists its rows with
-    a load first, then those of zero-probability cells, then zero padding
-    up to the largest count, so that no Householder step pivots on a zero
-    row while a loaded one is left. Depends only on heavy and P{Z, W}, so
-    the Newton phase rebuilds it only when the active set changes.
+    In a block's Helmert rows N (_helmert_rows) message y's load p_y
+    (P{Z=., W=w} on row y) becomes column y of W, so the projected leakage
+    Hessian is W K W^T with K diagonal: rank |Y| at most, whatever the block
+    count. Where a secret has more rows than |Y|, W = Q R by a thin QR,
+    batched over the secrets; elsewhere Q is the identity and R is W. Each
+    secret lists its rows with a load first, then those of zero-probability
+    cells, then zero padding up to the largest count, so that no Householder
+    step pivots on a zero row while a loaded one is left. W is built from
+    the Helmert formula and factored a batch of secrets at a time. The
+    basis keeps Q, whose moves N^T Q v are applied as N^T (Q v) (_from_rows),
+    or, with no QR, the rows themselves as moves, which is cheaper for small
+    problems; either holds at most |Y|^2 |X| |W| entries. Depends only on
+    heavy and P{Z, W}, so the Newton phase rebuilds it only when the active
+    set changes.
     """
     r, m, nq = heavy.shape
-    hv = heavy.transpose(2, 1, 0)
-    count = hv.sum(axis=2)
-    coef, real = _helmert_table(r)
-    place = np.cumsum(hv, axis=2) * hv
-    helmert = coef[count[..., None, None], place[:, :, None, :], np.arange(r - 1)[:, None]]
-    real = real[count]
-    size = max(1, int(real.sum(axis=(1, 2)).max()))
-    rank = np.where(real, pzw.T[..., None] == 0.0, 2).reshape(nq, -1)
+    place, length = _helmert_rows(heavy)
+    real = place >= 2
+    size = max(1, int(real.sum(axis=(0, 1)).max()))
+    # a secret's rows in (measurement, message) order
+    rank = np.where(real, pzw == 0.0, 2).transpose(2, 1, 0).reshape(nq, -1)
     order = np.argsort(rank, axis=1, kind="stable")[:, :size]
+    zs, ys = np.divmod(order, r)
     w_col = np.arange(nq)[:, None]
-    load = (helmert * pzw.T[:, :, None, None]).reshape(nq, -1, r)[w_col, order]
-    q_mat, r_mat = np.linalg.qr(load) if size > r else (np.eye(size), load)
-    spread = np.zeros((nq, m * (r - 1), min(size, r)))
-    spread[w_col, order] = q_mat
-    moves = helmert.transpose(0, 1, 3, 2) @ spread.reshape(nq, m, r - 1, -1)
-    moves = np.ascontiguousarray(moves.transpose(2, 1, 0, 3)).reshape(r * m, nq, 1, -1)
-    if size <= r:
-        return _ActiveSetBasis(heavy, r_mat, moves, None, None, None, None, None)
+    # row (z, y): 1 on each earlier heavy message of its block and 1 - place
+    # on y, over its length; its loads are these times P{z, w}
+    unit = 1.0 / length[ys, zs, w_col]
+    own = (1.0 - place[ys, zs, w_col]) * unit
+    blocks = np.ascontiguousarray(heavy.transpose(2, 1, 0))
+    k = min(size, r)
+    r_mat = np.empty((nq, k, r))
+    q_mat = np.empty((nq, size, k)) if size > r else None
+    moves = np.zeros((r, m, nq, k)) if size <= r else None
+    # a batch of secrets at a time, so that W and the QR's own copy of it
+    # hold at most about _QR_BATCH entries
+    step = max(1, _QR_BATCH // (size * r))
+    for w0 in range(0, nq, step):
+        zc, yc, wc = zs[w0:w0 + step], ys[w0:w0 + step], w_col[w0:w0 + step]
+        row = (blocks[wc, zc] & (np.arange(r) < yc[..., None])) * unit[w0:w0 + step, :, None]
+        row[np.arange(len(wc))[:, None], np.arange(size), yc] = own[w0:w0 + step]
+        load = row * pzw[zc, wc][..., None]
+        if q_mat is not None:
+            q_mat[w0:w0 + step], r_mat[w0:w0 + step] = np.linalg.qr(load)
+        else:
+            r_mat[w0:w0 + step] = load
+            moves[:, zc, wc, np.arange(size)] = row.transpose(2, 0, 1)
+    if q_mat is None:
+        return _ActiveSetBasis(heavy, r_mat, moves.reshape(r * m, nq, 1, k), None, None, None, None)
     return _ActiveSetBasis(
-        heavy, r_mat, moves, helmert, order, q_mat, (rank == 0).sum(axis=1) > r, count.sum(axis=1)
+        heavy, r_mat, None, (place, length, ys, zs), q_mat, (rank == 0).sum(axis=1) > r,
+        heavy.sum(axis=(0, 1)),
     )
 
 
@@ -318,8 +343,8 @@ def _newton_direction(
     The leakage Hessian couples coordinates sharing a message y: within a
     secret w by rho p_y p_y^T / P{Y=y, W=w}, across secrets by
     -rho s s^T / P{Y=y}, s = P{Z, W}, a load on the message total s . d.
-    In a secret's Helmert rows (_active_set_basis, built here unless given)
-    [lam I + H, A^T; A, 0] [d; nu] = [-grad; 0] reads
+    In a secret's Helmert rows N (_active_set_basis, built here unless
+    given) [lam I + H, A^T; A, 0] [d; nu] = [-grad; 0] reads
     (lam I + W K W^T) u = b plus the totals' loads. With W = Q R, Q^T b and
     each load (Q^T W = R) take one k x k system per secret, k <= |Y|, and
     one |Y| x |Y| system fixes the message totals: two small solves per
@@ -334,25 +359,26 @@ def _newton_direction(
     basis = basis or _active_set_basis(pzw, heavy)
     r, m, nq = a.shape
     jyw = _joint_yw(pzw, a)
-    # Q^T b, b = N^T (-grad) in the Helmert rows N, as the moves are N Q
-    qb = -(basis.moves[:, :, 0].transpose(1, 2, 0) @ grad.reshape(r * m, nq).T[..., None])
+    q = basis.q
     free, reach = None, 0.0
-    if basis.q is not None:
+    if q is None:
+        # b = N (-grad), as the moves are N^T
+        qb = -(basis.moves[:, :, 0].transpose(1, 2, 0) @ grad.reshape(r * m, nq).T[..., None])
+    else:
+        # b = N (-grad), a secret's rows in its order, and Q^T b
+        place, length, ys, zs = basis.rows
+        b = ((place * grad - np.cumsum(grad * heavy, axis=0)) / length)[ys, zs, np.arange(nq)[:, None]]
+        qb = q.transpose(0, 2, 1) @ b[..., None]
         # (I - Q Q^T) b. Where a secret has at most |Y| loaded rows, Q spans
         # its first |Y| rows and none of the rest, so the part is 0 and b
         # there; only a secret with more loaded rows keeps the subtraction's
         # rounding residue
-        b = basis.helmert @ grad.transpose(2, 1, 0)[..., None]
-        b = -b.reshape(nq, -1)[np.arange(nq)[:, None], basis.order]
-        rest = b - (basis.q @ (b[:, None, :] @ basis.q).transpose(0, 2, 1))[..., 0]
+        rest = b - (q @ qb)[..., 0]
         rest[~basis.crowded, :r] = 0.0
         # over a secret's n heavy coordinates |d|inf >= |d|2 / sqrt(n), and
         # |d|2 >= |rest|2 / lam
         reach = float(np.sqrt((rest * rest).sum(axis=1) / np.maximum(basis.count, 1)).max())
-        full = np.zeros((nq, m * (r - 1)))
-        full[np.arange(nq)[:, None], basis.order] = rest
-        free = (full.reshape(nq, m, 1, r - 1) @ basis.helmert).reshape(nq, m, r)
-        free = free.transpose(2, 1, 0).reshape(r * m, nq, 1, 1)
+        free = _from_rows(rest, basis).reshape(-1)
     # columns: b's part in Q, then each message's load
     r_mat = basis.r
     rhs = np.concatenate([qb, r_mat * (rho / jyw.sum(axis=1))], axis=2)
@@ -374,8 +400,10 @@ def _newton_direction(
         # solve t = tmat[:, 0] + tmat[:, 1:] t
         tmat = flat_r @ x.reshape(-1, r + 1)
         coef[1:] = np.linalg.solve(ident - tmat[:, 1:], tmat[:, 0])
-        d = basis.moves @ (x @ coef)[..., None]
-        return d.reshape(-1) if free is None else (d + free / lam).reshape(-1)
+        u = (x @ coef)[..., None]
+        if q is None:
+            return (basis.moves @ u).reshape(-1)
+        return _from_rows((q @ u)[..., 0], basis).reshape(-1) + free / lam
 
     return direction
 
@@ -389,6 +417,7 @@ def _cost_slack(cost: float) -> float:
 def _row_rebalance(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, grad: np.ndarray, y: int, grad_tol: float,
+    refused: set | None = None,
 ):
     """Re-profile one message row to its stationary shape and scale.
 
@@ -403,9 +432,13 @@ def _row_rebalance(
     best cell deficit vanishes, and a row priced above the blocks at every
     scale dies at its current token size. Starts from a with its cost,
     log-ratio (_objective_parts) and gradient, and evaluates each candidate
-    scale once. Accepted only if the cost is no worse. Returns (encoder,
-    cost, log-ratio, moved).
+    scale once. Accepted only if the cost is no worse. A rebalance depends
+    only on its row and a, so refused, when given, holds the rows refused
+    at a: a row in it returns unmoved at once, and a refused row joins it.
+    Returns (encoder, cost, log-ratio, moved).
     """
+    if refused is not None and y in refused:
+        return a, cost, logratio, False
     r, m, q = a.shape
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     outside = a >= _FREEZE_MASS
@@ -486,12 +519,15 @@ def _row_rebalance(
     gap_after = np.log(np.maximum(new_a[y], _MASS_FLOOR))
     if float(np.abs(gap_after - gap_before).max()) >= 1e-9 and new_cost <= cost + _cost_slack(cost):
         return new_a, new_cost, new_ratio, True
+    if refused is not None:
+        refused.add(y)
     return a, cost, logratio, False
 
 
 def _batch_lift(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
+    refused: set | None = None,
 ):
     """Move the coordinates coords (flat indices) toward their stationary mass at once.
 
@@ -514,10 +550,12 @@ def _batch_lift(
     sum_y' v_y'^2 (1 / P{Y=y', W=w} - 1 / P{Y=y'}). Coordinates that share a
     (y, w) cell all shift P{Y=y, W=w}, so each takes an equal share of its
     step; a grower stops at mass 1/2 and a shrinking coordinate at the
-    floor. This batch too is evaluated once, unless it repeats the first,
-    and kept only if it lowers the cost. Starts from a with its cost,
-    log-ratio (_objective_parts) and gradient. Returns (encoder, cost,
-    log-ratio, moved).
+    floor. This batch too is evaluated once and kept only if it lowers the
+    cost. A batch is its coordinates and their target masses, and none is
+    evaluated twice at a: refused, when given, holds the batches refused
+    there, from this call or from another coordinate list, and a refused
+    batch joins it. Starts from a with its cost, log-ratio (_objective_parts)
+    and gradient. Returns (encoder, cost, log-ratio, moved).
     """
     ys, zs, ws = np.unravel_index(coords, a.shape)
     p, cur = pzw[zs, ws], a[ys, zs, ws]
@@ -540,17 +578,29 @@ def _batch_lift(
         mass = np.where(shrink, _MASS_FLOOR, cross)
         first = (shrink | grow) & (np.abs(np.log(mass) - np.log(np.maximum(cur, _MASS_FLOOR))) >= 1e-9)
 
+    refused = set() if refused is None else refused
+
     def attempt(sel, x):
-        if not sel.any():
+        # a batch is its coordinates and their target masses, whichever
+        # coordinate list it came from
+        key = (coords[sel].tobytes(), x[sel].tobytes())
+        if not sel.any() or key in refused:
             return None
         y, z, w, cy = ys[sel], zs[sel], ws[sel], cur[sel]
         cand = a.copy()
         # a lone move in its block ends at mass x once the block is
         # renormalized
         cand[y, z, w] = x[sel] * (1.0 - cy) / (1.0 - x[sel])
-        cand[:, z, w] /= cand[:, z, w].sum(axis=0)
+        # each moved block once: a column per coordinate would take |Y|
+        # times the coordinate count
+        moved = np.zeros(pzw.shape, dtype=bool)
+        moved[z, w] = True
+        cand /= np.where(moved, cand.sum(axis=0), 1.0)
         cand_cost, cand_ratio = _objective_parts(c, pzw, _log_floored(pw), rho, cand)
-        return (cand, cand_cost, cand_ratio, True) if cand_cost < cost else None
+        if cand_cost < cost:
+            return cand, cand_cost, cand_ratio, True
+        refused.add(key)
+        return None
 
     out = attempt(first, mass)
     if out is None:
@@ -564,8 +614,7 @@ def _batch_lift(
             _, at, count = np.unique(cell, return_inverse=True, return_counts=True)
             x = cur - slope / (curv * count[at])
         x = np.where(grow, np.minimum(x, 0.5), np.maximum(x, _MASS_FLOOR))
-        if not (np.array_equal(again, first) and np.array_equal(x[again], mass[again])):
-            out = attempt(again, x)
+        out = attempt(again, x)
     return out or (a, cost, logratio, False)
 
 
@@ -575,7 +624,8 @@ def _newton_polish(
 ):
     """Active-set Newton refinement on the product of simplex blocks.
 
-    Starts from a with its cost and log-ratio (_objective_parts). Coordinates
+    Starts from a, strictly positive like every iterate the solver makes,
+    with its cost and log-ratio (_objective_parts). Coordinates
     below the freeze mass are held fixed unless they want to grow, which
     lifts them (a light row by a whole-row rebalance, the others in one
     batch, _batch_lift); the rest take damped Newton steps constrained to
@@ -591,13 +641,6 @@ def _newton_polish(
     """
     shape = a.shape
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
-    floored = np.maximum(a, _MASS_FLOOR)
-    floored /= floored.sum(axis=0)[None, :, :]
-    # an iterate that the floor and renormalization leave unchanged keeps the
-    # evaluation it was handed with
-    if not np.array_equal(floored, a):
-        a = floored
-        cost, logratio = _objective_parts(c, pzw, log_pw, rho, a)
     best = (np.inf, a, cost, logratio)
     lam = 1e-10
     basis = None
@@ -612,28 +655,22 @@ def _newton_polish(
     def lift(a, cost, logratio, grad, coords):
         # moves coords (flat indices) toward their stationary mass: a message
         # row carrying less than _LIGHT_ROW is re-profiled whole, the other
-        # coordinates move as one batch. A rebalance depends only on its row
-        # and the iterate, a batch only on its coordinates and the iterate,
-        # and the blockers a step leaves behind are often the next
-        # iteration's growers, so none refused at an iterate is tried there
-        # again
+        # coordinates move as one batch. The blockers a step leaves behind
+        # are often the next iteration's growers, so each move remembers what
+        # was refused at the iterate and does not try it there again
         nonlocal refused
         rows = coords // (shape[1] * shape[2])
         light = (pzw * a).sum(axis=(1, 2))[rows] < _LIGHT_ROW
-        moves = [(y, _row_rebalance, (y, settings.grad_tol)) for y in np.unique(rows[light]).tolist()]
+        moves = [(_row_rebalance, (y, settings.grad_tol)) for y in np.unique(rows[light]).tolist()]
         if not light.all():
-            moves.append((coords[~light].tobytes(), _batch_lift, (coords[~light],)))
+            moves.append((_batch_lift, (coords[~light],)))
         lifted = False
-        for key, move, args in moves:
+        for move, args in moves:
             if refused[0] is not a:
                 refused = (a, set())
-            if key in refused[1]:
-                continue
-            a, cost, logratio, moved = move(c, pzw, pw, rho, a, cost, logratio, grad, *args)
+            a, cost, logratio, moved = move(c, pzw, pw, rho, a, cost, logratio, grad, *args, refused[1])
             if moved:
                 grad, lifted = _gradient(c, rho_pzw, logratio), True
-            else:
-                refused[1].add(key)
         return a, cost, logratio, lifted
 
     it = 0
@@ -799,14 +836,21 @@ def _mirror_phase(
 
         shifted = grad - low
         new_a, new_cost, new_ratio = a, cost, logratio
+        refused = None
         while True:
             cand = np.maximum(a * np.exp(-step * shifted), _MASS_FLOOR)
             cand /= cand.sum(axis=0)[None, :, :]
+            if refused == cand.tobytes():
+                # the step is below rounding: halving it builds the refused
+                # candidate again
+                step = 0.0
+                break
             cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
             predicted = float((grad * (a - cand)).sum())
             if cand_cost <= cost - 1e-4 * predicted:
                 new_a, new_cost, new_ratio = cand, cand_cost, cand_ratio
                 break
+            refused = cand.tobytes()
             step *= 0.5
             if step < _TINY_STEP:
                 break
@@ -841,10 +885,11 @@ def _minimize_over_blocks(
     an active-set Newton phase that closes the stationarity gap, keeping the
     best certified iterate across rounds; each phase hands the next its
     iterate's cost and log-ratio, so no encoder is evaluated again. A mirror
-    phase hands off at _POLISH_AT or when its gap crawls below _CRAWL_AT,
-    both lowered to 0.03 times the best gap after a stalled Newton phase.
-    Above _POLISH_MAX_VARS coordinates it hands off only when it stalls.
-    Returns (a, cost, iterations, converged, gap).
+    phase runs at most _PHASE_ONE_CAP iterations and hands off at _POLISH_AT
+    or when its gap crawls below _CRAWL_AT, both lowered to 0.03 times the
+    best gap after a stalled Newton phase; a round in which neither phase
+    cuts the best gap by a tenth ends the solve. Every size runs these
+    rounds. Returns (a, cost, iterations, converged, gap).
     """
     if rho == 0.0:
         # no leakage term: each block independently loads its cheapest message
@@ -864,15 +909,12 @@ def _minimize_over_blocks(
     spent = 0
     while spent < settings.max_iters:
         round_entry = best[0]
-        budget, handoff, crawl = settings.max_iters - spent, 0.0, 0.0
-        if a.size <= _POLISH_MAX_VARS:
-            # after a stalled Newton phase, re-shape the support until the
-            # certificate is well below the best so far
-            budget = min(_PHASE_ONE_CAP, budget)
-            handoff = min(_POLISH_AT, 0.03 * best[0])
-            crawl = min(_CRAWL_AT, 0.03 * best[0])
+        # after a stalled Newton phase, re-shape the support until the
+        # certificate is well below the best so far
         a, cost, logratio, gap, used, conv = _mirror_phase(
-            c, pzw, pw, rho, a, cost, logratio, settings, budget, handoff, crawl
+            c, pzw, pw, rho, a, cost, logratio, settings,
+            min(_PHASE_ONE_CAP, settings.max_iters - spent),
+            min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]),
         )
         spent += used
         if gap < best[0]:

@@ -480,6 +480,38 @@ def test_certificate_skip_leaves_play_unchanged(monkeypatch):
     assert zero_solves["zero_entry"] > 0
 
 
+def test_play_computes_each_checks_coefficients_once(monkeypatch):
+    # a drawn sender's check needs its distortion coefficients for the
+    # improvement bound and again for the solve that follows; they are
+    # computed once, and play takes the same path as when each call
+    # computes them afresh
+    eps = 0.02
+    coeffs, bound = multi_module._linear_coeffs_multi, multi_module._improvement_bound
+    solve = multi_module.sender_best_response_multi
+    counts = {"coeffs": 0, "bounds": 0, "solves": 0}
+
+    def counted(name, inner):
+        def wrapper(*args):
+            counts[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name, g, alphas0, beta0, seed in skip_cases():
+        monkeypatch.setattr(multi_module, "_linear_coeffs_multi", counted("coeffs", coeffs))
+        monkeypatch.setattr(multi_module, "_improvement_bound", counted("bounds", bound))
+        monkeypatch.setattr(multi_module, "sender_best_response_multi", counted("solves", solve))
+        once = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        monkeypatch.undo()
+        monkeypatch.setattr(multi_module, "_sender_coeffs", coeffs)
+        afresh = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        monkeypatch.undo()
+        assert play_fingerprint(once) == play_fingerprint(afresh)
+    # every check calls the bound once; without the reuse each solve would
+    # add a computation of its own
+    assert counts["solves"] > 0
+    assert counts["coeffs"] <= counts["bounds"]
+
+
 def test_improvement_bound_is_sound():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

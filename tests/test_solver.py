@@ -343,19 +343,19 @@ def assert_certified(g, beta, res):
 
 @pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
 def test_sender_br_converges_on_eight_symbol_circulant(rho):
-    # 512 encoder coordinates, below _POLISH_MAX_VARS, so the Newton phase
-    # runs
+    # 512 encoder coordinates; the Newton phase runs
     g = shifted_circulant_game(8, rho)
     beta = ReceiverPolicy.identity(8)
     assert_certified(g, beta, sender_best_response(g, beta))
 
 
-def test_sender_br_stalled_mirror_phase_above_the_cap_hands_off():
-    # 4096 encoder coordinates, above _POLISH_MAX_VARS. Each row is drawn on
-    # its own, so the game is not a circulant: 0.7 on the diagonal, the rest
-    # spread by weights falling off as 1 / cyclic distance. The mirror phase
-    # stalls after 717 iterations at a largest block gap of 2.1e-5, and only
-    # the Newton phase certifies the answer
+def test_sender_br_certifies_sixteen_symbol_non_circulant():
+    # 4096 encoder coordinates. Each row is drawn on its own, so the game is
+    # not a circulant: 0.7 on the diagonal, the rest spread by weights
+    # falling off as 1 / cyclic distance. The mirror phase crawls from a
+    # largest block gap of about 1e-3 and hands off after 62 iterations; the
+    # Newton phase certifies the answer in 9 more. A mirror phase that kept
+    # the whole budget stalled after 717 iterations at 2.1e-5
     m, rng = 16, np.random.default_rng(4)
     dist = np.minimum(np.arange(1, m), m - np.arange(1, m))
     rows = []
@@ -367,8 +367,110 @@ def test_sender_br_stalled_mirror_phase_above_the_cap_hands_off():
     )
     beta = ReceiverPolicy.identity(m)
     res = sender_best_response(g, beta)
-    assert g.joint.pzw.size * m > privsig.solve._POLISH_MAX_VARS
     assert_certified(g, beta, res)
+
+
+@pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
+def test_sender_br_converges_on_sixteen_symbol_circulant(rho):
+    # 4096 encoder coordinates run the same mirror and Newton rounds as any
+    # other size: 35, 58 and 75 iterations, where a mirror phase that kept
+    # the whole budget took 35, 308 and 593
+    g = shifted_circulant_game(16, rho)
+    beta = ReceiverPolicy.identity(16)
+    res = sender_best_response(g, beta)
+    assert_certified(g, beta, res)
+    assert res.iterations <= 150
+
+
+def test_sender_br_sixteen_symbol_heap_stays_small():
+    # the Newton phase at m = 16 keeps one active set's R and either Q or
+    # its rows as moves, up to 0.5 MB, and builds W a batch of secrets at a
+    # time; the peak was 3.2 MB when the basis also held the dense Helmert
+    # tensor and the moves N^T Q
+    g = shifted_circulant_game(16, 0.6)
+    beta = ReceiverPolicy.identity(16)
+    # a first solve does the lazy imports, whose allocations would count too
+    sender_best_response(circulant_game(0.38), ReceiverPolicy.identity(5))
+    tracemalloc.start()
+    try:
+        res = sender_best_response(g, beta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak <= 2.0 * 2**20
+
+
+def rx_game(m: int, seed: int, rho: float) -> GameInstance:
+    """0.7 on the diagonal; each row spreads the rest over the other secrets
+    by weights uniform(0.5, 1.5) / cyclic distance, drawn row by row from
+    default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    dist = np.minimum(np.arange(1, m), m - np.arange(1, m))
+    rows = []
+    for x in range(m):
+        u = rng.uniform(0.5, 1.5, m - 1) / dist
+        rows.append(np.roll(np.concatenate([[0.7], 0.3 * u / u.sum()]), x))
+    joint = JointPXZW.from_xw_matrix(np.array(rows) / m)
+    return GameInstance(joint, hamming_distortion(m), FiniteSpace(m), rho)
+
+
+def test_sender_solver_evaluates_each_encoder_once_where_it_repeated(monkeypatch):
+    # the m = 16 games stalled a mirror phase that kept the whole budget:
+    # once its step fell below rounding, each halving built the same
+    # candidate again (up to 11 in a row), and the Newton phase re-evaluated
+    # it once more on entry. In seed 8 draw 291 a refused blocker lift and
+    # the next iteration's grower lift, two coordinate lists, built the same
+    # batch at one iterate
+    problems = [
+        (rx_game(16, seed, rho), ReceiverPolicy.identity(16)) for seed in (9, 12) for rho in (0.38, 0.6)
+    ]
+    problems.append(stochastic_decoder_draw(8, 291))
+    evaluated, repeats = set(), []
+    leakage_parts = privsig.solve._leakage_parts
+
+    def recording(a, *rest):
+        key = a.tobytes()
+        if key in evaluated:
+            repeats.append(key)
+        evaluated.add(key)
+        return leakage_parts(a, *rest)
+
+    monkeypatch.setattr(privsig.solve, "_leakage_parts", recording)
+    results = []
+    for g, beta in problems:
+        evaluated.clear()
+        results.append(sender_best_response(g, beta))
+    monkeypatch.undo()
+    for (g, beta), res in zip(problems, results):
+        assert_certified(g, beta, res)
+    assert not repeats, f"{len(repeats)} repeated evaluations"
+
+
+def test_mirror_phase_stops_halving_below_rounding(monkeypatch):
+    # from a certified answer with grad_tol out of reach the steps shrink
+    # below rounding; the mirror phase then stops instead of evaluating the
+    # same candidate for every halving down to _TINY_STEP, and the Newton
+    # phase that follows evaluates none of its candidates again
+    settings = SolverSettings(grad_tol=1e-300)
+    for g, m in [(circulant_game(0.38), 5), (shifted_circulant_game(8, 0.6), 8)]:
+        beta = ReceiverPolicy.identity(m)
+        a = sender_best_response(g, beta).policy.a
+        c, pzw, pw = privsig.solve._linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
+        cost, logratio = _objective_parts(c, pzw, _log_floored(pw), g.rho, a)
+        keys = []
+        leakage_parts = privsig.solve._leakage_parts
+
+        def recording(x, *rest):
+            keys.append(x.tobytes())
+            return leakage_parts(x, *rest)
+
+        monkeypatch.setattr(privsig.solve, "_leakage_parts", recording)
+        out = privsig.solve._mirror_phase(c, pzw, pw, g.rho, a, cost, logratio, settings, 200, 0.0, 0.0)
+        privsig.solve._newton_polish(c, pzw, pw, g.rho, *out[:3], settings, 10)
+        monkeypatch.undo()
+        assert out[4] < 200  # the mirror phase stopped before its budget
+        assert len(keys) == len(set(keys))
 
 
 @pytest.mark.parametrize("rho", [0.2, 0.38, 0.6])
