@@ -28,6 +28,7 @@ from .solve import (
     DEFAULT_SETTINGS,
     BestResponseResult,
     SolverSettings,
+    _block_gaps,
     _check_epsilon,
     _gradient,
     _leakage_parts,
@@ -331,8 +332,7 @@ def _improvement_bound(
     c = _sender_coeffs(g, alphas, beta, j)
     pzw = g.joint.pzw(j)
     _, logratio = _leakage_parts(a, pzw, _log_floored(pzw.sum(axis=0)))
-    grad = _gradient(c, g.rho * pzw, logratio)
-    return float(((a * grad).sum(axis=0) - grad.min(axis=0)).sum())
+    return float(_block_gaps(a, _gradient(c, g.rho * pzw, logratio)).sum())
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,9 @@ as soon as a gap below _CRAWL_AT stops halving within _STALL_PATIENCE
 iterations, a rule on the iterates' progress alone; the Newton phase then
 finds the active set itself, cutting shrinking coordinates at the floor and
 lifting growers to their crossings, each set of them in one evaluated batch.
-Stationarity is measured by the worst simplex-block gap. By convexity the
-sum of the block gaps bounds the cost above the optimum, so the worst gap
-bounds it only once multiplied by the block count |Z| |W|; the Newton phase
-stops on the sum, and reporting it is ROADMAP item B(a).
+The certificate is the sum of the simplex-block gaps (_block_gaps), which by
+convexity bounds the cost above the optimum; it sets converged and the
+reported gap. The largest block gap only measures the phases' progress.
 """
 from __future__ import annotations
 
@@ -31,8 +30,6 @@ from .game import (
     SenderPolicy,
     _joint_xy,
     _joint_yw,
-    _xi,
-    expected_distortion,
     receiver_cost,
     sender_cost,
 )
@@ -102,6 +99,9 @@ DEFAULT_SETTINGS = SolverSettings()
 
 @dataclass(frozen=True)
 class BestResponseResult:
+    """stationarity_gap, the summed block gap at policy, bounds cost above
+    the optimum; converged means it meets grad_tol."""
+
     policy: SenderPolicy
     cost: float
     iterations: int
@@ -111,6 +111,8 @@ class BestResponseResult:
 
 @dataclass(frozen=True)
 class EpsilonNashReport:
+    """sender_gap is exact up to its best response's summed block gap."""
+
     member: bool
     sender_gap: float
     receiver_gap: float
@@ -216,17 +218,17 @@ def sender_cost_gradient(g: GameInstance, alpha: SenderPolicy, beta: ReceiverPol
     return _gradient(_linear_coeffs(g, beta), g.rho * pzw, logratio)
 
 
-def _stationarity_gap(a: np.ndarray, grad: np.ndarray, low: np.ndarray) -> float:
-    """Largest simplex-block optimality gap of the linearized objective.
+def _block_gaps(a: np.ndarray, grad: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
+    """Each (z, w) block's optimality gap of the linearized objective.
 
-    low is grad's minimum over each (z, w) block. By convexity the sum of
-    the block gaps bounds the cost above the optimum, so the largest one
-    bounds it only once multiplied by the block count |Z| |W| (reporting the
-    sum is ROADMAP item B(a)). Valid whenever the iterate is strictly
-    positive, which the solver maintains throughout.
+    low is grad's minimum over each block, computed here unless the caller
+    has it at hand. By convexity the sum of the gaps, the Frank-Wolfe
+    duality gap, bounds the cost of a above the optimum: the solver's
+    certificate. The largest gap alone bounds nothing, and the solver reads
+    it only as a progress measure. Valid whenever a is strictly positive,
+    which every iterate is, or rho is 0.
     """
-    per_block = (a * grad).sum(axis=0) - low
-    return float(per_block.max())
+    return (a * grad).sum(axis=0) - (grad.min(axis=0) if low is None else low)
 
 
 def _helmert_rows(heavy: np.ndarray):
@@ -445,8 +447,6 @@ def _row_rebalance(
     outside[y] = False
     lam_ex = np.where(outside, grad, np.inf).min(axis=0)
     cells = np.nonzero(pw > 0.0)[0]
-    if cells.size == 0:
-        return a, cost, logratio, False
     usable = (pzw > 0.0) & np.isfinite(lam_ex)
     # a subnormal rho overflows the ratio; the isfinite test below then
     # returns a unmoved
@@ -633,11 +633,11 @@ def _newton_polish(
     A step that overshoots is first tried whole, with the shrinking
     coordinates it overshoots cut at the floor; otherwise a
     fraction-to-boundary rule keeps the iterate strictly positive. The
-    stationarity gap is always measured over all coordinates, so freezing
-    cannot fake convergence, and the phase stops once the summed gap meets
+    block gaps are always measured over all coordinates, so freezing
+    cannot fake convergence, and the phase stops once their sum meets
     grad_tol. Returns (encoder, cost, log-ratio, largest block gap,
     iterations, converged) after at most min(_POLISH_ITERS, budget)
-    iterations; converged means the largest block gap meets grad_tol.
+    iterations; converged means the encoder's summed gap meets grad_tol.
     """
     shape = a.shape
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
@@ -676,12 +676,9 @@ def _newton_polish(
     it = 0
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
         grad = _gradient(c, rho_pzw, logratio)
-        per_block = (a * grad).sum(axis=0) - grad.min(axis=0)
-        gap = float(per_block.max())
-        # the summed gap, which bounds the cost above the optimum, sets the
-        # phase's own stop: near the answer a quadratic step closes it for
-        # about the price of the largest one
-        if float(per_block.sum()) <= settings.grad_tol:
+        blocks = _block_gaps(a, grad)
+        gap = float(blocks.max())
+        if float(blocks.sum()) <= settings.grad_tol:
             return a, cost, logratio, gap, it - 1, True
         if gap < best[0]:
             best = (gap, a, cost, logratio)
@@ -746,11 +743,11 @@ def _newton_polish(
                         a, cost, logratio = cand, cand_cost, cand_ratio
             # a step whose whole predicted decrease is below the rounding of a
             # cost that sums terms up to rho in size cannot be ranked by the
-            # cost. Near the answer the certificate can: the first trial is
-            # taken if it halves the largest block gap
+            # cost. Near the answer the largest block gap can: the first
+            # trial is taken if it halves that gap
             now = np.inf
             if not adopted and -slope <= 1e-15 * (abs(cost) + rho):
-                now = _stationarity_gap(a, grad, grad.min(axis=0))
+                now = float(_block_gaps(a, grad).max())
             for k in range(0 if adopted else 30):
                 cf = af.copy()
                 cf[idx] += t * d
@@ -760,8 +757,8 @@ def _newton_polish(
                     # or a stuck phase would spend its whole budget on them
                     moved, adopted = cand_cost < cost, True
                 elif k == 0 and now <= _POLISH_AT:
-                    cand_grad = _gradient(c, rho_pzw, cand_ratio)
-                    moved = adopted = _stationarity_gap(cand, cand_grad, cand_grad.min(axis=0)) <= 0.5 * now
+                    cand_gaps = _block_gaps(cand, _gradient(c, rho_pzw, cand_ratio))
+                    moved = adopted = float(cand_gaps.max()) <= 0.5 * now
                 if adopted:
                     a, cost, logratio = cand, cand_cost, cand_ratio
                     break
@@ -785,11 +782,11 @@ def _newton_polish(
             break
         lam = max(lam * 0.25, 1e-12)
 
-    grad = _gradient(c, rho_pzw, logratio)
-    gap = _stationarity_gap(a, grad, grad.min(axis=0))
-    if best[0] < gap:
+    blocks = _block_gaps(a, _gradient(c, rho_pzw, logratio))
+    gap, conv = float(blocks.max()), float(blocks.sum()) <= settings.grad_tol
+    if best[0] < gap and not conv:
         gap, a, cost, logratio = best
-    return a, cost, logratio, gap, it, gap <= settings.grad_tol
+    return a, cost, logratio, gap, it, conv
 
 
 def _mirror_phase(
@@ -801,12 +798,12 @@ def _mirror_phase(
 
     Starts from a with its cost and log-ratio (_objective_parts); the
     evaluation that accepts a step gives the next iterate's gradient. Runs
-    until the gap tolerance, the handoff threshold, a crawl (a gap at most
-    crawl that is more than half its value _STALL_PATIENCE iterations
-    earlier), a stall, or the budget, and reports the best certified iterate
-    seen; at the handoff or a crawl it returns the current iterate for the
-    Newton phase. handoff and crawl 0 keep the phase to the end. Returns (a,
-    cost, log-ratio, gap, used, converged).
+    until the summed block gap meets grad_tol, the largest one meets the
+    handoff threshold or crawls (at most crawl and more than half its value
+    _STALL_PATIENCE iterations earlier), a stall, or the budget, and returns
+    the iterate with the smallest largest gap, or, when certified or at the
+    handoff or a crawl, the current one. handoff and crawl 0 keep the phase
+    to the end. Returns (a, cost, log-ratio, largest gap, used, converged).
     """
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     step = settings.step_init
@@ -818,14 +815,16 @@ def _mirror_phase(
     for used in range(1, budget + 1):
         grad = _gradient(c, rho_pzw, logratio)
         low = grad.min(axis=0)
-        gap = _stationarity_gap(a, grad, low)
+        blocks = _block_gaps(a, grad, low)
+        gap = float(blocks.max())
         if gap < best[0]:
             best = (gap, a, cost, logratio)
-        if gap <= settings.grad_tol:
+        # the sum is at least the largest gap: sum only once that meets grad_tol
+        if gap <= settings.grad_tol and float(blocks.sum()) <= settings.grad_tol:
             return a, cost, logratio, gap, used - 1, True
         if gap <= handoff:
             return a, cost, logratio, gap, used - 1, False
-        # a certificate that has not halved in _STALL_PATIENCE iterations is
+        # a largest gap that has not halved in _STALL_PATIENCE iterations is
         # crawling: the Newton phase closes it from here in fewer iterations
         gaps.append(gap)
         if gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]:
@@ -860,17 +859,17 @@ def _mirror_phase(
         a, cost, logratio = new_a, new_cost, new_ratio
         step = min(step * _STEP_GROWTH, _MAX_STEP)
         # objective progress routinely drops below measurable resolution while
-        # the stationarity certificate is still improving, so stagnation only
-        # counts when the certificate has flatlined too
+        # the largest block gap is still improving, so stagnation only counts
+        # when that gap has flatlined too
         stalled = stalled + 1 if rel_drop <= settings.obj_tol else 0
         if stalled >= _STALL_PATIENCE:
             break
 
-    grad = _gradient(c, rho_pzw, logratio)
-    gap = _stationarity_gap(a, grad, grad.min(axis=0))
-    if best[0] < gap:
+    blocks = _block_gaps(a, _gradient(c, rho_pzw, logratio))
+    gap, conv = float(blocks.max()), float(blocks.sum()) <= settings.grad_tol
+    if best[0] < gap and not conv:
         gap, a, cost, logratio = best
-    return a, cost, logratio, gap, used, gap <= settings.grad_tol
+    return a, cost, logratio, gap, used, conv
 
 
 def _minimize_over_blocks(
@@ -882,14 +881,15 @@ def _minimize_over_blocks(
     Starts from the uniform encoder, or from start floored at _FREEZE_MASS
     and renormalized per block, so that every coordinate can still grow.
     Alternates a multiplicative-weights phase that shapes the support with
-    an active-set Newton phase that closes the stationarity gap, keeping the
-    best certified iterate across rounds; each phase hands the next its
-    iterate's cost and log-ratio, so no encoder is evaluated again. A mirror
-    phase runs at most _PHASE_ONE_CAP iterations and hands off at _POLISH_AT
-    or when its gap crawls below _CRAWL_AT, both lowered to 0.03 times the
-    best gap after a stalled Newton phase; a round in which neither phase
-    cuts the best gap by a tenth ends the solve. Every size runs these
-    rounds. Returns (a, cost, iterations, converged, gap).
+    an active-set Newton phase that closes the gap, keeping the iterate
+    with the smallest largest block gap across rounds; each phase hands the
+    next its iterate's cost and log-ratio, so no encoder is evaluated again.
+    A mirror phase runs at most _PHASE_ONE_CAP iterations and hands off at
+    _POLISH_AT or when its largest gap crawls below _CRAWL_AT, both lowered
+    to 0.03 times the best after a stalled Newton phase; a certified phase
+    or a round in which neither phase cuts the best by a tenth ends the
+    solve. Returns (a, cost, iterations, converged, gap), gap a's summed
+    block gap and converged whether it meets grad_tol.
     """
     if rho == 0.0:
         # no leakage term: each block independently loads its cheapest message
@@ -905,12 +905,12 @@ def _minimize_over_blocks(
         a /= a.sum(axis=0)[None, :, :]
     cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
 
-    best = (np.inf, a, cost)
+    best = (np.inf, a, cost, logratio)
     spent = 0
     while spent < settings.max_iters:
         round_entry = best[0]
         # after a stalled Newton phase, re-shape the support until the
-        # certificate is well below the best so far
+        # largest block gap is well below the best so far
         a, cost, logratio, gap, used, conv = _mirror_phase(
             c, pzw, pw, rho, a, cost, logratio, settings,
             min(_PHASE_ONE_CAP, settings.max_iters - spent),
@@ -918,23 +918,21 @@ def _minimize_over_blocks(
         )
         spent += used
         if gap < best[0]:
-            best = (gap, a, cost)
-        if conv:
-            return a, cost, spent, True, gap
-        if spent >= settings.max_iters:
+            best = (gap, a, cost, logratio)
+        if conv or spent >= settings.max_iters:
             break
         a, cost, logratio, gap, used, conv = _newton_polish(
             c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent
         )
         spent += used
         if gap < best[0]:
-            best = (gap, a, cost)
-        if conv:
-            return a, cost, spent, True, gap
-        # neither phase moved the certificate much: stuck, stop honestly
-        if best[0] > 0.9 * round_entry:
+            best = (gap, a, cost, logratio)
+        # neither phase moved the largest gap much: stuck, stop honestly
+        if conv or best[0] > 0.9 * round_entry:
             break
-    gap, a, cost = best
+    if not conv:
+        _, a, cost, logratio = best
+    gap = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
     return a, cost, spent, gap <= settings.grad_tol, gap
 
 
@@ -1017,7 +1015,8 @@ def epsilon_nash_check(
     """Measure both players' improvement gaps at a strategy pair.
 
     The receiver gap is exact; the sender gap is relative to the iterative
-    best response, so it is meaningful down to the solver's stationarity gap.
+    best response, so it is exact up to that answer's summed block gap,
+    reported as sender_stationarity_gap.
     """
     _check_epsilon(epsilon)
     return _nash_report(g, alpha, beta, epsilon, sender_best_response(g, beta, settings))

@@ -95,6 +95,15 @@ def test_warm_sweep_converges_at_every_point(circulant5_sweeps):
     assert all(res.converged for _, _, _, res in warm["solves"])
 
 
+def test_warm_sweep_certifies_every_point_by_the_summed_gap(circulant5_sweeps):
+    # the rho = 0.5 grid point, reached by warm starts from rho = 0, once
+    # reported converged on its largest block gap at a summed gap of 1.4e-8
+    grad_tol = load_config(preset_text("circulant5")).solver.grad_tol
+    for g, beta, _, res in circulant5_sweeps["warm"]["solves"]:
+        assert res.converged
+        assert res.stationarity_gap == summed_block_gap(g, beta, res) <= grad_tol
+
+
 def test_warm_and_cold_sweeps_agree_within_their_certificates(circulant5_sweeps):
     warm, cold = circulant5_sweeps["warm"], circulant5_sweeps["cold"]
     assert len(warm["solves"]) == len(cold["solves"])
