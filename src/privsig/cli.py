@@ -280,6 +280,7 @@ def multi(config_path, out, seed, log_base):
         "member": audit.member,
         "receiver_gap": audit.receiver_gap,
         "sender_gaps": list(audit.sender_gaps),
+        "sender_stationarity_gaps": list(audit.sender_stationarity_gaps),
         "expected_distortion": xi,
         "potential": multi_mod.potential_multi(g, alphas, beta),
         "leakage_nats": [multi_mod.leakage_j(g, alphas, j) for j in range(g.n)],
@@ -391,6 +392,7 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
                 "member": check.member,
                 "receiver_gap": check.receiver_gap,
                 "sender_gaps": list(check.sender_gaps),
+                "sender_stationarity_gaps": list(check.sender_stationarity_gaps),
             }
             gaps = f"receiver_gap={check.receiver_gap:.3e}, sender_gaps={list(check.sender_gaps)}"
     except ConfigError as exc:

@@ -410,10 +410,10 @@ def _newton_direction(
     return direction
 
 
-def _cost_slack(cost: float) -> float:
-    # the objective sums O(1) terms, so differences below a few ulps of one
-    # are not measurable and must not fail an acceptance test
-    return 1e-15 * max(1.0, abs(cost))
+def _cost_slack(cost: float, rho: float) -> float:
+    # the objective sums terms up to rho in size, so differences below a few
+    # ulps of their scale are rounding and must not fail an acceptance test
+    return 1e-15 * max(1.0, abs(cost) + rho)
 
 
 def _row_rebalance(
@@ -517,7 +517,7 @@ def _row_rebalance(
     new_a, new_cost, new_ratio = chosen
     gap_before = np.log(np.maximum(a[y], _MASS_FLOOR))
     gap_after = np.log(np.maximum(new_a[y], _MASS_FLOOR))
-    if float(np.abs(gap_after - gap_before).max()) >= 1e-9 and new_cost <= cost + _cost_slack(cost):
+    if float(np.abs(gap_after - gap_before).max()) >= 1e-9 and new_cost <= cost + _cost_slack(cost, rho):
         return new_a, new_cost, new_ratio, True
     if refused is not None:
         refused.add(y)
@@ -726,13 +726,11 @@ def _newton_polish(
             tmax = float(ratios.min()) if np.any(neg) else np.inf
             t = min(1.0, 0.995 * tmax)
             cut = False
-            if tmax < 1.0 and lam <= 1.0:
-                # an overshooting step, not yet damped into a short gradient
-                # step: taken whole with the coordinates it overshoots cut at
-                # the floor, if each of them wants to shrink, it finds the
-                # next active set and the step on it in one evaluation.
-                # Heavier damping cut on a gradient's say-so and churned
-                # (circulant5 at rho = 1e8)
+            if tmax < 1.0:
+                # an overshooting step is tried whole, with the coordinates
+                # it overshoots cut at the floor if each of them wants to
+                # shrink: it finds the next active set and the step on it in
+                # one evaluation
                 full = af.copy()
                 full[idx] += d
                 lam_b = np.where(heavy, grad, np.inf).min(axis=0)
@@ -741,25 +739,14 @@ def _newton_polish(
                     if cand_cost <= cost + 1e-4 * float(gf @ (cand.reshape(-1) - af)):
                         moved, adopted, cut = cand_cost < cost, True, True
                         a, cost, logratio = cand, cand_cost, cand_ratio
-            # a step whose whole predicted decrease is below the rounding of a
-            # cost that sums terms up to rho in size cannot be ranked by the
-            # cost. Near the answer the largest block gap can: the first
-            # trial is taken if it halves that gap
-            now = np.inf
-            if not adopted and -slope <= 1e-15 * (abs(cost) + rho):
-                now = float(_block_gaps(a, grad).max())
-            for k in range(0 if adopted else 30):
+            for _ in range(0 if adopted else 30):
                 cf = af.copy()
                 cf[idx] += t * d
                 cand, cand_cost, cand_ratio = trial(cf)
-                if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost):
+                if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost, rho):
                     # a step inside the slack that lowers nothing is no move,
                     # or a stuck phase would spend its whole budget on them
                     moved, adopted = cand_cost < cost, True
-                elif k == 0 and now <= _POLISH_AT:
-                    cand_gaps = _block_gaps(cand, _gradient(c, rho_pzw, cand_ratio))
-                    moved = adopted = float(cand_gaps.max()) <= 0.5 * now
-                if adopted:
                     a, cost, logratio = cand, cand_cost, cand_ratio
                     break
                 t *= 0.5

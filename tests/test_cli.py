@@ -306,6 +306,9 @@ def test_multi_writes_per_sender_policies(runner, tmp_path):
     assert report["member"] is True
     assert len(report["coalition_leakage_nats"]) == 2
     assert len(report["sender_gaps"]) == 2
+    # each sender gap is exact up to its best response's certificate
+    assert len(report["sender_stationarity_gaps"]) == 2
+    assert all(0.0 <= gap <= 1e-8 for gap in report["sender_stationarity_gaps"])
 
 
 def test_multi_same_seed_same_trajectory(runner, tmp_path):
@@ -456,10 +459,13 @@ def verify_multi(runner, tmp_path, alpha_paths, beta_path):
     result = runner.invoke(main, args)
     assert result.exit_code == 0, all_text(result)
     report = json.loads((tmp_path / "check" / "report.json").read_text())
-    assert sorted(report) == ["epsilon", "member", "mode", "receiver_gap", "sender_gaps"]
+    assert sorted(report) == [
+        "epsilon", "member", "mode", "receiver_gap", "sender_gaps", "sender_stationarity_gaps",
+    ]
     assert report["mode"] == "multi"
     assert report["epsilon"] == 0.05
     assert len(report["sender_gaps"]) == 2
+    assert len(report["sender_stationarity_gaps"]) == 2
     return result, report
 
 

@@ -40,6 +40,7 @@ from privsig.solve import (
     _batch_lift,
     _cost_slack,
     _gradient,
+    _linear_coeffs,
     _log_floored,
     _newton_direction,
     _objective_parts,
@@ -1027,7 +1028,7 @@ def test_sender_br_start_with_zeros_is_floored(monkeypatch):
     assert_certified(g, beta, warm)
     cold = sender_best_response(g, beta)
     bound = summed_block_gap(g, beta, warm) + summed_block_gap(g, beta, cold)
-    assert abs(warm.cost - cold.cost) <= bound + _cost_slack(cold.cost)
+    assert abs(warm.cost - cold.cost) <= bound + 1e-15 * max(1.0, abs(cold.cost))
 
 
 def test_sender_br_start_of_wrong_shape_is_rejected():
@@ -1103,6 +1104,37 @@ def test_sender_br_huge_rho_same_answer_for_any_blas_thread_count():
     # would change the answer; whether it converges is not asserted here
     rhos = [1e8, 1e15]
     assert run_circulant5(rhos, threads=1) == run_circulant5(rhos, threads=2)
+
+
+@pytest.mark.parametrize("rho", [1e2, 1e3])
+def test_cost_slack_covers_the_objectives_rounding(rho):
+    # relabeling the secrets leaves the cost unchanged in exact arithmetic and
+    # changes only the order of its rho-scaled terms. A slack of 1e-15
+    # max(1, |cost|) was exceeded here by up to 29 times, so that rounding
+    # decided the Newton phase's no-worse tests
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        g = random_game(rng, 4, 3, 4, rho)
+        beta = random_receiver(rng, 4, 4)
+        a = random_sender(rng, 4, 4, 3).a
+        c, pzw, log_pw = _linear_coeffs(g, beta), g.joint.pzw, _log_floored(g.joint.pw)
+        cost, _ = _objective_parts(c, pzw, log_pw, rho, a)
+        relabeled, _ = _objective_parts(c[..., ::-1], pzw[:, ::-1], log_pw[::-1], rho, a[..., ::-1])
+        assert abs(relabeled - cost) <= _cost_slack(cost, rho)
+
+
+def test_sender_br_certifies_a_draw_the_cost_rounding_stalled():
+    # draw 246 of this stream (m = 3, |W| = 4, |Y| = 4, rho = 70.78) ended
+    # unconverged after 1,270 iterations at a summed gap of 2.3e-5 while the
+    # Newton phase's cost slack ignored the rho-sized terms; it certifies in
+    # 664
+    rng = np.random.default_rng(12)
+    for _ in range(247):
+        m, q, r = int(rng.integers(2, 6)), int(rng.integers(2, 5)), int(rng.integers(2, 6))
+        g = random_game(rng, m, q, r, float(10 ** rng.uniform(-2, 2)))
+        beta = random_receiver(rng, m, r)
+    assert (m, q, r) == (3, 4, 4) and 70.0 < g.rho < 71.0
+    assert_certified(g, beta, sender_best_response(g, beta))
 
 
 def test_solver_settings_validation():

@@ -9,7 +9,7 @@ from privsig import sweep as sweep_mod
 from privsig.cli import main
 from privsig.config import load_config, preset_text
 from privsig.prob import LN2, JointPXZW
-from privsig.solve import _cost_slack, _linear_coeffs, sender_cost_gradient
+from privsig.solve import _linear_coeffs, sender_cost_gradient
 from privsig.sweep import CRITICAL_WIDTH, run_sweep, sweep_report
 
 
@@ -112,7 +112,7 @@ def test_warm_and_cold_sweeps_agree_within_their_certificates(circulant5_sweeps)
         # both costs lie above the optimum by at most their summed gaps, and
         # each is rounded to a few ulps
         bound = summed_block_gap(g, beta, w) + summed_block_gap(g, beta, c)
-        assert abs(w.cost - c.cost) <= bound + _cost_slack(c.cost)
+        assert abs(w.cost - c.cost) <= bound + 1e-15 * max(1.0, abs(c.cost))
     assert warm["report"]["critical_rho"] == cold["report"]["critical_rho"]
 
 
