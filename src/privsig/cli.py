@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .game import expected_distortion, leakage, potential, receiver_cost, sender_cost
 from .prob import nats_to_bits
-from .solve import _identity_best_response, _nash_report, epsilon_nash_check
+from .solve import _identity_best_response, epsilon_nash_check
 from .sweep import SweepRow, run_sweep, sweep_report
 
 EXIT_CONFIG = 2
@@ -157,8 +157,6 @@ def solve(config_path, out, log_base, method):
             sys.exit(EXIT_CONFIG)
         alpha = br.policy
         converged, iterations = br.converged, br.iterations
-        # the best response just computed is the one the check needs
-        check = _nash_report(g, alpha, beta, cfg.dynamics.epsilon, br)
     else:
         a0, b0 = default_initial_pair(g)
         try:
@@ -167,7 +165,7 @@ def solve(config_path, out, log_base, method):
             _fail_no_convergence(exc)
         alpha, beta = rep.final_pair
         converged, iterations = rep.reached_eps_nash, rep.iterations_used
-        check = epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
+    check = epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
     xi = expected_distortion(g, alpha, beta)
     zeta_nats = leakage(g, alpha)
     _write_policies(out, alpha, beta)

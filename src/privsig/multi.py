@@ -28,11 +28,8 @@ from .solve import (
     DEFAULT_SETTINGS,
     BestResponseResult,
     SolverSettings,
-    _block_gaps,
     _check_epsilon,
-    _gradient,
-    _leakage_parts,
-    _log_floored,
+    _improvement_reference,
     _minimize_over_blocks,
     _posterior_decoder,
     _prior_estimate,
@@ -257,9 +254,9 @@ def _linear_coeffs_multi(
 
 # (game, encoders, decoder, sender index, coefficients) of the last sender
 # problem posed. The objects are matched by identity, which is sound because
-# they are immutable and their arrays read-only; so play's check of a drawn
-# sender computes its coefficients once, for the improvement bound and for
-# the solve that follows. Replaced whole, like _last_answers below.
+# they are immutable and their arrays read-only; so the audit after play
+# reuses the coefficients of play's last check. Replaced whole, so threads
+# sharing it can lose the entry but never get another problem's.
 _last_coeffs: tuple | None = None
 
 
@@ -277,13 +274,6 @@ def _sender_coeffs(
     return c
 
 
-# sender index -> (problem key, answer) of the last best response solved for
-# that index; at most MAX_SENDERS entries. Each entry is one immutable pair,
-# read and replaced whole, so threads sharing it can lose a remembered answer
-# but never get another problem's.
-_last_answers: dict[int, tuple[tuple, BestResponseResult]] = {}
-
-
 def sender_best_response_multi(
     g: MultiGameInstance,
     alphas: SenderPolicySet,
@@ -294,49 +284,34 @@ def sender_best_response_multi(
     """Best response of sender j with every other player held fixed.
 
     Sender j's problem is its distortion coefficients, its own (Z_j, W_j)
-    marginal, rho and the solver settings. The last answer for each sender
-    index is remembered, and a request posing the same problem, byte for
-    byte, gets that same answer back without a solve: the audit after play
-    reuses play's final solves this way. The solver is deterministic, so
-    the answer is the one a fresh solve would give.
+    marginal, rho and the solver settings.
     """
     g.check_policies(alphas, beta)
-    c = _sender_coeffs(g, alphas, beta, j)
     pzw = g.joint.pzw(j)
-    key = (c.shape, c.tobytes(), pzw.tobytes(), g.rho, settings)
-    last = _last_answers.get(j)
-    if last is not None and last[0] == key:
-        return last[1]
     a, cost, iterations, converged, gap = _minimize_over_blocks(
-        c, pzw, pzw.sum(axis=0), g.rho, settings
+        _sender_coeffs(g, alphas, beta, j), pzw, pzw.sum(axis=0), g.rho, settings
     )
-    res = BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
-    _last_answers[j] = (key, res)
-    return res
+    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
 
 
-def _improvement_bound(
-    g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int
-) -> float:
-    """Bound on how much any encoder can lower sender j's cost, or inf.
-
-    This is the summed block gap of the solver's own gradient at sender j's
-    current encoder. The cost is convex over the product of message
-    simplices, so the gap bounds the current cost above the optimum, as the
-    Frank-Wolfe duality gap does. With rho > 0 the gradient bounds nothing
-    on the boundary, so an encoder with a zero entry gets inf.
-    """
-    a = alphas[j].a
-    if g.rho != 0.0 and not np.all(a > 0.0):
-        return np.inf
-    c = _sender_coeffs(g, alphas, beta, j)
+def _sender_reference(
+    g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int,
+    own: float, epsilon: float, settings: SolverSettings,
+) -> BestResponseResult:
+    """_improvement_reference for sender j, whose cost at alphas is own."""
     pzw = g.joint.pzw(j)
-    _, logratio = _leakage_parts(a, pzw, _log_floored(pzw.sum(axis=0)))
-    return float(_block_gaps(a, _gradient(c, g.rho * pzw, logratio)).sum())
+    return _improvement_reference(
+        _sender_coeffs(g, alphas, beta, j), pzw, pzw.sum(axis=0), g.rho, alphas[j],
+        own, epsilon, settings,
+    )
 
 
 @dataclass(frozen=True)
 class MultiEpsilonNashReport:
+    """Sender j's best improvement lies in [sender_gaps[j], sender_gaps[j] +
+    sender_stationarity_gaps[j]]; member means every upper end and
+    receiver_gap are at most epsilon (epsilon_nash_check_multi)."""
+
     member: bool
     receiver_gap: float
     sender_gaps: tuple[float, ...]
@@ -351,18 +326,26 @@ def epsilon_nash_check_multi(
     epsilon: float,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> MultiEpsilonNashReport:
-    """Per-player improvement gaps at a multi-sender strategy state."""
+    """Decide whether a multi-sender state is an epsilon-equilibrium.
+
+    Each sender is decided as in epsilon_nash_check: by its encoder's own
+    summed block gap when that settles it, else by a solve that stops at
+    the first iterate that does. member is a proof, as there.
+    """
     _check_epsilon(epsilon)
     xi = expected_distortion_multi(g, alphas, beta)
     receiver_gap = xi - expected_distortion_multi(
         g, alphas, receiver_best_response_multi(g, alphas)
     )
+    member = receiver_gap <= epsilon
     gaps, stat = [], []
     for j in range(g.n):
-        res = sender_best_response_multi(g, alphas, beta, j, settings)
-        gaps.append(xi + g.rho * leakage_j(g, alphas, j) - res.cost)
-        stat.append(res.stationarity_gap)
-    member = receiver_gap <= epsilon and all(gap <= epsilon for gap in gaps)
+        own = xi + g.rho * leakage_j(g, alphas, j)
+        ref = _sender_reference(g, alphas, beta, j, own, epsilon, settings)
+        gaps.append(own - ref.cost)
+        stat.append(ref.stationarity_gap)
+        # the floor test's own form, so that a floored answer is always a member
+        member = member and ref.cost - ref.stationarity_gap >= own - epsilon
     return MultiEpsilonNashReport(member, receiver_gap, tuple(gaps), tuple(stat), epsilon)
 
 
@@ -397,10 +380,11 @@ def random_best_response_dynamics(
     more than epsilon. Play stops once every player has been checked without
     an acceptable improvement since the last adoption.
 
-    A drawn sender whose current encoder already has a summed block gap of at
-    most epsilon is checked without a solve: by convexity no best response
-    can improve it by more than that gap, so the check could not adopt, and
-    play takes the same path as with the solve.
+    A drawn sender is checked by _improvement_reference: without a solve
+    when its current encoder's summed block gap is at most epsilon, which by
+    convexity bounds any improvement, and otherwise by a solve that stops
+    at the first iterate proving no improvement above epsilon. Play adopts
+    and moves exactly as it would with a full best response at every check.
     """
     _check_epsilon(epsilon)
     g.check_policies(alphas0, beta0)
@@ -438,13 +422,12 @@ def random_best_response_dynamics(
                     beta, xi, own, accepted = cand_beta, after, after, True
             else:
                 i = pick - 1
-                if _improvement_bound(g, alphas, beta, i) > epsilon:
-                    res = sender_best_response_multi(g, alphas, beta, i, inner)
-                    if own - res.cost > epsilon:
-                        alphas = alphas.replace(i, res.policy)
-                        xi = expected_distortion_multi(g, alphas, beta)
-                        zetas[i] = leakage_j(g, alphas, i)
-                        own, accepted = res.cost, True
+                res = _sender_reference(g, alphas, beta, i, own, epsilon, inner)
+                if own - res.cost > epsilon:
+                    alphas = alphas.replace(i, res.policy)
+                    xi = expected_distortion_multi(g, alphas, beta)
+                    zetas[i] = leakage_j(g, alphas, i)
+                    own, accepted = res.cost, True
             frozen = {pick} if accepted else frozen | {pick}
         records.append(TrajectoryRecord(k, mover, psi(), own, xi, accepted))
         if len(frozen) == n + 1:

@@ -111,7 +111,9 @@ class BestResponseResult:
 
 @dataclass(frozen=True)
 class EpsilonNashReport:
-    """sender_gap is exact up to its best response's summed block gap."""
+    """The sender's best improvement lies in [sender_gap, sender_gap +
+    sender_stationarity_gap]; member means the upper end and receiver_gap
+    are at most epsilon (epsilon_nash_check)."""
 
     member: bool
     sender_gap: float
@@ -621,6 +623,7 @@ def _batch_lift(
 def _newton_polish(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
+    floor: float = -math.inf,
 ):
     """Active-set Newton refinement on the product of simplex blocks.
 
@@ -635,9 +638,10 @@ def _newton_polish(
     fraction-to-boundary rule keeps the iterate strictly positive. The
     block gaps are always measured over all coordinates, so freezing
     cannot fake convergence, and the phase stops once their sum meets
-    grad_tol. Returns (encoder, cost, log-ratio, largest block gap,
-    iterations, converged) after at most min(_POLISH_ITERS, budget)
-    iterations; converged means the encoder's summed gap meets grad_tol.
+    grad_tol or cost minus their sum reaches floor. Returns (encoder, cost,
+    log-ratio, largest block gap, iterations, done) after at most
+    min(_POLISH_ITERS, budget) iterations; done means the encoder's summed
+    gap meets grad_tol or its lower bound reaches floor.
     """
     shape = a.shape
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
@@ -677,8 +681,8 @@ def _newton_polish(
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
         grad = _gradient(c, rho_pzw, logratio)
         blocks = _block_gaps(a, grad)
-        gap = float(blocks.max())
-        if float(blocks.sum()) <= settings.grad_tol:
+        gap, total = float(blocks.max()), float(blocks.sum())
+        if total <= settings.grad_tol or (floor > -math.inf and cost - total >= floor):
             return a, cost, logratio, gap, it - 1, True
         if gap < best[0]:
             best = (gap, a, cost, logratio)
@@ -779,18 +783,20 @@ def _newton_polish(
 def _mirror_phase(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
-    handoff: float, crawl: float,
+    handoff: float, crawl: float, floor: float = -math.inf,
 ):
     """Multiplicative-weights segment with Armijo backtracking.
 
     Starts from a with its cost and log-ratio (_objective_parts); the
     evaluation that accepts a step gives the next iterate's gradient. Runs
-    until the summed block gap meets grad_tol, the largest one meets the
-    handoff threshold or crawls (at most crawl and more than half its value
+    until the summed block gap meets grad_tol or the certified lower bound,
+    cost minus that sum, reaches floor, the largest gap meets the handoff
+    threshold or crawls (at most crawl and more than half its value
     _STALL_PATIENCE iterations earlier), a stall, or the budget, and returns
-    the iterate with the smallest largest gap, or, when certified or at the
-    handoff or a crawl, the current one. handoff and crawl 0 keep the phase
-    to the end. Returns (a, cost, log-ratio, largest gap, used, converged).
+    the iterate with the smallest largest gap, or, when certified, floored,
+    at the handoff or at a crawl, the current one. handoff and crawl 0 keep
+    the phase to the end. Returns (a, cost, log-ratio, largest gap, used,
+    done), done meaning certified or floored.
     """
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     step = settings.step_init
@@ -808,6 +814,8 @@ def _mirror_phase(
             best = (gap, a, cost, logratio)
         # the sum is at least the largest gap: sum only once that meets grad_tol
         if gap <= settings.grad_tol and float(blocks.sum()) <= settings.grad_tol:
+            return a, cost, logratio, gap, used - 1, True
+        if floor > -math.inf and cost - float(blocks.sum()) >= floor:
             return a, cost, logratio, gap, used - 1, True
         if gap <= handoff:
             return a, cost, logratio, gap, used - 1, False
@@ -861,7 +869,7 @@ def _mirror_phase(
 
 def _minimize_over_blocks(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, settings: SolverSettings,
-    start: np.ndarray | None = None,
+    start: np.ndarray | None = None, floor: float = -math.inf,
 ):
     """Minimize (c . a) + rho * leakage over the product of message simplices.
 
@@ -875,8 +883,11 @@ def _minimize_over_blocks(
     _POLISH_AT or when its largest gap crawls below _CRAWL_AT, both lowered
     to 0.03 times the best after a stalled Newton phase; a certified phase
     or a round in which neither phase cuts the best by a tenth ends the
-    solve. Returns (a, cost, iterations, converged, gap), gap a's summed
-    block gap and converged whether it meets grad_tol.
+    solve. So does an iterate whose certified lower bound on the optimum,
+    its cost minus its summed block gap, reaches floor: that iterate is
+    returned. A solve that never reaches floor runs the iterates of the
+    solve without one. Returns (a, cost, iterations, converged, gap), gap
+    a's summed block gap and converged whether it meets grad_tol.
     """
     if rho == 0.0:
         # no leakage term: each block independently loads its cheapest message
@@ -901,7 +912,7 @@ def _minimize_over_blocks(
         a, cost, logratio, gap, used, conv = _mirror_phase(
             c, pzw, pw, rho, a, cost, logratio, settings,
             min(_PHASE_ONE_CAP, settings.max_iters - spent),
-            min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]),
+            min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]), floor,
         )
         spent += used
         if gap < best[0]:
@@ -909,7 +920,7 @@ def _minimize_over_blocks(
         if conv or spent >= settings.max_iters:
             break
         a, cost, logratio, gap, used, conv = _newton_polish(
-            c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent
+            c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent, floor
         )
         spent += used
         if gap < best[0]:
@@ -980,16 +991,35 @@ def explicit_equilibrium(
     return br.policy, beta
 
 
-def _nash_report(
-    g: GameInstance, alpha: SenderPolicy, beta: ReceiverPolicy, epsilon: float, br: BestResponseResult
-) -> EpsilonNashReport:
-    """Both players' improvement gaps, the sender's against br, a best response to beta."""
-    receiver_gap = receiver_cost(g, alpha, beta) - receiver_cost(
-        g, alpha, receiver_best_response(g, alpha)
+def _improvement_reference(
+    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, alpha: SenderPolicy,
+    own: float, epsilon: float, settings: SolverSettings,
+) -> BestResponseResult:
+    """The encoder that decides whether a sender can lower own by more than epsilon.
+
+    c is the sender's distortion coefficients (_linear_coeffs), pzw its
+    P{Z, W} and pw the secret marginal of pzw; own is its cost at alpha. For
+    the returned ref, the best improvement on own lies in [own - ref.cost,
+    own - ref.cost + ref.stationarity_gap] by convexity (_block_gaps), and
+    ref.cost - ref.stationarity_gap >= own - epsilon proves that it is at
+    most epsilon. ref is alpha itself, at cost own and without a solve, when
+    alpha is interior or rho is 0 and its own summed gap is at most epsilon.
+    Otherwise ref is the answer of a solve floored at own - epsilon
+    (_minimize_over_blocks): it stops at the first iterate that proves the
+    bound, and a solve that never does returns the unfloored answer. Either
+    way own - ref.cost > epsilon exactly when it holds for the unfloored
+    answer, so play that adopts on that test takes the same path.
+    """
+    a = alpha.a
+    if rho == 0.0 or np.all(a > 0.0):
+        _, logratio = _leakage_parts(a, pzw, _log_floored(pw))
+        gap = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
+        if gap <= epsilon:
+            return BestResponseResult(alpha, own, 0, gap <= settings.grad_tol, gap)
+    a, cost, iterations, converged, gap = _minimize_over_blocks(
+        c, pzw, pw, rho, settings, floor=own - epsilon
     )
-    sender_gap = sender_cost(g, alpha, beta) - br.cost
-    member = (sender_gap <= epsilon) and (receiver_gap <= epsilon)
-    return EpsilonNashReport(member, sender_gap, receiver_gap, br.stationarity_gap, epsilon)
+    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
 
 
 def epsilon_nash_check(
@@ -999,11 +1029,28 @@ def epsilon_nash_check(
     epsilon: float,
     settings: SolverSettings = DEFAULT_SETTINGS,
 ) -> EpsilonNashReport:
-    """Measure both players' improvement gaps at a strategy pair.
+    """Decide whether a strategy pair is an epsilon-equilibrium.
 
-    The receiver gap is exact; the sender gap is relative to the iterative
-    best response, so it is exact up to that answer's summed block gap,
-    reported as sender_stationarity_gap.
+    The receiver gap is exact. The sender's best improvement lies in
+    [sender_gap, sender_gap + sender_stationarity_gap], both measured at the
+    encoder _improvement_reference picks: alpha itself when its own summed
+    block gap settles the question, else the first solver iterate that
+    does, else a full best response. member requires the receiver gap and
+    the interval's upper end to be at most epsilon, so it is a proof; a pair
+    whose best response the solver cannot certify closely enough is not a
+    member.
     """
     _check_epsilon(epsilon)
-    return _nash_report(g, alpha, beta, epsilon, sender_best_response(g, beta, settings))
+    own = sender_cost(g, alpha, beta)
+    ref = _improvement_reference(
+        _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho, alpha, own, epsilon, settings
+    )
+    receiver_gap = receiver_cost(g, alpha, beta) - receiver_cost(
+        g, alpha, receiver_best_response(g, alpha)
+    )
+    # the floor test's own form, so that a floored answer is always a member
+    proven = ref.cost - ref.stationarity_gap >= own - epsilon
+    return EpsilonNashReport(
+        proven and receiver_gap <= epsilon, own - ref.cost, receiver_gap,
+        ref.stationarity_gap, epsilon,
+    )

@@ -432,6 +432,31 @@ def test_verify_flags_non_equilibrium_without_failing(runner, tmp_path):
     assert "FAIL" in result.output
 
 
+def test_verify_fails_uniform_encoder_at_huge_rho(runner, tmp_path):
+    # the best response at rho = 1e15 stops uncertified at about the uniform
+    # encoder's cost, so only its summed gap shows the improvement of at
+    # least 0.3 that the zero-leakage encoder makes
+    cfg = circulant_config(tmp_path, rho=1e15, dynamics={"epsilon": 1e-3})
+    alpha, beta = tmp_path / "alpha.json", tmp_path / "beta.json"
+    alpha.write_text(sender_policy_to_json(SenderPolicy.uniform(5, 5, 5)))
+    beta.write_text(receiver_policy_to_json(ReceiverPolicy.identity(5)))
+    result = runner.invoke(
+        main,
+        [
+            "verify",
+            "--config", cfg,
+            "--out", str(tmp_path / "check"),
+            "--alpha", str(alpha),
+            "--beta", str(beta),
+        ],
+    )
+    assert result.exit_code == 0, all_text(result)
+    assert "FAIL" in result.output
+    report = json.loads((tmp_path / "check" / "report.json").read_text())
+    assert report["member"] is False
+    assert report["sender_gap"] + report["sender_stationarity_gap"] > 0.3
+
+
 def test_verify_epsilon_override(runner, tmp_path):
     cfg = circulant_config(tmp_path)
     out = tmp_path / "out"

@@ -1,7 +1,5 @@
 import itertools
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -13,6 +11,7 @@ from privsig.game import (
     ReceiverPolicy,
     SenderPolicy,
     hamming_distortion,
+    sender_cost,
 )
 from privsig.multi import (
     MAX_SENDERS,
@@ -34,7 +33,17 @@ from privsig.multi import (
     sender_cost_multi,
 )
 from privsig.prob import FiniteSpace
-from privsig.solve import SolverSettings, receiver_best_response, sender_best_response
+from privsig import solve as solve_module
+from privsig.solve import (
+    BestResponseResult,
+    _block_gaps,
+    _gradient,
+    _leakage_parts,
+    _log_floored,
+    epsilon_nash_check,
+    receiver_best_response,
+    sender_best_response,
+)
 
 # ---------------------------------------------------------------- fixtures
 
@@ -448,47 +457,53 @@ def skip_cases():
     return cases
 
 
+def full_reference(c, pzw, pw, rho, alpha, own, epsilon, settings):
+    """_improvement_reference's stand-in: a full unfloored best response."""
+    a, cost, iterations, converged, gap = solve_module._minimize_over_blocks(c, pzw, pw, rho, settings)
+    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
+
+
 def test_certificate_skip_leaves_play_unchanged(monkeypatch):
+    # play decides each sender check by the encoder's own gap or a floored
+    # solve; with a full best response at every check it takes the same path
     eps = 0.02
-    bound, solve = multi_module._improvement_bound, multi_module.sender_best_response_multi
-    skips, zero_solves = {}, {}
+    decide = multi_module._improvement_reference
+    skips, floored, zero_solves = {}, {}, {}
 
     for name, g, alphas0, beta0, seed in skip_cases():
-        skips[name], zero_solves[name] = 0, 0
+        skips[name], floored[name], zero_solves[name] = 0, 0, 0
 
-        def counted_bound(g, alphas, beta, j):
-            out = bound(g, alphas, beta, j)
-            skips[name] += out <= eps
-            if g.rho > 0.0 and np.any(alphas[j].a == 0.0):
-                assert out == math.inf
-            return out
+        def counted(c, pzw, pw, rho, alpha, own, epsilon, settings):
+            ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings)
+            skipped = ref.policy is alpha
+            skips[name] += skipped
+            floored[name] += not skipped and own - ref.cost <= epsilon
+            if rho > 0.0 and np.any(alpha.a == 0.0):
+                # the gradient bounds nothing there, so even an epsilon
+                # above any gap is decided by a solve
+                assert decide(c, pzw, pw, rho, alpha, own, 1e9, settings).policy is not alpha
+                zero_solves[name] += 1
+            return ref
 
-        def counted_solve(g, alphas, beta, j, settings):
-            zero_solves[name] += bool(np.any(alphas[j].a == 0.0))
-            return solve(g, alphas, beta, j, settings)
-
-        monkeypatch.setattr(multi_module, "_improvement_bound", counted_bound)
-        monkeypatch.setattr(multi_module, "sender_best_response_multi", counted_solve)
-        with_skip = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
-        monkeypatch.setattr(multi_module, "_improvement_bound", lambda *args: math.inf)
-        without = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
-        assert play_fingerprint(with_skip) == play_fingerprint(without)
-        assert with_skip.reached_eps_nash
+        monkeypatch.setattr(multi_module, "_improvement_reference", counted)
+        decided = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        monkeypatch.setattr(multi_module, "_improvement_reference", full_reference)
+        solved = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        assert play_fingerprint(decided) == play_fingerprint(solved)
+        assert decided.reached_eps_nash
 
     assert all(count > 0 for count in skips.values()), skips
+    assert sum(floored.values()) > 0, floored
     # the start's zero-entry encoder faced a solve when its sender was drawn
     assert zero_solves["zero_entry"] > 0
 
 
 def test_play_computes_each_checks_coefficients_once(monkeypatch):
-    # a drawn sender's check needs its distortion coefficients for the
-    # improvement bound and again for the solve that follows; they are
-    # computed once, and play takes the same path as when each call
-    # computes them afresh
+    # a drawn sender's check computes its distortion coefficients once, and
+    # play takes the same path as when each call computes them afresh
     eps = 0.02
-    coeffs, bound = multi_module._linear_coeffs_multi, multi_module._improvement_bound
-    solve = multi_module.sender_best_response_multi
-    counts = {"coeffs": 0, "bounds": 0, "solves": 0}
+    coeffs, decide = multi_module._linear_coeffs_multi, multi_module._improvement_reference
+    counts = {"coeffs": 0, "checks": 0}
 
     def counted(name, inner):
         def wrapper(*args):
@@ -498,107 +513,102 @@ def test_play_computes_each_checks_coefficients_once(monkeypatch):
 
     for name, g, alphas0, beta0, seed in skip_cases():
         monkeypatch.setattr(multi_module, "_linear_coeffs_multi", counted("coeffs", coeffs))
-        monkeypatch.setattr(multi_module, "_improvement_bound", counted("bounds", bound))
-        monkeypatch.setattr(multi_module, "sender_best_response_multi", counted("solves", solve))
+        monkeypatch.setattr(multi_module, "_improvement_reference", counted("checks", decide))
         once = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
         monkeypatch.undo()
         monkeypatch.setattr(multi_module, "_sender_coeffs", coeffs)
         afresh = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
         monkeypatch.undo()
         assert play_fingerprint(once) == play_fingerprint(afresh)
-    # every check calls the bound once; without the reuse each solve would
-    # add a computation of its own
-    assert counts["solves"] > 0
-    assert counts["coeffs"] <= counts["bounds"]
+    assert 0 < counts["coeffs"] <= counts["checks"]
 
 
 def test_improvement_bound_is_sound():
+    # the interval an epsilon check reports holds the best improvement, and
+    # member proves that it is at most epsilon, against a full best
+    # response of cost c* and summed gap g*, single- and multi-sender
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @hypothesis.given(
-        st.integers(1, 3), st.integers(2, 3), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1)
+        st.integers(0, 3), st.integers(2, 3), st.floats(0.0, 2.0), st.floats(1e-4, 0.1),
+        st.booleans(), st.integers(0, 2**32 - 1),
     )
-    def check(n, m, rho, seed):
+    def check(n, m, rho, eps, answered, seed):
         gen = np.random.default_rng(seed)
-        w_sizes = tuple(int(w) for w in gen.integers(1, 4, size=n))
-        y_sizes = tuple(int(y) for y in gen.integers(2, 4, size=n))
-        g = random_multi(gen, m, w_sizes, y_sizes, rho)
-        alphas, beta = random_state(gen, g)
-        j = int(gen.integers(n))
-        own = sender_cost_multi(g, alphas, beta, j)
-        best = sender_best_response_multi(g, alphas, beta, j).cost
-        assert own - best <= multi_module._improvement_bound(g, alphas, beta, j) + 1e-12
+        if n == 0:
+            g = random_game(gen, m, int(gen.integers(1, 4)), int(gen.integers(2, 4)), rho)
+            alpha = random_sender(gen, g.y_space.size, m, g.w_space.size)
+            beta = random_receiver(gen, m, g.y_space.size)
+            best = sender_best_response(g, beta)
+            if answered:
+                # the solver's own answer, whose gap settles the check
+                alpha = best.policy
+            own = sender_cost(g, alpha, beta)
+            report = epsilon_nash_check(g, alpha, beta, eps)
+            gap, stat = report.sender_gap, report.sender_stationarity_gap
+        else:
+            w_sizes = tuple(int(w) for w in gen.integers(1, 4, size=n))
+            y_sizes = tuple(int(y) for y in gen.integers(2, 4, size=n))
+            g = random_multi(gen, m, w_sizes, y_sizes, rho)
+            alphas, beta = random_state(gen, g)
+            j = int(gen.integers(n))
+            best = sender_best_response_multi(g, alphas, beta, j)
+            if answered:
+                alphas = alphas.replace(j, best.policy)
+            own = sender_cost_multi(g, alphas, beta, j)
+            report = epsilon_nash_check_multi(g, alphas, beta, eps)
+            gap, stat = report.sender_gaps[j], report.sender_stationarity_gaps[j]
+        assert gap <= own - (best.cost - best.stationarity_gap) + 1e-12
+        assert own - best.cost <= gap + stat + 1e-12
+        if report.member:
+            assert own - best.cost <= eps
 
     check()
 
 
 def test_audit_solves_only_what_play_did_not(monkeypatch):
-    gen = np.random.default_rng(33)
+    # after play, a sender whose encoder's summed gap is at most epsilon is
+    # audited without a solve, and the others by a solve that stops at the
+    # first iterate proving the bound
+    gen = np.random.default_rng(31)
     g = random_multi(gen, 2, (2,) * 3, (2,) * 3, 0.4)
     alphas0, beta0 = random_state(gen, g)
     eps = 0.05
     report = random_best_response_dynamics(g, alphas0, beta0, eps, seed=3)
     alphas, beta = report.final_pair
 
-    solves = []
-    minimize = multi_module._minimize_over_blocks
+    iterations = []
+    minimize = solve_module._minimize_over_blocks
 
     def counted(*args, **kwargs):
-        solves.append(1)
-        return minimize(*args, **kwargs)
+        out = minimize(*args, **kwargs)
+        iterations[-1] += out[2]
+        return out
 
-    monkeypatch.setattr(multi_module, "_minimize_over_blocks", counted)
+    monkeypatch.setattr(solve_module, "_minimize_over_blocks", counted)
+    decide = multi_module._improvement_reference
+
+    def per_sender(*args):
+        iterations.append(0)
+        return decide(*args)
+
+    monkeypatch.setattr(multi_module, "_improvement_reference", per_sender)
     audit = epsilon_nash_check_multi(g, alphas, beta, eps)
-    assert len(solves) < g.n
-    multi_module._last_answers.clear()
-    solves.clear()
-    fresh = epsilon_nash_check_multi(g, alphas, beta, eps)
-    assert len(solves) == g.n
-    assert repr(audit) == repr(fresh)
-    # the same request again is answered from memory
-    solves.clear()
-    epsilon_nash_check_multi(g, alphas, beta, eps)
-    assert not solves
-    # other solver settings, or another decoder, pose another problem
-    epsilon_nash_check_multi(g, alphas, beta, eps, SolverSettings(grad_tol=1e-9))
-    assert len(solves) == g.n
-    b = gen.random(beta.b.shape) + 0.05
-    epsilon_nash_check_multi(g, alphas, MultiReceiverPolicy(b / b.sum(axis=0)), eps)
-    assert len(solves) == 2 * g.n
-
-
-def test_remembered_answers_stay_with_their_problem_across_threads():
-    # threads alternate two problems for the same sender index, so each
-    # call replaces the other problem's remembered answer; every call must
-    # still get its own problem's answer
-    gen = np.random.default_rng(8)
-    g = random_multi(gen, 2, (2, 2), (2, 2), 0.4)
-    states = [random_state(gen, g) for _ in range(2)]
-    multi_module._last_answers.clear()
-    want = [sender_best_response_multi(g, *state, 0) for state in states]
-    wrong = []
-
-    def work(t):
-        for k in range(30):
-            s = (t + k) % 2
-            res = sender_best_response_multi(g, *states[s], 0)
-            if res.policy.a.tobytes() != want[s].policy.a.tobytes() or res.cost != want[s].cost:
-                wrong.append((t, k))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert not wrong
+    assert audit.member
+    settled, rest = [], []
+    for j in range(g.n):
+        c, pzw = _linear_coeffs_multi(g, alphas, beta, j), g.joint.pzw(j)
+        a = alphas[j].a
+        _, logratio = _leakage_parts(a, pzw, _log_floored(pzw.sum(axis=0)))
+        gap = float(_block_gaps(a, _gradient(c, g.rho * pzw, logratio)).sum())
+        full = sender_best_response_multi(g, alphas, beta, j)
+        (settled if gap <= eps else rest).append((iterations[j], full.iterations))
+    assert settled and rest, (settled, rest)
+    assert all(spent == 0 for spent, _ in settled)
+    # a full best response takes over 50 iterations on each of them
+    assert all(spent <= 5 < full for spent, full in rest), rest
 
 
 # ----------------------------------------------------------------- guards

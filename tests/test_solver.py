@@ -1245,6 +1245,21 @@ def test_epsilon_nash_check_flags_non_equilibrium():
         epsilon_nash_check(g, SenderPolicy.truthful(5, 5), ReceiverPolicy.identity(5), 0.0)
 
 
+@pytest.mark.parametrize("rho, sender_gap", [(1e3, 0.3001), (1e8, 0.2561), (1e15, None)])
+def test_epsilon_nash_check_fails_uniform_encoder_at_large_rho(rho, sender_gap):
+    # the zero-leakage LP encoder costs 0.5 against the uniform encoder's
+    # 0.8, so the sender can improve by at least 0.3. At rho = 1e15 the best
+    # response stops uncertified at about the uniform encoder's cost (sender
+    # gap 4.4e-16, summed gap 0.8), and the check once passed on the sender
+    # gap alone
+    g = circulant_game(rho)
+    report = epsilon_nash_check(g, SenderPolicy.uniform(5, 5, 5), ReceiverPolicy.identity(5), 1e-3)
+    assert not report.member
+    if sender_gap is not None:
+        assert report.sender_gap == pytest.approx(sender_gap, abs=1e-4)
+    assert report.sender_gap + report.sender_stationarity_gap > 0.3
+
+
 def test_explicit_equilibrium_receiver_side(rng):
     # identity decoding is already optimal against the constructed encoder
     for _ in range(10):
