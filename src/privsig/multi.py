@@ -7,11 +7,14 @@ secret through its own message; the receiver pays the distortion. The sum of
 all leakage terms plus the distortion is an exact potential.
 
 Joint tensors carry axes (x, z_1..z_n, w_1..w_n), and ``_contract`` sums them
-against the encoders one sender at a time with ``np.tensordot``, so the full
-policy product is never materialized.
+against the encoders one sender at a time, one two-operand ``np.einsum`` per
+sender whose subscripts the joint builds once, so the full policy product is
+never materialized. Play and the audit compute each contraction once per
+state and skip the public functions' validation.
 """
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,19 +74,53 @@ class MultiJoint:
         _check_entries(arr, "joint")
         arr = _check_mass(arr, "joint")
         object.__setattr__(self, "p", _freeze(arr))
+        # the marginals and the contraction plans, built once per joint
+        axes = range(arr.ndim)
+        pzw = tuple(
+            _freeze(arr.sum(axis=tuple(ax for ax in axes if ax not in (1 + j, 1 + n + j))))
+            for j in range(n)
+        )
+        object.__setattr__(self, "_px", _freeze(arr.sum(axis=tuple(axes[1:]))))
+        object.__setattr__(self, "_pzw", pzw)
+        object.__setattr__(self, "_pw", tuple(_freeze(q.sum(axis=0)) for q in pzw))
+        object.__setattr__(
+            self, "_plans", {skip: _contraction_plan(n, skip) for skip in (None, *range(n))}
+        )
 
     @property
     def n(self) -> int:
         return len(self.w_spaces)
 
     def px(self) -> np.ndarray:
-        return self.p.sum(axis=tuple(range(1, self.p.ndim)))
+        """Marginal P{X}, summed once at construction; read-only."""
+        return self._px
 
     def pzw(self, j: int) -> np.ndarray:
-        """Marginal P{Z_j, W_j} as a matrix."""
-        keep = {1 + j, 1 + self.n + j}
-        drop = tuple(ax for ax in range(self.p.ndim) if ax not in keep)
-        return self.p.sum(axis=drop)
+        """Marginal P{Z_j, W_j} as a matrix, summed once at construction; read-only."""
+        return self._pzw[j]
+
+
+def _contraction_plan(n: int, skip: int | None) -> tuple[tuple, str | None]:
+    """einsum subscripts of _contract's steps and of the coefficients' sum.
+
+    One letter per axis: x, then z_i, w_i and y_i for each sender i. Each
+    step sums one sender's (z_i, w_i) against its encoder and appends y_i
+    as the last axis. With a skip, the second item sums the result against
+    the distortion table (x, y_1..y_n) down to (y_skip, z_skip, w_skip);
+    without one it is None.
+    """
+    letters = string.ascii_letters
+    x = letters[0]
+    z, w, y = (letters[k : k + n] for k in (1, 1 + n, 1 + 2 * n))
+    axes, steps = x + z + w, []
+    for i in range(n):
+        if i == skip:
+            continue
+        out = axes.replace(z[i], "").replace(w[i], "") + y[i]
+        steps.append((i, f"{axes},{y[i]}{z[i]}{w[i]}->{out}"))
+        axes = out
+    coeffs = None if skip is None else f"{axes},{x}{y}->{y[skip]}{z[skip]}{w[skip]}"
+    return tuple(steps), coeffs
 
 
 @dataclass(frozen=True)
@@ -167,42 +204,53 @@ class MultiGameInstance:
                 raise ValueError(f"receiver policy shape {beta.b.shape}, expected {want_b}")
 
 
-def _contract(p: np.ndarray, policies, skip: int | None = None) -> np.ndarray:
+def _contract(joint: MultiJoint, policies, skip: int | None = None) -> np.ndarray:
     """Sum the joint against every encoder except skip's, one sender at a time.
 
     Returns axes (x, y_1..y_n), or (x, z_skip, w_skip, y_i for i != skip)
-    when a sender is skipped.
+    when a sender is skipped. Each step is one two-operand einsum from the
+    joint's plan; tensordot's Python-side axis handling cost more than the
+    sums themselves on small alphabets.
     """
-    rest = len(policies)  # senders whose (z, w) axes are still in the tensor
-    ahead = 0  # 1 once the skipped sender's axes sit before the next sender's
-    for i, pol in enumerate(policies):
-        if i == skip:
-            ahead = 1
-            continue
-        p = np.tensordot(p, pol.a, axes=([1 + ahead, 1 + rest + ahead], [1, 2]))
-        rest -= 1
+    p = joint.p
+    for i, subscripts in joint._plans[skip][0]:
+        p = np.einsum(subscripts, p, policies[i].a)
     return p
+
+
+def _distortion_table(g: MultiGameInstance, beta: MultiReceiverPolicy) -> np.ndarray:
+    """d . beta over the estimate: distortion per (x, y_1..y_n)."""
+    b = beta.b
+    return (g.distortion.d @ b.reshape(b.shape[0], -1)).reshape((-1,) + b.shape[1:])
+
+
+def _distortion(q: np.ndarray, table: np.ndarray) -> float:
+    """Expected distortion of the contraction q = P{X, Y_1..Y_n} under a table."""
+    return float((q * table).sum())
+
+
+def _leakage(g: MultiGameInstance, a: np.ndarray, j: int) -> float:
+    """I(Y_j; W_j) of encoder a for sender j, from the joint's cached marginal."""
+    return _mutual_information(_joint_yw(g.joint.pzw(j), a))
 
 
 def expected_distortion_multi(
     g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy
 ) -> float:
     g.check_policies(alphas, beta)
-    q = _contract(g.joint.p, alphas.policies)
-    dxy = np.tensordot(g.distortion.d, beta.b, axes=([1], [0]))
-    return float((q * dxy).sum())
+    return _distortion(_contract(g.joint, alphas.policies), _distortion_table(g, beta))
 
 
 def leakage_j(g: MultiGameInstance, alphas: SenderPolicySet, j: int) -> float:
     """I(Y_j; W_j) in nats for sender j (0-based)."""
     g.check_policies(alphas)
-    return _mutual_information(_joint_yw(g.joint.pzw(j), alphas[j].a))
+    return _leakage(g, alphas[j].a, j)
 
 
 def coalition_leakage(g: MultiGameInstance, alphas: SenderPolicySet, j: int) -> float:
     """Diagnostic I(Y_1..Y_n; W_j): what all messages jointly reveal of secret j."""
     g.check_policies(alphas)
-    rest = _contract(g.joint.p, alphas.policies, skip=j).sum(axis=0)
+    rest = _contract(g.joint, alphas.policies, skip=j).sum(axis=0)
     # encoder j sums out z_j but keeps w_j, so the last axis is the secret
     joint = np.einsum("zw...,yzw->...yw", rest, alphas[j].a)
     return _mutual_information(joint.reshape(-1, joint.shape[-1]))
@@ -226,7 +274,7 @@ def potential_multi(
     """Distortion plus rho times the sum of every sender's own leakage."""
     total = expected_distortion_multi(g, alphas, beta)
     for j in range(g.n):
-        total += g.rho * leakage_j(g, alphas, j)
+        total += g.rho * _leakage(g, alphas[j].a, j)
     return total
 
 
@@ -235,43 +283,22 @@ def receiver_best_response_multi(
 ) -> MultiReceiverPolicy:
     """Per-message-tuple posterior minimizer, prior-optimal on dead tuples."""
     g.check_policies(alphas)
-    q = _contract(g.joint.p, alphas.policies)
+    q = _contract(g.joint, alphas.policies)
     b = _posterior_decoder(g.distortion.d, g.joint.px(), q.reshape(q.shape[0], -1))
     return MultiReceiverPolicy(b.reshape(q.shape))
 
 
 def _linear_coeffs_multi(
-    g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int
+    g: MultiGameInstance, alphas: SenderPolicySet, table: np.ndarray, j: int
 ) -> np.ndarray:
-    """Distortion as a linear functional of encoder j, the others held fixed."""
-    rest = _contract(g.joint.p, alphas.policies, skip=j)
-    dxy = np.tensordot(g.distortion.d, beta.b, axes=([1], [0]))
-    dxy = np.moveaxis(dxy, 1 + j, -1)
-    # sum x and every other sender's message, leaving (z_j, w_j, y_j)
-    c = np.tensordot(rest, dxy, axes=([0, *range(3, rest.ndim)], range(g.n)))
-    return np.moveaxis(c, -1, 0)
+    """Distortion as a linear functional of encoder j, the others held fixed.
 
-
-# (game, encoders, decoder, sender index, coefficients) of the last sender
-# problem posed. The objects are matched by identity, which is sound because
-# they are immutable and their arrays read-only; so the audit after play
-# reuses the coefficients of play's last check. Replaced whole, so threads
-# sharing it can lose the entry but never get another problem's.
-_last_coeffs: tuple | None = None
-
-
-def _sender_coeffs(
-    g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int
-) -> np.ndarray:
-    """_linear_coeffs_multi, computed once for the last problem posed."""
-    global _last_coeffs
-    last = _last_coeffs
-    if last is not None and last[0] is g and last[1] is alphas and last[2] is beta and last[3] == j:
-        return last[4]
-    c = _linear_coeffs_multi(g, alphas, beta, j)
-    c.setflags(write=False)
-    _last_coeffs = (g, alphas, beta, j, c)
-    return c
+    table is the decoder's _distortion_table. The other encoders are
+    contracted out of the joint, and one einsum against the table sums x and
+    every other sender's message, leaving (y_j, z_j, w_j).
+    """
+    rest = _contract(g.joint, alphas.policies, skip=j)
+    return np.einsum(g.joint._plans[j][1], rest, table)
 
 
 def sender_best_response_multi(
@@ -287,23 +314,11 @@ def sender_best_response_multi(
     marginal, rho and the solver settings.
     """
     g.check_policies(alphas, beta)
-    pzw = g.joint.pzw(j)
+    c = _linear_coeffs_multi(g, alphas, _distortion_table(g, beta), j)
     a, cost, iterations, converged, gap = _minimize_over_blocks(
-        _sender_coeffs(g, alphas, beta, j), pzw, pzw.sum(axis=0), g.rho, settings
+        c, g.joint.pzw(j), g.joint._pw[j], g.rho, settings
     )
     return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
-
-
-def _sender_reference(
-    g: MultiGameInstance, alphas: SenderPolicySet, beta: MultiReceiverPolicy, j: int,
-    own: float, epsilon: float, settings: SolverSettings,
-) -> BestResponseResult:
-    """_improvement_reference for sender j, whose cost at alphas is own."""
-    pzw = g.joint.pzw(j)
-    return _improvement_reference(
-        _sender_coeffs(g, alphas, beta, j), pzw, pzw.sum(axis=0), g.rho, alphas[j],
-        own, epsilon, settings,
-    )
 
 
 @dataclass(frozen=True)
@@ -333,15 +348,21 @@ def epsilon_nash_check_multi(
     the first iterate that does. member is a proof, as there.
     """
     _check_epsilon(epsilon)
-    xi = expected_distortion_multi(g, alphas, beta)
-    receiver_gap = xi - expected_distortion_multi(
-        g, alphas, receiver_best_response_multi(g, alphas)
-    )
+    g.check_policies(alphas, beta)
+    # one full contraction serves both decoders, and one table every sender
+    q = _contract(g.joint, alphas.policies)
+    table = _distortion_table(g, beta)
+    xi = _distortion(q, table)
+    best = receiver_best_response_multi(g, alphas)
+    receiver_gap = xi - _distortion(q, _distortion_table(g, best))
     member = receiver_gap <= epsilon
     gaps, stat = [], []
     for j in range(g.n):
-        own = xi + g.rho * leakage_j(g, alphas, j)
-        ref = _sender_reference(g, alphas, beta, j, own, epsilon, settings)
+        own = xi + g.rho * _leakage(g, alphas[j].a, j)
+        ref = _improvement_reference(
+            _linear_coeffs_multi(g, alphas, table, j), g.joint.pzw(j), g.joint._pw[j], g.rho,
+            alphas[j], own, epsilon, settings,
+        )
         gaps.append(own - ref.cost)
         stat.append(ref.stationarity_gap)
         # the floor test's own form, so that a floored answer is always a member
@@ -385,6 +406,11 @@ def random_best_response_dynamics(
     convexity bounds any improvement, and otherwise by a solve that stops
     at the first iterate proving no improvement above epsilon. Play adopts
     and moves exactly as it would with a full best response at every check.
+
+    Play holds the decoder's distortion table, rebuilt when the receiver
+    moves. Distortion is linear in each encoder, so after a sender adopts
+    the distortion is its check's coefficients summed against the new
+    encoder, and no full contraction is made.
     """
     _check_epsilon(epsilon)
     g.check_policies(alphas0, beta0)
@@ -393,10 +419,11 @@ def random_best_response_dynamics(
     rng = np.random.default_rng(seed)
     alphas, beta = alphas0, beta0
     n = g.n
-    # the distortion and each sender's own leakage, refreshed only by the
-    # moves that change them
-    xi = expected_distortion_multi(g, alphas, beta)
-    zetas = [leakage_j(g, alphas, j) for j in range(n)]
+    # the decoder's table, the distortion and each sender's own leakage,
+    # refreshed only by the moves that change them
+    table = _distortion_table(g, beta)
+    xi = _distortion(_contract(g.joint, alphas.policies), table)
+    zetas = [_leakage(g, alphas[j].a, j) for j in range(n)]
 
     def psi():
         total = xi
@@ -417,16 +444,21 @@ def random_best_response_dynamics(
         if pick not in frozen:
             if pick == 0:
                 cand_beta = receiver_best_response_multi(g, alphas)
-                after = expected_distortion_multi(g, alphas, cand_beta)
+                cand_table = _distortion_table(g, cand_beta)
+                after = _distortion(_contract(g.joint, alphas.policies), cand_table)
                 if xi - after > epsilon:
-                    beta, xi, own, accepted = cand_beta, after, after, True
+                    beta, table, xi, own, accepted = cand_beta, cand_table, after, after, True
             else:
                 i = pick - 1
-                res = _sender_reference(g, alphas, beta, i, own, epsilon, inner)
+                c = _linear_coeffs_multi(g, alphas, table, i)
+                res = _improvement_reference(
+                    c, g.joint.pzw(i), g.joint._pw[i], g.rho, alphas[i], own, epsilon, inner
+                )
                 if own - res.cost > epsilon:
+                    a = res.policy.a
                     alphas = alphas.replace(i, res.policy)
-                    xi = expected_distortion_multi(g, alphas, beta)
-                    zetas[i] = leakage_j(g, alphas, i)
+                    xi = float((c * a).sum())
+                    zetas[i] = _leakage(g, a, i)
                     own, accepted = res.cost, True
             frozen = {pick} if accepted else frozen | {pick}
         records.append(TrajectoryRecord(k, mover, psi(), own, xi, accepted))

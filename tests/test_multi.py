@@ -15,6 +15,7 @@ from privsig.game import (
 )
 from privsig.multi import (
     MAX_SENDERS,
+    _distortion_table,
     _linear_coeffs_multi,
     MultiGameInstance,
     MultiJoint,
@@ -244,8 +245,9 @@ def test_three_sender_contractions_match_oracles(rng):
     xi = expected_distortion_multi(g, alphas, beta)
     assert xi == pytest.approx(xi_multi_oracle(g, alphas, beta), abs=1e-12)
     other, _ = random_state(rng, g)
+    table = _distortion_table(g, beta)
     for j in range(3):
-        c = _linear_coeffs_multi(g, alphas, beta, j)
+        c = _linear_coeffs_multi(g, alphas, table, j)
         assert (c * alphas[j].a).sum() == pytest.approx(xi, abs=1e-12)
         moved = alphas.replace(j, other[j])
         assert (c * other[j].a).sum() == pytest.approx(
@@ -265,22 +267,33 @@ def test_leakage_j_matches_oracle(rng):
         )
 
 
-def test_potential_difference_identities(rng):
-    for _ in range(20):
-        g = random_multi(rng, 2, (2, 3), (3, 2), float(rng.random() * 2.0))
-        alphas, beta = random_state(rng, g)
-        alphas2, beta2 = random_state(rng, g)
+def test_potential_difference_identities():
+    # a unilateral move changes the mover's cost and the potential by the
+    # same amount, for every sender and the receiver, at n = 1, 2 and 3 with
+    # unequal alphabets
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(1, 3), st.integers(2, 3), st.floats(0.0, 2.0), st.integers(0, 2**32 - 1)
+    )
+    def check(n, m, rho, seed):
+        gen = np.random.default_rng(seed)
+        w_sizes = tuple(int(w) for w in gen.integers(1, 4, size=n))
+        y_sizes = tuple(int(y) for y in gen.integers(2, 4, size=n))
+        g = random_multi(gen, m, w_sizes, y_sizes, rho)
+        alphas, beta = random_state(gen, g)
+        other, other_beta = random_state(gen, g)
         psi = potential_multi(g, alphas, beta)
-        for j in range(2):
-            moved = alphas.replace(j, alphas2[j])
-            lhs = potential_multi(g, moved, beta) - psi
-            rhs = sender_cost_multi(g, moved, beta, j) - sender_cost_multi(
-                g, alphas, beta, j
-            )
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-        lhs = potential_multi(g, alphas, beta2) - psi
-        rhs = receiver_cost_multi(g, alphas, beta2) - receiver_cost_multi(g, alphas, beta)
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+        for j in range(n):
+            moved = alphas.replace(j, other[j])
+            own = sender_cost_multi(g, moved, beta, j) - sender_cost_multi(g, alphas, beta, j)
+            assert potential_multi(g, moved, beta) - psi == pytest.approx(own, abs=1e-10)
+        own = receiver_cost_multi(g, alphas, other_beta) - receiver_cost_multi(g, alphas, beta)
+        assert potential_multi(g, alphas, other_beta) - psi == pytest.approx(own, abs=1e-10)
+
+    check()
 
 
 def test_potential_decomposition(rng):
@@ -498,29 +511,139 @@ def test_certificate_skip_leaves_play_unchanged(monkeypatch):
     assert zero_solves["zero_entry"] > 0
 
 
+def counted(counts, name, inner):
+    """inner, counting its calls under name."""
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return inner(*args, **kwargs)
+    return wrapper
+
+
 def test_play_computes_each_checks_coefficients_once(monkeypatch):
     # a drawn sender's check computes its distortion coefficients once, and
-    # play takes the same path as when each call computes them afresh
+    # play builds one distortion table per decoder: the start's and each
+    # receiver check's candidate
     eps = 0.02
-    coeffs, decide = multi_module._linear_coeffs_multi, multi_module._improvement_reference
-    counts = {"coeffs": 0, "checks": 0}
-
-    def counted(name, inner):
-        def wrapper(*args):
-            counts[name] += 1
-            return inner(*args)
-        return wrapper
-
+    counts = dict.fromkeys(("coeffs", "checks", "tables", "receiver"), 0)
+    for name, fn in (
+        ("coeffs", "_linear_coeffs_multi"), ("checks", "_improvement_reference"),
+        ("tables", "_distortion_table"), ("receiver", "receiver_best_response_multi"),
+    ):
+        monkeypatch.setattr(multi_module, fn, counted(counts, name, getattr(multi_module, fn)))
+    plays = 0
     for name, g, alphas0, beta0, seed in skip_cases():
-        monkeypatch.setattr(multi_module, "_linear_coeffs_multi", counted("coeffs", coeffs))
-        monkeypatch.setattr(multi_module, "_improvement_reference", counted("checks", decide))
-        once = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
+        plays += 1
+    assert 0 < counts["coeffs"] == counts["checks"], counts
+    assert 0 < counts["receiver"] and counts["tables"] == plays + counts["receiver"], counts
+
+
+def test_joint_marginals_are_cached_read_only(rng):
+    g = random_multi(rng, 3, (2, 4, 3), (2, 3, 2), 0.5)
+    p = g.joint.p
+    assert g.joint.px() is g.joint.px()
+    np.testing.assert_array_equal(g.joint.px(), p.sum(axis=(1, 2, 3, 4, 5, 6)))
+    for j in range(3):
+        pzw = g.joint.pzw(j)
+        assert pzw is g.joint.pzw(j)
+        drop = tuple(ax for ax in range(p.ndim) if ax not in (1 + j, 4 + j))
+        np.testing.assert_array_equal(pzw, p.sum(axis=drop))
+        assert pzw.shape == (3, g.joint.w_spaces[j].size)
+    for arr in (g.joint.px(), *(g.joint.pzw(j) for j in range(3))):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def full_contractions(monkeypatch, counts):
+    """Count _contract's calls without a skipped sender, and those with one."""
+    contract = multi_module._contract
+
+    def wrapper(joint, policies, skip=None):
+        counts["full" if skip is None else "skip"] += 1
+        return contract(joint, policies, skip)
+
+    monkeypatch.setattr(multi_module, "_contract", wrapper)
+
+
+def test_adoption_makes_no_full_contraction(monkeypatch):
+    # play contracts the whole joint once at the start and twice per receiver
+    # check (in the best response and for its candidate's distortion); a
+    # sender's adoption sums its check's coefficients against the new encoder
+    counts = dict.fromkeys(("full", "skip", "receiver", "checks", "adopted"), 0)
+    full_contractions(monkeypatch, counts)
+    monkeypatch.setattr(multi_module, "receiver_best_response_multi", counted(
+        counts, "receiver", multi_module.receiver_best_response_multi))
+    monkeypatch.setattr(multi_module, "_improvement_reference", counted(
+        counts, "checks", multi_module._improvement_reference))
+    plays = 0
+    for name, g, alphas0, beta0, seed in skip_cases():
+        report = random_best_response_dynamics(g, alphas0, beta0, 0.02, seed=seed)
+        plays += 1
+        counts["adopted"] += sum(
+            rec.accepted and rec.mover != "receiver" for rec in report.trajectory
+        )
+    assert counts["adopted"] > 0, counts
+    assert counts["full"] == plays + 2 * counts["receiver"], counts
+    assert counts["skip"] == counts["checks"], counts
+
+
+def test_audit_full_contractions_are_bounded(monkeypatch, rng):
+    # the audit contracts the whole joint twice, once for both decoders'
+    # distortions and once in the receiver best response, and each sender's
+    # coefficients once
+    g = random_multi(rng, 2, (2, 3, 2), (3, 2, 2), 0.4)
+    alphas, beta = random_state(rng, g)
+    counts = {"full": 0, "skip": 0}
+    full_contractions(monkeypatch, counts)
+    epsilon_nash_check_multi(g, alphas, beta, 0.05)
+    assert counts == {"full": 2, "skip": 3}
+
+
+def test_play_running_values_match_fresh_evaluations(monkeypatch):
+    # play keeps the distortion and the leakages between rounds, a sender's
+    # adoption setting the distortion from its check's coefficients; every
+    # row must match fresh evaluations of the state after its round
+    decide, respond = multi_module._improvement_reference, multi_module.receiver_best_response_multi
+    adopted = 0
+    for name, g, alphas0, beta0, seed in skip_cases():
+        answers = []
+
+        def recorded(inner):
+            def wrapper(*args):
+                answers.append(inner(*args))
+                return answers[-1]
+            return wrapper
+
+        monkeypatch.setattr(multi_module, "_improvement_reference", recorded(decide))
+        monkeypatch.setattr(multi_module, "receiver_best_response_multi", recorded(respond))
+        report = random_best_response_dynamics(g, alphas0, beta0, 0.02, seed=seed)
         monkeypatch.undo()
-        monkeypatch.setattr(multi_module, "_sender_coeffs", coeffs)
-        afresh = random_best_response_dynamics(g, alphas0, beta0, eps, seed=seed)
-        monkeypatch.undo()
-        assert play_fingerprint(once) == play_fingerprint(afresh)
-    assert 0 < counts["coeffs"] <= counts["checks"]
+        # replay the trajectory: each round of a player not yet frozen made
+        # one check, in order
+        alphas, beta, frozen, pending = alphas0, beta0, set(), iter(answers)
+        for rec in report.trajectory[1:]:
+            pick = 0 if rec.mover == "receiver" else int(rec.mover.split("_")[1])
+            if pick not in frozen:
+                answer = next(pending)
+                if rec.accepted and pick == 0:
+                    beta = answer
+                elif rec.accepted:
+                    alphas = alphas.replace(pick - 1, answer.policy)
+                adopted += rec.accepted
+                frozen = {pick} if rec.accepted else frozen | {pick}
+            xi = expected_distortion_multi(g, alphas, beta)
+            assert rec.receiver_cost == pytest.approx(xi, abs=1e-12)
+            assert rec.potential == pytest.approx(potential_multi(g, alphas, beta), abs=1e-12)
+            if pick > 0:
+                # the running leakage of the drawn sender, or its answer's cost
+                own = xi + g.rho * leakage_j(g, alphas, pick - 1)
+                assert rec.sender_cost == pytest.approx(own, abs=1e-12)
+        assert next(pending, None) is None
+        final_alphas, final_beta = report.final_pair
+        assert final_beta is beta
+        assert all(got is want for got, want in zip(final_alphas.policies, alphas.policies))
+    assert adopted > 0
 
 
 def test_improvement_bound_is_sound():
@@ -599,7 +722,7 @@ def test_audit_solves_only_what_play_did_not(monkeypatch):
     assert audit.member
     settled, rest = [], []
     for j in range(g.n):
-        c, pzw = _linear_coeffs_multi(g, alphas, beta, j), g.joint.pzw(j)
+        c, pzw = _linear_coeffs_multi(g, alphas, _distortion_table(g, beta), j), g.joint.pzw(j)
         a = alphas[j].a
         _, logratio = _leakage_parts(a, pzw, _log_floored(pzw.sum(axis=0)))
         gap = float(_block_gaps(a, _gradient(c, g.rho * pzw, logratio)).sum())
