@@ -251,6 +251,7 @@ class _ActiveSetBasis(NamedTuple):
     """One active set's Newton coordinates (_active_set_basis)."""
 
     heavy: np.ndarray  # the active set it was built for
+    pzw: np.ndarray  # and the P{Z, W}
     r: np.ndarray  # (|W|, k, |Y|)
     # where no QR was needed, the rows as coordinate moves (|Y| |X|, |W|, 1,
     # k); otherwise None
@@ -331,9 +332,9 @@ def _active_set_basis(pzw: np.ndarray, heavy: np.ndarray) -> _ActiveSetBasis:
             r_mat[w0:w0 + step] = load
             moves[:, zc, wc, np.arange(size)] = row.transpose(2, 0, 1)
     if q_mat is None:
-        return _ActiveSetBasis(heavy, r_mat, moves.reshape(r * m, nq, 1, k), None, None, None, None)
+        return _ActiveSetBasis(heavy, pzw, r_mat, moves.reshape(r * m, nq, 1, k), None, None, None, None)
     return _ActiveSetBasis(
-        heavy, r_mat, None, (place, length, ys, zs), q_mat, (rank == 0).sum(axis=1) > r,
+        heavy, pzw, r_mat, None, (place, length, ys, zs), q_mat, (rank == 0).sum(axis=1) > r,
         heavy.sum(axis=(0, 1)),
     )
 
@@ -623,7 +624,7 @@ def _batch_lift(
 def _newton_polish(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
-    floor: float = -math.inf,
+    floor: float = -math.inf, basis: _ActiveSetBasis | None = None,
 ):
     """Active-set Newton refinement on the product of simplex blocks.
 
@@ -638,16 +639,20 @@ def _newton_polish(
     fraction-to-boundary rule keeps the iterate strictly positive. The
     block gaps are always measured over all coordinates, so freezing
     cannot fake convergence, and the phase stops once their sum meets
-    grad_tol or cost minus their sum reaches floor. Returns (encoder, cost,
-    log-ratio, largest block gap, iterations, done) after at most
-    min(_POLISH_ITERS, budget) iterations; done means the encoder's summed
-    gap meets grad_tol or its lower bound reaches floor.
+    grad_tol or cost minus their sum reaches floor. An iteration whose
+    active set has no block with two heavy coordinates has no move that
+    keeps the block masses, so it solves no direction and ends the phase
+    unless it lifted. basis, when given, is an active-set basis
+    (_active_set_basis) built for this P{Z, W}, reused while the active set
+    is the one it was built for. Returns (encoder, cost, log-ratio, largest
+    block gap, iterations, done, basis) after at most min(_POLISH_ITERS,
+    budget) iterations; done means the encoder's summed gap meets grad_tol
+    or its lower bound reaches floor, and basis is the last one used.
     """
     shape = a.shape
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     best = (np.inf, a, cost, logratio)
     lam = 1e-10
-    basis = None
 
     def trial(flat):
         cand = np.maximum(flat.reshape(shape), _MASS_FLOOR)
@@ -683,7 +688,7 @@ def _newton_polish(
         blocks = _block_gaps(a, grad)
         gap, total = float(blocks.max()), float(blocks.sum())
         if total <= settings.grad_tol or (floor > -math.inf and cost - total >= floor):
-            return a, cost, logratio, gap, it - 1, True
+            return a, cost, logratio, gap, it - 1, True, basis
         if gap < best[0]:
             best = (gap, a, cost, logratio)
 
@@ -698,6 +703,12 @@ def _newton_polish(
                 # lift churn between coupled coordinates can eat the budget
                 grad = _gradient(c, rho_pzw, logratio)
                 heavy = a >= _FREEZE_MASS
+        if not np.any(heavy.sum(axis=0) > 1):
+            # no move keeps the block masses: the direction is 0 at every
+            # damping, so no damping value can move
+            if lifted_here:
+                continue
+            break
 
         af, gf = a.reshape(-1), grad.reshape(-1)
         idx = np.flatnonzero(heavy)
@@ -777,18 +788,19 @@ def _newton_polish(
     gap, conv = float(blocks.max()), float(blocks.sum()) <= settings.grad_tol
     if best[0] < gap and not conv:
         gap, a, cost, logratio = best
-    return a, cost, logratio, gap, it, conv
+    return a, cost, logratio, gap, it, conv, basis
 
 
 def _mirror_phase(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
     cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
-    handoff: float, crawl: float, floor: float = -math.inf,
+    handoff: float, crawl: float, floor: float = -math.inf, step: float | None = None,
 ):
     """Multiplicative-weights segment with Armijo backtracking.
 
-    Starts from a with its cost and log-ratio (_objective_parts); the
-    evaluation that accepts a step gives the next iterate's gradient. Runs
+    Starts from a with its cost and log-ratio (_objective_parts), and with
+    step, or settings.step_init when step is None, as its first trial step;
+    the evaluation that accepts a step gives the next iterate's gradient. Runs
     until the summed block gap meets grad_tol or the certified lower bound,
     cost minus that sum, reaches floor, the largest gap meets the handoff
     threshold or crawls (at most crawl and more than half its value
@@ -796,10 +808,11 @@ def _mirror_phase(
     the iterate with the smallest largest gap, or, when certified, floored,
     at the handoff or at a crawl, the current one. handoff and crawl 0 keep
     the phase to the end. Returns (a, cost, log-ratio, largest gap, used,
-    done), done meaning certified or floored.
+    done, step), done meaning certified or floored and step the one the
+    phase would have tried next, or None when it stalled below _TINY_STEP.
     """
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
-    step = settings.step_init
+    step = settings.step_init if step is None else step
     best = (np.inf, a, cost, logratio)
     anchor = np.inf
     stalled = 0
@@ -814,16 +827,16 @@ def _mirror_phase(
             best = (gap, a, cost, logratio)
         # the sum is at least the largest gap: sum only once that meets grad_tol
         if gap <= settings.grad_tol and float(blocks.sum()) <= settings.grad_tol:
-            return a, cost, logratio, gap, used - 1, True
+            return a, cost, logratio, gap, used - 1, True, step
         if floor > -math.inf and cost - float(blocks.sum()) >= floor:
-            return a, cost, logratio, gap, used - 1, True
+            return a, cost, logratio, gap, used - 1, True, step
         if gap <= handoff:
-            return a, cost, logratio, gap, used - 1, False
+            return a, cost, logratio, gap, used - 1, False, step
         # a largest gap that has not halved in _STALL_PATIENCE iterations is
         # crawling: the Newton phase closes it from here in fewer iterations
         gaps.append(gap)
         if gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]:
-            return a, cost, logratio, gap, used - 1, False
+            return a, cost, logratio, gap, used - 1, False, step
         if gap < 0.97 * anchor:
             anchor = gap
             stalled = 0
@@ -864,16 +877,36 @@ def _mirror_phase(
     gap, conv = float(blocks.max()), float(blocks.sum()) <= settings.grad_tol
     if best[0] < gap and not conv:
         gap, a, cost, logratio = best
-    return a, cost, logratio, gap, used, conv
+    return a, cost, logratio, gap, used, conv, step if step >= _TINY_STEP else None
+
+
+class _WarmStart:
+    """What a solve hands the next one on a continuation chain.
+
+    The points of a sweep differ only in rho, so each solve starts from the
+    previous answer a, with the step its last mirror phase would have taken
+    next as the first trial step and its last Newton basis, whose P{Z, W} is
+    the same. An empty one starts a chain cold; a None step is settings'
+    step_init. A plain class, not a dataclass, so that code that prints or
+    digests a call's arguments does not format the basis's arrays.
+    """
+
+    __slots__ = ("a", "step", "basis")
+
+    def __init__(
+        self, a: np.ndarray | None = None, step: float | None = None,
+        basis: _ActiveSetBasis | None = None,
+    ):
+        self.a, self.step, self.basis = a, step, basis
 
 
 def _minimize_over_blocks(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, settings: SolverSettings,
-    start: np.ndarray | None = None, floor: float = -math.inf,
+    start: _WarmStart | None = None, floor: float = -math.inf,
 ):
     """Minimize (c . a) + rho * leakage over the product of message simplices.
 
-    Starts from the uniform encoder, or from start floored at _FREEZE_MASS
+    Starts from the uniform encoder, or from start.a floored at _FREEZE_MASS
     and renormalized per block, so that every coordinate can still grow.
     Alternates a multiplicative-weights phase that shapes the support with
     an active-set Newton phase that closes the gap, keeping the iterate
@@ -888,20 +921,33 @@ def _minimize_over_blocks(
     returned. A solve that never reaches floor runs the iterates of the
     solve without one. Returns (a, cost, iterations, converged, gap), gap
     a's summed block gap and converged whether it meets grad_tol.
+
+    The first mirror phase's first trial step is start.step, the later
+    phases' settings.step_init. Each Newton phase starts with the last basis
+    built, or with start.basis if it was built for this P{Z, W}; a basis
+    depends only on P{Z, W} and the active set, so which one a phase starts
+    with changes no iterate. start, when given, is then updated to this
+    solve's answer, its last mirror phase's next step and its last basis, to
+    start the next solve of a continuation chain.
     """
+    start = start or _WarmStart()
     if rho == 0.0:
         # no leakage term: each block independently loads its cheapest message
         a = np.zeros_like(c)
         rows = np.argmin(c, axis=0)
         mi, qi = np.indices(rows.shape)
         a[rows, mi, qi] = 1.0
+        start.a = a
         return a, float((c * a).sum()), 0, True, 0.0
-    if start is None:
+    if start.a is None:
         a = np.full_like(c, 1.0 / c.shape[0])
     else:
-        a = np.maximum(start, _FREEZE_MASS)
+        a = np.maximum(start.a, _FREEZE_MASS)
         a /= a.sum(axis=0)[None, :, :]
     cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
+    step, basis = start.step, start.basis
+    if basis is not None and not np.array_equal(basis.pzw, pzw):
+        basis = None
 
     best = (np.inf, a, cost, logratio)
     spent = 0
@@ -909,18 +955,19 @@ def _minimize_over_blocks(
         round_entry = best[0]
         # after a stalled Newton phase, re-shape the support until the
         # largest block gap is well below the best so far
-        a, cost, logratio, gap, used, conv = _mirror_phase(
+        a, cost, logratio, gap, used, conv, next_step = _mirror_phase(
             c, pzw, pw, rho, a, cost, logratio, settings,
             min(_PHASE_ONE_CAP, settings.max_iters - spent),
-            min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]), floor,
+            min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]), floor, step,
         )
+        step = None
         spent += used
         if gap < best[0]:
             best = (gap, a, cost, logratio)
         if conv or spent >= settings.max_iters:
             break
-        a, cost, logratio, gap, used, conv = _newton_polish(
-            c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent, floor
+        a, cost, logratio, gap, used, conv, basis = _newton_polish(
+            c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent, floor, basis
         )
         spent += used
         if gap < best[0]:
@@ -931,6 +978,7 @@ def _minimize_over_blocks(
     if not conv:
         _, a, cost, logratio = best
     gap = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
+    start.a, start.step, start.basis = a, next_step, basis
     return a, cost, spent, gap <= settings.grad_tol, gap
 
 
@@ -949,12 +997,14 @@ def sender_best_response(
     still grow. The answer is certified the same way from either start.
     """
     g.check_receiver(beta)
-    if start is not None:
+    if isinstance(start, SenderPolicy):
         g.check_sender(start)
+        start = _WarmStart(start.a)
+    # otherwise start is None or a continuation chain's _WarmStart (sweep.py),
+    # which the solve updates for the chain's next one
     c = _linear_coeffs(g, beta)
     a, cost, iterations, converged, gap = _minimize_over_blocks(
-        c, g.joint.pzw, g.joint.pw, g.rho, settings,
-        None if start is None else start.a,
+        c, g.joint.pzw, g.joint.pw, g.rho, settings, start
     )
     return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
 
@@ -969,9 +1019,13 @@ def babbling_equilibrium(g: GameInstance) -> tuple[SenderPolicy, ReceiverPolicy]
 
 
 def _identity_best_response(
-    g: GameInstance, settings: SolverSettings, start: SenderPolicy | None = None
+    g: GameInstance, settings: SolverSettings, start: _WarmStart | None = None
 ) -> tuple[BestResponseResult, ReceiverPolicy]:
-    """Sender best response to the identity decoder, from start if given, and that decoder."""
+    """Sender best response to the identity decoder, and that decoder.
+
+    start, when given, is a continuation chain's warm start, which the solve
+    reads and then updates (_minimize_over_blocks).
+    """
     if g.y_space.size != g.x_space.size:
         raise ValueError("explicit construction needs message alphabet = state alphabet")
     beta = ReceiverPolicy.identity(g.x_space.size)

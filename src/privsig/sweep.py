@@ -5,9 +5,9 @@ from dataclasses import dataclass
 
 from .config import GameConfig, SweepSpec
 from .dynamics import default_initial_pair, thresholded_dynamics
-from .game import SenderPolicy, expected_distortion, leakage
+from .game import expected_distortion, leakage
 from .prob import LN2
-from .solve import _identity_best_response
+from .solve import _identity_best_response, _WarmStart
 
 #: Distortion at or below this counts as "zero" when locating the transition.
 ZERO_DISTORTION = 1e-3
@@ -26,17 +26,16 @@ class SweepRow:
     method: str
 
 
-def _point(
-    cfg: GameConfig, rho: float, method: str, start: SenderPolicy | None = None
-) -> tuple[SweepRow, SenderPolicy]:
-    """Solve one point; returns its row and its encoder.
+def _point(cfg: GameConfig, rho: float, method: str, chain: _WarmStart) -> SweepRow:
+    """Solve one point and return its row.
 
-    The explicit method starts its best response from start, typically the
-    previous point's encoder; the dynamics method always starts cold.
+    The explicit method starts its best response from the chain's warm
+    start, which the solve then hands on to the chain's next point; the
+    dynamics method always starts cold.
     """
     g = cfg.build_single(rho)
     if method == "explicit":
-        res, beta = _identity_best_response(g, cfg.solver, start)
+        res, beta = _identity_best_response(g, cfg.solver, chain)
         alpha = res.policy
         iterations, converged = res.iterations, res.converged
     elif method == "dynamics":
@@ -48,31 +47,29 @@ def _point(
         raise ValueError(f"unknown sweep method {method!r}")
     xi = expected_distortion(g, alpha, beta)
     zeta = cfg.report_information(leakage(g, alpha))
-    row = SweepRow(float(rho), xi, zeta, xi + rho * zeta, iterations, converged, method)
-    return row, alpha
+    return SweepRow(float(rho), xi, zeta, xi + rho * zeta, iterations, converged, method)
 
 
 def run_sweep(cfg: GameConfig, method: str = "explicit") -> list[SweepRow]:
     """Solve the game across the configured rho grid, rows in rho order.
 
-    Neighbouring points have nearly the same optimum, so with the explicit
-    method each point starts from the previous point's encoder.
+    Neighbouring points have nearly the same optimum and the same P{Z, W},
+    so with the explicit method each point starts from the previous point's
+    encoder, mirror step and Newton basis.
     """
     if not isinstance(cfg.rho, SweepSpec):
         raise ValueError("config rho must be a sweep specification")
-    rows, alpha = [], None
-    for r in cfg.rho.grid():
-        row, alpha = _point(cfg, float(r), method, alpha)
-        rows.append(row)
-    return rows
+    chain = _WarmStart()
+    return [_point(cfg, float(r), method, chain) for r in cfg.rho.grid()]
 
 
 def _bisect_critical(cfg: GameConfig, method: str, lo: float, hi: float) -> float:
-    """Bisect [lo, hi]; each point after the first starts from the previous one's encoder."""
-    alpha = None
+    """Bisect [lo, hi]; each point after the first starts from the previous
+    one's encoder, mirror step and Newton basis."""
+    chain = _WarmStart()
     while hi - lo > CRITICAL_WIDTH:
         mid = 0.5 * (lo + hi)
-        row, alpha = _point(cfg, mid, method, alpha)
+        row = _point(cfg, mid, method, chain)
         if row.expected_distortion <= ZERO_DISTORTION:
             lo = mid
         else:

@@ -11,6 +11,7 @@ import pytest
 
 import privsig
 from conftest import (
+    CIRCULANT_MATRIX,
     CIRCULANT_MI_NATS,
     circulant_game,
     random_game,
@@ -40,10 +41,13 @@ from privsig.solve import (
     _batch_lift,
     _cost_slack,
     _gradient,
+    _identity_best_response,
     _linear_coeffs,
     _log_floored,
     _newton_direction,
+    _newton_polish,
     _objective_parts,
+    _WarmStart,
     babbling_equilibrium,
     epsilon_nash_check,
     explicit_equilibrium,
@@ -743,6 +747,27 @@ def test_damping_skip_drops_only_overlong_directions(monkeypatch):
     assert len(skipped) >= 20 and all(overlong)
 
 
+@pytest.mark.parametrize("rho", [1e-4, 0.01, 0.1])
+def test_newton_phase_solves_nothing_without_two_heavy_coordinates_in_a_block(rho, monkeypatch):
+    # the truthful encoder, floored below the freeze mass, has one heavy
+    # coordinate per block and, at these rho, no grower. No move keeps the
+    # block masses, so the direction would be 0 at every damping: the phase
+    # ends without building a basis or solving a system
+    g, beta = circulant_game(rho), ReceiverPolicy.identity(5)
+    a = np.maximum(SenderPolicy.truthful(5, 5).a, 1e-12)
+    a /= a.sum(axis=0)
+    c, pzw, pw = _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
+    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
+    solves, builds = [], []
+    solve, basis = np.linalg.solve, privsig.solve._active_set_basis
+    monkeypatch.setattr(privsig.solve.np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    monkeypatch.setattr(privsig.solve, "_active_set_basis", lambda *args: builds.append(1) or basis(*args))
+    out = _newton_polish(c, pzw, pw, rho, a, cost, logratio, SolverSettings(grad_tol=1e-300), 10)
+    monkeypatch.undo()
+    assert out[0] is a and out[4] == 1 and not out[5]
+    assert not solves and not builds
+
+
 def test_batch_lift_hands_back_its_own_evaluation(monkeypatch):
     # on random states and coordinate sets: the cost and log-ratio returned
     # are the returned encoder's, evaluated afresh; a call counts as a move
@@ -1035,6 +1060,65 @@ def test_sender_br_start_of_wrong_shape_is_rejected():
     g = circulant_game(0.38)
     with pytest.raises(ValueError, match="shape"):
         sender_best_response(g, ReceiverPolicy.identity(5), start=SenderPolicy.uniform(4, 5, 5))
+
+
+def test_warm_start_reuses_a_basis_only_for_its_own_pzw(monkeypatch):
+    # a chain's next solve starts with the last Newton basis while P{Z, W} is
+    # the one it was built for, as along a sweep. After P{Z, W} moves by
+    # 1e-6 it builds its own, although the active set is the carried one
+    chain = _WarmStart()
+    _identity_best_response(circulant_game(0.38), DEFAULT_SETTINGS, chain)
+    built, used = [], []
+    basis, direction = privsig.solve._active_set_basis, privsig.solve._newton_direction
+
+    def recording_basis(*args):
+        built.append(basis(*args))
+        return built[-1]
+
+    def recording_direction(pzw, rho, a, heavy, grad, b):
+        used.append((pzw, b))
+        return direction(pzw, rho, a, heavy, grad, b)
+
+    monkeypatch.setattr(privsig.solve, "_active_set_basis", recording_basis)
+    monkeypatch.setattr(privsig.solve, "_newton_direction", recording_direction)
+    carried = chain.basis
+    assert _identity_best_response(circulant_game(0.39), DEFAULT_SETTINGS, chain)[0].converged
+    assert not built and used[0][1] is carried
+    nudged = CIRCULANT_MATRIX.copy()
+    nudged[0, :2] += [1e-6, -1e-6]
+    g = GameInstance(JointPXZW.from_xw_matrix(nudged), hamming_distortion(5), FiniteSpace(5), 0.4)
+    carried, used[:] = chain.basis, []
+    assert _identity_best_response(g, DEFAULT_SETTINGS, chain)[0].converged
+    monkeypatch.undo()
+    assert built and np.array_equal(built[0].heavy, carried.heavy)
+    assert all(b is not carried and np.array_equal(b.pzw, pzw) for pzw, b in used)
+    assert chain.basis is built[-1]
+
+
+def test_warm_start_carries_no_stalled_step(monkeypatch):
+    # from its certified answer with grad_tol out of reach, this game's last
+    # mirror phase stalls below rounding: the chain then passes no step, and
+    # its next solve starts at step_init, not at the stalled step
+    g, beta = shifted_circulant_game(8, 0.6), ReceiverPolicy.identity(8)
+    settings = SolverSettings(grad_tol=1e-300)
+    chain = _WarmStart(sender_best_response(g, beta).policy.a, 100.0)
+    phases = []
+    mirror = privsig.solve._mirror_phase
+
+    def recording(*args):
+        # the solver passes the first trial step last
+        out = mirror(*args)
+        phases.append((args[-1], out[6]))
+        return out
+
+    monkeypatch.setattr(privsig.solve, "_mirror_phase", recording)
+    _identity_best_response(g, settings, chain)
+    assert phases[0][0] == 100.0 and all(entry is None for entry, _ in phases[1:])
+    assert phases[-1][1] is None and chain.step is None
+    phases.clear()
+    _identity_best_response(g, settings, chain)
+    monkeypatch.undo()
+    assert phases[0][0] is None
 
 
 def test_solver_seed_has_no_effect():

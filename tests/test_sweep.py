@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -53,14 +54,16 @@ def test_critical_rho_is_null_in_both_bases_without_transition(start, stop):
 
 def recorded_circulant5_sweep(cold: bool) -> dict:
     """The bundled circulant5 sweep and its critical-ratio bisection, with
-    every best response recorded as (game, decoder, start, result); cold
-    drops each start the sweep passes."""
+    every best response recorded as (game, decoder, warm start, result), the
+    warm start (encoder, mirror step and Newton basis) copied as the solve
+    received it; cold drops the whole warm start the sweep passes."""
     solves = []
     inner = sweep_mod._identity_best_response
 
-    def recording(g, settings, start=None):
+    def recording(g, settings, start):
+        entry = (start, copy.copy(start))
         res, beta = inner(g, settings, None if cold else start)
-        solves.append((g, beta, start, res))
+        solves.append((g, beta, entry, res))
         return res, beta
 
     cfg = load_config(preset_text("circulant5"))
@@ -81,12 +84,24 @@ def test_sweep_points_start_from_the_previous_point(circulant5_sweeps):
     warm = circulant5_sweeps["warm"]
     solves, grid = warm["solves"], warm["grid"]
     assert grid == 101 and len(solves) > grid
-    # the grid and the bisection each start cold, then chain their solves
-    for i, (_, _, start, _) in enumerate(solves):
+    # the grid and the bisection each start cold, each with a chain of its
+    # own. Every later point starts from the previous answer, with the step
+    # the previous solve's last mirror phase would have taken next and its
+    # last Newton basis, built for the same P{Z, W}
+    for i, (g, _, (chain, start), _) in enumerate(solves):
+        assert chain is solves[0 if i < grid else grid][2][0]
         if i in (0, grid):
-            assert start is None
+            assert start.a is None and start.step is None and start.basis is None
         else:
-            assert start is solves[i - 1][3].policy
+            np.testing.assert_array_equal(start.a, solves[i - 1][3].policy.a)
+            assert start.basis is None or np.array_equal(start.basis.pzw, g.joint.pzw)
+    assert solves[grid][2][0] is not solves[0][2][0]
+    # the rho = 0 point runs no phase, so the grid carries a step from its
+    # third point on, and a basis from the point after its first Newton phase
+    entries = [start for _, _, (_, start), _ in solves[:grid]]
+    assert all(start.step is not None for start in entries[2:])
+    first = next(i for i, start in enumerate(entries) if start.basis is not None)
+    assert 2 < first < grid - 50 and all(start.basis is not None for start in entries[first:])
 
 
 def test_warm_sweep_converges_at_every_point(circulant5_sweeps):
@@ -129,7 +144,7 @@ def test_warm_sweep_takes_fewer_iterations(circulant5_sweeps):
     def total(run):
         return sum(res.iterations for _, _, _, res in run["solves"])
 
-    # 1154 against 4361 when measured
+    # 635 against 4340 when measured
     assert total(circulant5_sweeps["warm"]) <= 0.4 * total(circulant5_sweeps["cold"])
 
 
