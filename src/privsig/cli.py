@@ -379,6 +379,7 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
                 "sender_stationarity_gap": check.sender_stationarity_gap,
             }
             gaps = f"sender_gap={check.sender_gap:.3e}, receiver_gap={check.receiver_gap:.3e}"
+            sender_gaps = [check.sender_gap]
         else:
             g = cfg.build_multi(rho)
             alphas = sender_policy_set_from_json(texts)
@@ -393,13 +394,16 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
                 "sender_stationarity_gaps": list(check.sender_stationarity_gaps),
             }
             gaps = f"receiver_gap={check.receiver_gap:.3e}, sender_gaps={list(check.sender_gaps)}"
+            sender_gaps = check.sender_gaps
     except ConfigError as exc:
         _fail_config(exc)
     except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    _json_report(out, doc)
-    verdict = "PASS" if doc["member"] else "FAIL"
+    # a gap above epsilon proves a failure; a non-member without one is unproven
+    failed = max(check.receiver_gap, *sender_gaps) > eps
+    verdict = "PASS" if doc["member"] else "FAIL" if failed else "UNCERTIFIED"
+    _json_report(out, {**doc, "verdict": verdict})
     click.echo(f"epsilon-equilibrium check at eps={eps:g}: {verdict} ({gaps})")
 
 

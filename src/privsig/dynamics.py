@@ -1,10 +1,12 @@
-"""Alternating best-response play for the single-sender game.
+"""Best-response play, and the play loop every variant shares.
 
-Rounds are indexed from k = 1; odd rounds belong to the receiver, even rounds
-to the sender. The plain variant always adopts the mover's best response and
-stops once the current pair is an epsilon-equilibrium. The thresholded
-variant adopts a move only when it improves the mover by strictly more than
-epsilon, which bounds the number of rounds by ceil(3 + potential(start) / epsilon).
+Rounds are indexed from k = 1. Single-sender play alternates: odd rounds
+belong to the receiver, even rounds to the sender. Every variant adopts a
+move only when it improves its mover by strictly more than epsilon, except
+that plain play's receiver adopts its first best response whatever it
+gains. _play decides adoption, freezing and stopping, so reached_eps_nash
+is a proof: every player's last check showed it has at most epsilon to gain.
+Thresholded play is capped at ceil(3 + potential(start) / epsilon) rounds.
 """
 from __future__ import annotations
 
@@ -23,9 +25,10 @@ from .solve import (
     DEFAULT_SETTINGS,
     SolverSettings,
     _check_epsilon,
+    _improvement_reference,
+    _linear_coeffs,
     _prior_estimate,
     receiver_best_response,
-    sender_best_response,
 )
 
 
@@ -76,10 +79,77 @@ def _inner_settings(settings: SolverSettings, epsilon: float) -> SolverSettings:
     return replace(settings, grad_tol=want)
 
 
-def _record(g, k, mover, alpha, beta, accepted):
-    u = sender_cost(g, alpha, beta)
-    v = receiver_cost(g, alpha, beta)
-    return TrajectoryRecord(k, mover, u, u, v, accepted)
+def _play(check, adopt, row, order, players, epsilon, max_rounds, adopt_first=False):
+    """The play loop: which checks adopt, which freeze, and when play stops.
+
+    order(k) is the player checked in round k, one of players; row(k, p,
+    accepted) is the record after player p's round. check(p) returns (own,
+    cost, gap, answer): p's cost now, and its answer with that answer's cost
+    and summed block gap (0 for the receiver's exact answer); adopt(p,
+    answer) moves p to it. A frozen player is not checked. An adoption,
+    which must gain more than epsilon unless adopt_first and k == 1, freezes
+    its mover when the gap certifies the answer, and thaws every other
+    player. A rejection freezes its player when the answer proves that no
+    move gains more than epsilon (_improvement_reference); an unproven one
+    stops play unreached. Play is reached when every player is frozen.
+    Returns (records, reached, rounds).
+    """
+    records = [row(0, None, True)]
+    frozen: set = set()
+    for k in range(1, max_rounds + 1):
+        p = order(k)
+        accepted = unproven = False
+        if p not in frozen:
+            own, cost, gap, answer = check(p)
+            if own - cost > epsilon or (adopt_first and k == 1):
+                adopt(p, answer)
+                accepted = True
+                frozen = {p} if gap <= epsilon else set()
+            # the floor test's own form, so that a floored answer proves it
+            elif gap == 0.0 or cost - gap >= own - epsilon:
+                frozen.add(p)
+            else:
+                unproven = True
+        records.append(row(k, p, accepted))
+        if unproven or len(frozen) == players:
+            return records, not unproven, k
+    return records, False, max_rounds
+
+
+def _alternating(g, alpha0, beta0, epsilon, settings, max_rounds, adopt_first=False):
+    """Alternating play from (alpha0, beta0), the receiver first."""
+    _check_epsilon(epsilon)
+    g.check_sender(alpha0)
+    g.check_receiver(beta0)
+    inner = _inner_settings(settings, epsilon)
+    alpha, beta = alpha0, beta0
+
+    def check(p):
+        if p == 0:
+            cand = receiver_best_response(g, alpha)
+            return receiver_cost(g, alpha, beta), receiver_cost(g, alpha, cand), 0.0, cand
+        own = sender_cost(g, alpha, beta)
+        ref = _improvement_reference(
+            _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho, alpha, own, epsilon, inner
+        )
+        return own, ref.cost, ref.stationarity_gap, ref.policy
+
+    def adopt(p, answer):
+        nonlocal alpha, beta
+        if p == 0:
+            beta = answer
+        else:
+            alpha = answer
+
+    def row(k, p, accepted):
+        u = sender_cost(g, alpha, beta)
+        mover = ("receiver", "sender")[p] if k else "none"
+        return TrajectoryRecord(k, mover, u, u, receiver_cost(g, alpha, beta), accepted)
+
+    records, reached, rounds = _play(
+        check, adopt, row, lambda k: (k + 1) % 2, 2, epsilon, max_rounds, adopt_first
+    )
+    return DynamicsReport(tuple(records), (alpha, beta), epsilon, reached, rounds)
 
 
 def best_response_dynamics(
@@ -92,38 +162,10 @@ def best_response_dynamics(
 ) -> DynamicsReport:
     """Alternating best responses, stopping at an epsilon-equilibrium.
 
-    After any round the mover's own gap is zero, so the pair is certified as
-    soon as the next mover's available improvement is at most epsilon.
+    The receiver adopts its first best response whatever it gains; every
+    later move follows _play's rule.
     """
-    _check_epsilon(epsilon)
-    g.check_sender(alpha0)
-    g.check_receiver(beta0)
-    inner = _inner_settings(settings, epsilon)
-
-    alpha, beta = alpha0, beta0
-    records = [_record(g, 0, "none", alpha, beta, True)]
-    reached = False
-    rounds = 0
-    for k in range(1, max_rounds + 1):
-        rounds = k
-        if k % 2 == 1:
-            cand = receiver_best_response(g, alpha)
-            gap = receiver_cost(g, alpha, beta) - receiver_cost(g, alpha, cand)
-            if k >= 2 and gap <= epsilon:
-                reached = True
-                break
-            beta = cand
-            records.append(_record(g, k, "receiver", alpha, beta, True))
-        else:
-            br = sender_best_response(g, beta, inner)
-            gap = sender_cost(g, alpha, beta) - br.cost
-            if gap <= epsilon:
-                reached = True
-                break
-            alpha = br.policy
-            records.append(_record(g, k, "sender", alpha, beta, True))
-
-    return DynamicsReport(tuple(records), (alpha, beta), epsilon, reached, rounds)
+    return _alternating(g, alpha0, beta0, epsilon, settings, max_rounds, adopt_first=True)
 
 
 def thresholded_dynamics(
@@ -135,61 +177,11 @@ def thresholded_dynamics(
 ) -> DynamicsReport:
     """Best-response play that adopts only improvements strictly above epsilon.
 
-    Terminates when two consecutive rounds freeze, which certifies the pair up
-    to the inner solver's tolerance. Exceeding the potential-based round bound
-    is impossible for a sound inner solver, so that raises instead of looping.
+    Each adoption lowers the potential by more than epsilon, so play with
+    certified answers ends within ceil(3 + potential(start) / epsilon)
+    rounds; that bound caps play, and reaching it unreached is reported.
     """
     _check_epsilon(epsilon)
-    g.check_sender(alpha0)
-    g.check_receiver(beta0)
-    inner = _inner_settings(settings, epsilon)
-
-    alpha, beta = alpha0, beta0
-    psi0 = potential(g, alpha0, beta0)
-    bound = int(math.ceil(3.0 + psi0 / epsilon))
-    records = [_record(g, 0, "none", alpha, beta, True)]
-    # best responses only change when the opponent's policy does, so cache
-    # them keyed by the opponent's adoption count
-    alpha_version, beta_version = 0, 0
-    cached_receiver = (-1, None)
-    cached_sender = (-1, None)
-
-    prev_frozen = False
-    reached = False
-    rounds = 0
-    for k in range(1, bound + 1):
-        rounds = k
-        if k % 2 == 1:
-            if cached_receiver[0] != alpha_version:
-                cached_receiver = (alpha_version, receiver_best_response(g, alpha))
-            cand = cached_receiver[1]
-            gap = receiver_cost(g, alpha, beta) - receiver_cost(g, alpha, cand)
-            mover = "receiver"
-        else:
-            if cached_sender[0] != beta_version:
-                cached_sender = (beta_version, sender_best_response(g, beta, inner))
-            cand = cached_sender[1]
-            gap = sender_cost(g, alpha, beta) - cand.cost
-            mover = "sender"
-        if gap > epsilon:
-            if mover == "receiver":
-                beta = cand
-                beta_version += 1
-            else:
-                alpha = cand.policy
-                alpha_version += 1
-            records.append(_record(g, k, mover, alpha, beta, True))
-            prev_frozen = False
-        else:
-            records.append(_record(g, k, mover, alpha, beta, False))
-            if prev_frozen:
-                reached = True
-                break
-            prev_frozen = True
-    else:
-        raise RuntimeError(
-            f"thresholded play exceeded its round bound {bound}; "
-            "the inner solver is not resolving improvements reliably"
-        )
-
-    return DynamicsReport(tuple(records), (alpha, beta), epsilon, reached, rounds, bound)
+    bound = int(math.ceil(3.0 + potential(g, alpha0, beta0) / epsilon))
+    rep = _alternating(g, alpha0, beta0, epsilon, settings, bound)
+    return replace(rep, iteration_bound=bound)

@@ -37,7 +37,7 @@ from .solve import (
     _posterior_decoder,
     _prior_estimate,
 )
-from .dynamics import DynamicsReport, TrajectoryRecord, _inner_settings
+from .dynamics import DynamicsReport, TrajectoryRecord, _inner_settings, _play
 
 #: Dense joint tensors larger than this are rejected.
 MAX_JOINT_ENTRIES = 10_000_000
@@ -345,7 +345,8 @@ def epsilon_nash_check_multi(
 
     Each sender is decided as in epsilon_nash_check: by its encoder's own
     summed block gap when that settles it, else by a solve that stops at
-    the first iterate that does. member is a proof, as there.
+    the first iterate that does. member is a proof, and each sender gap is
+    clamped at 0, as there.
     """
     _check_epsilon(epsilon)
     g.check_policies(alphas, beta)
@@ -363,7 +364,7 @@ def epsilon_nash_check_multi(
             _linear_coeffs_multi(g, alphas, table, j), g.joint.pzw(j), g.joint._pw[j], g.rho,
             alphas[j], own, epsilon, settings,
         )
-        gaps.append(own - ref.cost)
+        gaps.append(max(0.0, own - ref.cost))
         stat.append(ref.stationarity_gap)
         # the floor test's own form, so that a floored answer is always a member
         member = member and ref.cost - ref.stationarity_gap >= own - epsilon
@@ -396,10 +397,9 @@ def random_best_response_dynamics(
 ) -> DynamicsReport:
     """Uniformly random player order with thresholded adoption.
 
-    Each round draws one of the n + 1 players (0 = receiver); the drawn player
-    adopts its best response only when that improves its own cost by strictly
-    more than epsilon. Play stops once every player has been checked without
-    an acceptable improvement since the last adoption.
+    Each round draws one of the n + 1 players (0 = receiver); a drawn player
+    that is not frozen is checked, and _play decides adoption, freezing and
+    stopping. Play is reached once every player is frozen.
 
     A drawn sender is checked by _improvement_reference: without a solve
     when its current encoder's summed block gap is at most epsilon, which by
@@ -424,6 +424,8 @@ def random_best_response_dynamics(
     table = _distortion_table(g, beta)
     xi = _distortion(_contract(g.joint, alphas.policies), table)
     zetas = [_leakage(g, alphas[j].a, j) for j in range(n)]
+    # the cost a sender's adoption leaves it, as its check found it
+    adopted = 0.0
 
     def psi():
         total = xi
@@ -431,41 +433,40 @@ def random_best_response_dynamics(
             total += g.rho * zeta
         return total
 
-    records = [TrajectoryRecord(0, "none", psi(), psi(), xi, True)]
-    frozen: set[int] = set()
-    reached = False
-    rounds = 0
-    for k in range(1, max_rounds + 1):
-        rounds = k
-        pick = int(rng.integers(0, n + 1))
-        mover = "receiver" if pick == 0 else f"sender_{pick}"
-        accepted = False
-        own = xi if pick == 0 else xi + g.rho * zetas[pick - 1]
-        if pick not in frozen:
-            if pick == 0:
-                cand_beta = receiver_best_response_multi(g, alphas)
-                cand_table = _distortion_table(g, cand_beta)
-                after = _distortion(_contract(g.joint, alphas.policies), cand_table)
-                if xi - after > epsilon:
-                    beta, table, xi, own, accepted = cand_beta, cand_table, after, after, True
-            else:
-                i = pick - 1
-                c = _linear_coeffs_multi(g, alphas, table, i)
-                res = _improvement_reference(
-                    c, g.joint.pzw(i), g.joint._pw[i], g.rho, alphas[i], own, epsilon, inner
-                )
-                if own - res.cost > epsilon:
-                    a = res.policy.a
-                    alphas = alphas.replace(i, res.policy)
-                    xi = float((c * a).sum())
-                    zetas[i] = _leakage(g, a, i)
-                    own, accepted = res.cost, True
-            frozen = {pick} if accepted else frozen | {pick}
-        records.append(TrajectoryRecord(k, mover, psi(), own, xi, accepted))
-        if len(frozen) == n + 1:
-            reached = True
-            break
+    def check(p):
+        if p == 0:
+            cand = receiver_best_response_multi(g, alphas)
+            cand_table = _distortion_table(g, cand)
+            after = _distortion(_contract(g.joint, alphas.policies), cand_table)
+            return xi, after, 0.0, (cand, cand_table, after)
+        i = p - 1
+        own = xi + g.rho * zetas[i]
+        c = _linear_coeffs_multi(g, alphas, table, i)
+        res = _improvement_reference(
+            c, g.joint.pzw(i), g.joint._pw[i], g.rho, alphas[i], own, epsilon, inner
+        )
+        return own, res.cost, res.stationarity_gap, (res, c)
 
-    return DynamicsReport(
-        tuple(records), (alphas, beta), epsilon, reached, rounds
+    def adopt(p, answer):
+        nonlocal alphas, beta, table, xi, adopted
+        if p == 0:
+            beta, table, xi = answer
+        else:
+            res, c = answer
+            alphas = alphas.replace(p - 1, res.policy)
+            xi = float((c * res.policy.a).sum())
+            zetas[p - 1] = _leakage(g, res.policy.a, p - 1)
+            adopted = res.cost
+
+    def row(k, p, accepted):
+        if p is None:
+            return TrajectoryRecord(0, "none", psi(), psi(), xi, True)
+        if p == 0:
+            return TrajectoryRecord(k, "receiver", psi(), xi, xi, accepted)
+        own = adopted if accepted else xi + g.rho * zetas[p - 1]
+        return TrajectoryRecord(k, f"sender_{p}", psi(), own, xi, accepted)
+
+    records, reached, rounds = _play(
+        check, adopt, row, lambda k: int(rng.integers(0, n + 1)), n + 1, epsilon, max_rounds
     )
+    return DynamicsReport(tuple(records), (alphas, beta), epsilon, reached, rounds)

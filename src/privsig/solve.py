@@ -1089,10 +1089,11 @@ def epsilon_nash_check(
     [sender_gap, sender_gap + sender_stationarity_gap], both measured at the
     encoder _improvement_reference picks: alpha itself when its own summed
     block gap settles the question, else the first solver iterate that
-    does, else a full best response. member requires the receiver gap and
-    the interval's upper end to be at most epsilon, so it is a proof; a pair
-    whose best response the solver cannot certify closely enough is not a
-    member.
+    does, else a full best response. No improvement is negative, so
+    sender_gap is clamped at 0 where that encoder costs more than alpha.
+    member requires the receiver gap and the interval's upper end to be at
+    most epsilon, so it is a proof; a pair whose best response the solver
+    cannot certify closely enough is not a member.
     """
     _check_epsilon(epsilon)
     own = sender_cost(g, alpha, beta)
@@ -1105,6 +1106,6 @@ def epsilon_nash_check(
     # the floor test's own form, so that a floored answer is always a member
     proven = ref.cost - ref.stationarity_gap >= own - epsilon
     return EpsilonNashReport(
-        proven and receiver_gap <= epsilon, own - ref.cost, receiver_gap,
+        proven and receiver_gap <= epsilon, max(0.0, own - ref.cost), receiver_gap,
         ref.stationarity_gap, epsilon,
     )

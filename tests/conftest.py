@@ -1,4 +1,6 @@
 """Shared builders and frozen reference values for the test suite."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,19 @@ def summed_block_gap(g: GameInstance, beta: ReceiverPolicy, result) -> float:
     response's encoder: by convexity, a bound on its cost above the optimum."""
     grad = sender_cost_gradient(g, result.policy, beta)
     return float(_block_gaps(result.policy.a, grad).sum())
+
+
+def recorded_checks(decide, calls, inflate=False):
+    """_improvement_reference's stand-in: decide, appending (id of the
+    sender's P{Z, W}, whether the answer adopts) to calls for each check.
+    With inflate, an adopting answer's summed gap is reported as 2 epsilon,
+    so that it certifies nothing."""
+    def wrapper(c, pzw, pw, rho, alpha, own, epsilon, settings):
+        ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings)
+        adopts = own - ref.cost > epsilon
+        calls.append((id(pzw), adopts))
+        return replace(ref, stationarity_gap=2.0 * epsilon) if adopts and inflate else ref
+    return wrapper
 
 
 @pytest.fixture

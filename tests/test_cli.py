@@ -410,6 +410,7 @@ def test_verify_round_trip(runner, tmp_path):
     assert "PASS" in result.output
     report = json.loads((tmp_path / "check" / "report.json").read_text())
     assert report["member"] is True
+    assert report["verdict"] == "PASS"
 
 
 def test_verify_flags_non_equilibrium_without_failing(runner, tmp_path):
@@ -435,7 +436,8 @@ def test_verify_flags_non_equilibrium_without_failing(runner, tmp_path):
 def test_verify_fails_uniform_encoder_at_huge_rho(runner, tmp_path):
     # the best response at rho = 1e15 stops uncertified at about the uniform
     # encoder's cost, so only its summed gap shows the improvement of at
-    # least 0.3 that the zero-leakage encoder makes
+    # least 0.3 that the zero-leakage encoder makes: no gap above epsilon
+    # proves the failure, and the verdict says the check is unproven
     cfg = circulant_config(tmp_path, rho=1e15, dynamics={"epsilon": 1e-3})
     alpha, beta = tmp_path / "alpha.json", tmp_path / "beta.json"
     alpha.write_text(sender_policy_to_json(SenderPolicy.uniform(5, 5, 5)))
@@ -451,9 +453,10 @@ def test_verify_fails_uniform_encoder_at_huge_rho(runner, tmp_path):
         ],
     )
     assert result.exit_code == 0, all_text(result)
-    assert "FAIL" in result.output
+    assert "UNCERTIFIED" in result.output
     report = json.loads((tmp_path / "check" / "report.json").read_text())
     assert report["member"] is False
+    assert report["verdict"] == "UNCERTIFIED"
     assert report["sender_gap"] + report["sender_stationarity_gap"] > 0.3
 
 
@@ -486,6 +489,7 @@ def verify_multi(runner, tmp_path, alpha_paths, beta_path):
     report = json.loads((tmp_path / "check" / "report.json").read_text())
     assert sorted(report) == [
         "epsilon", "member", "mode", "receiver_gap", "sender_gaps", "sender_stationarity_gaps",
+        "verdict",
     ]
     assert report["mode"] == "multi"
     assert report["epsilon"] == 0.05
@@ -502,6 +506,7 @@ def test_verify_multi_round_trip(runner, tmp_path):
     result, report = verify_multi(runner, tmp_path, alphas, str(out / "beta.json"))
     assert "PASS" in result.output
     assert report["member"] is True
+    assert report["verdict"] == "PASS"
 
 
 def test_verify_multi_flags_non_equilibrium(runner, tmp_path):
@@ -519,4 +524,5 @@ def test_verify_multi_flags_non_equilibrium(runner, tmp_path):
     result, report = verify_multi(runner, tmp_path, alphas, str(tmp_path / "beta.json"))
     assert "FAIL" in result.output
     assert report["member"] is False
+    assert report["verdict"] == "FAIL"
     assert report["receiver_gap"] == pytest.approx(0.5)

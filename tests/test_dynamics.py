@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import circulant_game, random_game, random_receiver, random_sender
+from conftest import (
+    circulant_game,
+    random_game,
+    random_receiver,
+    random_sender,
+    recorded_checks,
+)
+from privsig import dynamics as dynamics_module
 from privsig.dynamics import (
     DynamicsReport,
     best_response_dynamics,
@@ -162,6 +169,83 @@ def test_thresholded_babbling_start_never_moves():
     assert report.reached_eps_nash
     assert accepted_moves(report) == 0
     assert report.iteration_bound == math.ceil(3.0 + potential(g, alpha, beta) / 0.01)
+
+
+# ----------------------------------------------------------- shared loop
+
+
+def play_cases():
+    """(game, start) pairs whose play adopts moves of both players."""
+    rng = np.random.default_rng(20240817)
+    cases = [(circulant_game(0.5), truthful_pair()), (circulant_game(0.5), None)]
+    for _ in range(3):
+        g = random_game(rng, 3, 2, 3, float(rng.random() * 1.5))
+        cases.append((g, (random_sender(rng, 3, 3, 2), random_receiver(rng, 3, 3))))
+    return [(g, start or default_initial_pair(g)) for g, start in cases]
+
+
+def test_alternating_play_checks_once_per_round_against_a_new_opponent(monkeypatch):
+    # a player is checked only after its opponent adopted a move since its
+    # last check, which is why play keeps no best-response cache
+    checks = []
+    decide, respond = dynamics_module._improvement_reference, dynamics_module.receiver_best_response
+
+    def sender_check(c, *args):
+        checks.append(("sender", c))
+        return decide(c, *args)
+
+    def receiver_check(g, alpha):
+        checks.append(("receiver", alpha.a))
+        return respond(g, alpha)
+
+    monkeypatch.setattr(dynamics_module, "_improvement_reference", sender_check)
+    monkeypatch.setattr(dynamics_module, "receiver_best_response", receiver_check)
+    for g, (alpha0, beta0) in play_cases():
+        for play in (best_response_dynamics, thresholded_dynamics):
+            checks.clear()
+            report = play(g, alpha0, beta0, 0.01)
+            assert report.reached_eps_nash
+            assert len(checks) == report.iterations_used
+            assert [who for who, _ in checks] == [rec.mover for rec in report.trajectory[1:]]
+            last = {}
+            for who, opponent in checks:
+                if who in last:
+                    assert not np.array_equal(last[who], opponent)
+                last[who] = opponent
+
+
+def test_uncertified_adoption_leaves_its_mover_unfrozen(monkeypatch):
+    # with certified answers, play from these starts ends on the sender's
+    # adoption, its mover frozen; an adopted answer not certified within
+    # epsilon leaves the sender to be checked again, so that its last check
+    # is a rejection
+    decide = dynamics_module._improvement_reference
+    ended_on_adoption = 0
+    for g, start in play_cases():
+        for inflate in (False, True):
+            calls = []
+            monkeypatch.setattr(
+                dynamics_module, "_improvement_reference", recorded_checks(decide, calls, inflate)
+            )
+            assert thresholded_dynamics(g, *start, 0.01).reached_eps_nash
+            _, adopted = calls[-1]
+            if inflate:
+                assert not adopted
+            else:
+                ended_on_adoption += adopted
+    assert ended_on_adoption > 0
+
+
+@pytest.mark.parametrize("rho, reached", [(0.5, True), (1e3, True), (1e8, False), (1e15, False)])
+def test_thresholded_reached_is_a_proof(rho, reached):
+    # at rho = 1e8 and 1e15 the sender's answers are not certified and its
+    # rejection is not proven, so play ends unreached, where it once
+    # reported an epsilon-equilibrium that the check did not confirm
+    g, eps = circulant_game(rho), 1e-3
+    report = thresholded_dynamics(g, *default_initial_pair(g), eps)
+    assert report.reached_eps_nash is reached
+    if reached:
+        assert epsilon_nash_check(g, *report.final_pair, eps).member
 
 
 # -------------------------------------------------------------- interface

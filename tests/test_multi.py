@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_game, random_receiver, random_sender
+from conftest import (
+    circulant_game,
+    random_game,
+    random_receiver,
+    random_sender,
+    recorded_checks,
+)
 from privsig import multi as multi_module
 from privsig.game import (
     DistortionMatrix,
@@ -511,6 +517,30 @@ def test_certificate_skip_leaves_play_unchanged(monkeypatch):
     assert zero_solves["zero_entry"] > 0
 
 
+def test_uncertified_adoption_leaves_its_mover_unfrozen(monkeypatch):
+    # with certified answers some play ends with a sender whose last check
+    # adopted, frozen since; an adopted answer not certified within epsilon
+    # leaves its sender to be checked again before play is reached, so
+    # that every sender's last check is a rejection
+    decide = multi_module._improvement_reference
+    ended_on_adoption = 0
+    for name, g, alphas0, beta0, seed in skip_cases():
+        for inflate in (False, True):
+            calls = []
+            monkeypatch.setattr(
+                multi_module, "_improvement_reference", recorded_checks(decide, calls, inflate)
+            )
+            report = random_best_response_dynamics(g, alphas0, beta0, 0.02, seed=seed)
+            assert report.reached_eps_nash
+            # each sender's last check, senders keyed by their P{Z, W}
+            last = dict(calls).values()
+            if inflate:
+                assert not any(last)
+            else:
+                ended_on_adoption += any(last)
+    assert ended_on_adoption > 0
+
+
 def counted(counts, name, inner):
     """inner, counting its calls under name."""
     def wrapper(*args, **kwargs):
@@ -689,6 +719,26 @@ def test_improvement_bound_is_sound():
             assert own - best.cost <= eps
 
     check()
+
+
+def test_epsilon_checks_clamp_sender_gaps_at_zero():
+    # the truthful encoder costs 0.06 here, and the solve floored at its
+    # cost - epsilon stops at once at the uniform start, which costs 0.8;
+    # no move improves by a negative amount, so both checks report 0
+    g, eps = circulant_game(0.1), 0.1
+    alpha, beta = SenderPolicy.truthful(5, 5), ReceiverPolicy.identity(5)
+    own = sender_cost(g, alpha, beta)
+    ref = solve_module._improvement_reference(
+        solve_module._linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho, alpha, own, eps,
+        solve_module.DEFAULT_SETTINGS,
+    )
+    assert ref.cost > own + 0.5
+    single = epsilon_nash_check(g, alpha, beta, eps)
+    multi = epsilon_nash_check_multi(
+        lift_single(g), SenderPolicySet((alpha,)), MultiReceiverPolicy(beta.b), eps
+    )
+    assert single.member and multi.member
+    assert single.sender_gap == 0.0 and multi.sender_gaps == (0.0,)
 
 
 def test_audit_solves_only_what_play_did_not(monkeypatch):
