@@ -44,11 +44,6 @@ def _fail_config(exc: ConfigError):
     sys.exit(EXIT_CONFIG)
 
 
-def _fail_no_convergence(exc: RuntimeError):
-    click.echo(f"error: {exc}", err=True)
-    sys.exit(EXIT_NO_CONVERGENCE)
-
-
 def _load(config_path: str, log_base: str | None, seed: int | None = None) -> GameConfig:
     cfg = resolve_config(config_path)
     if seed is not None:
@@ -159,10 +154,7 @@ def solve(config_path, out, log_base, method):
         converged, iterations = br.converged, br.iterations
     else:
         a0, b0 = default_initial_pair(g)
-        try:
-            rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
-        except RuntimeError as exc:
-            _fail_no_convergence(exc)
+        rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
         alpha, beta = rep.final_pair
         converged, iterations = rep.reached_eps_nash, rep.iterations_used
     check = epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
@@ -210,10 +202,7 @@ def dynamics(config_path, out, log_base, variant):
     variant = variant or cfg.dynamics.variant
     a0, b0 = default_initial_pair(g)
     if variant == "thresholded":
-        try:
-            rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
-        except RuntimeError as exc:
-            _fail_no_convergence(exc)
+        rep = thresholded_dynamics(g, a0, b0, cfg.dynamics.epsilon, cfg.solver)
     else:
         rep = best_response_dynamics(
             g, a0, b0, cfg.dynamics.epsilon, cfg.solver, cfg.dynamics.max_rounds
@@ -318,14 +307,8 @@ def sweep(config_path, out, log_base, method):
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except RuntimeError as exc:
-        _fail_no_convergence(exc)
     _write_csv(out, "sweep.csv", SweepRow, rows)
-    try:
-        # the critical-ratio bisection solves more points
-        report = sweep_report(cfg, rows, method)
-    except RuntimeError as exc:
-        _fail_no_convergence(exc)
+    report = sweep_report(cfg, rows, method)
     _json_report(out, report)
     crit = report["critical_rho"]
     click.echo(f"sweep: {len(rows)} points, log_base={cfg.log_base}")

@@ -63,13 +63,16 @@ def run_sweep(cfg: GameConfig, method: str = "explicit") -> list[SweepRow]:
     return [_point(cfg, float(r), method, chain) for r in cfg.rho.grid()]
 
 
-def _bisect_critical(cfg: GameConfig, method: str, lo: float, hi: float) -> float:
+def _bisect_critical(cfg: GameConfig, method: str, lo: float, hi: float) -> float | None:
     """Bisect [lo, hi]; each point after the first starts from the previous
-    one's encoder, mirror step and Newton basis."""
+    one's encoder, mirror step and Newton basis. Returns None at the first
+    point that does not converge, since its distortion proves nothing."""
     chain = _WarmStart()
     while hi - lo > CRITICAL_WIDTH:
         mid = 0.5 * (lo + hi)
         row = _point(cfg, mid, method, chain)
+        if not row.converged:
+            return None
         if row.expected_distortion <= ZERO_DISTORTION:
             lo = mid
         else:
@@ -77,10 +80,14 @@ def _bisect_critical(cfg: GameConfig, method: str, lo: float, hi: float) -> floa
     return 0.5 * (lo + hi)
 
 
-def critical_rho_from_rows(cfg: GameConfig, rows: list[SweepRow], method: str) -> float | None:
-    """Bisection-refined rho where distortion first departs from zero.
+def critical_rho_from_rows(
+    cfg: GameConfig, rows: list[SweepRow], method: str
+) -> tuple[float | None, bool]:
+    """Bisection-refined rho where distortion first departs from zero, and
+    whether every bisection point converged.
 
-    Returns None when the grid shows no transition (all-zero or never-zero).
+    The rho is None when the grid shows no transition (all-zero or
+    never-zero), or when a bisection point does not converge.
     """
     lo = None
     for i, row in enumerate(rows):
@@ -88,8 +95,9 @@ def critical_rho_from_rows(cfg: GameConfig, rows: list[SweepRow], method: str) -
             if i + 1 < len(rows) and rows[i + 1].expected_distortion > ZERO_DISTORTION:
                 lo = i
     if lo is None:
-        return None
-    return _bisect_critical(cfg, method, rows[lo].rho, rows[lo + 1].rho)
+        return None, True
+    critical = _bisect_critical(cfg, method, rows[lo].rho, rows[lo + 1].rho)
+    return critical, critical is not None
 
 
 def sweep_report(cfg: GameConfig, rows: list[SweepRow], method: str) -> dict:
@@ -99,9 +107,10 @@ def sweep_report(cfg: GameConfig, rows: list[SweepRow], method: str) -> dict:
     a bits-valued rho is applied as rho / ln 2 nats, so the bits critical
     ratio is ln 2 times the nats one. The converted value is accurate to
     CRITICAL_WIDTH times that factor: ln 2 times it for a nats sweep, 1/ln 2
-    times it for a bits sweep.
+    times it for a bits sweep. all_converged covers the bisection's points
+    as well as the rows.
     """
-    bisected = critical_rho_from_rows(cfg, rows, method)
+    bisected, bisection_converged = critical_rho_from_rows(cfg, rows, method)
     other, scale = ("bits", LN2) if cfg.log_base == "nats" else ("nats", 1.0 / LN2)
     critical = {cfg.log_base: bisected, other: None if bisected is None else bisected * scale}
     report = {
@@ -111,7 +120,7 @@ def sweep_report(cfg: GameConfig, rows: list[SweepRow], method: str) -> dict:
         "rho_start": rows[0].rho if rows else None,
         "rho_stop": rows[-1].rho if rows else None,
         "critical_rho": critical,
-        "all_converged": all(r.converged for r in rows),
+        "all_converged": bisection_converged and all(r.converged for r in rows),
     }
     if cfg.reference_critical_rho is not None:
         report["reference_critical_rho"] = cfg.reference_critical_rho

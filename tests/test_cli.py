@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from conftest import CIRCULANT_MATRIX
 from privsig import cli as cli_mod
+from privsig import dynamics as dynamics_mod
 from privsig import solve as solve_mod
 from privsig import sweep as sweep_mod
 from privsig.cli import EXIT_CONFIG, EXIT_NO_CONVERGENCE, main
@@ -45,26 +46,33 @@ def circulant_config(tmp_path, name="game.json", **overrides):
     return str(path)
 
 
-def failing_dynamics(after=0):
-    """thresholded_dynamics that runs `after` times, then raises as it does
-    when play exceeds its round bound."""
+def play_to_round_bound(monkeypatch, after=0):
+    """Let thresholded play run `after` times as it is; from then on every
+    sender check reports an improvement of 2 epsilon that leaves the encoder
+    where it is and that its summed gap does not certify, so that play runs
+    to its round bound unreached. Returns the list of plays, one entry each."""
     calls = []
     inner = sweep_mod.thresholded_dynamics
+
+    def stuck(c, pzw, pw, rho, alpha, own, epsilon, settings):
+        return solve_mod.BestResponseResult(alpha, own - 2.0 * epsilon, 0, False, 1.0)
 
     def run(*args):
         calls.append(1)
         if len(calls) > after:
-            raise RuntimeError("thresholded play exceeded its round bound 7")
+            monkeypatch.setattr(dynamics_mod, "_improvement_reference", stuck)
         return inner(*args)
 
-    return run
+    monkeypatch.setattr(cli_mod, "thresholded_dynamics", run)
+    monkeypatch.setattr(sweep_mod, "thresholded_dynamics", run)
+    return calls
 
 
-def assert_no_convergence_exit(result):
+def assert_no_convergence_exit(result, message):
     assert result.exit_code == EXIT_NO_CONVERGENCE, all_text(result)
     assert isinstance(result.exception, SystemExit)
     assert "Traceback" not in all_text(result)
-    assert "error: thresholded play exceeded its round bound 7" in result.stderr
+    assert f"error: {message}" in result.stderr
 
 
 def binary_multi_config(tmp_path, name="multi.json", **overrides):
@@ -232,12 +240,14 @@ def test_solve_via_dynamics_method(runner, tmp_path):
 
 
 def test_solve_via_dynamics_round_bound_error_exits_3(runner, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_mod, "thresholded_dynamics", failing_dynamics())
+    play_to_round_bound(monkeypatch)
     cfg = circulant_config(tmp_path)
+    out = tmp_path / "o"
     result = runner.invoke(
-        main, ["solve", "--config", cfg, "--out", str(tmp_path / "o"), "--method", "dynamics"]
+        main, ["solve", "--config", cfg, "--out", str(out), "--method", "dynamics"]
     )
-    assert_no_convergence_exit(result)
+    assert_no_convergence_exit(result, "solver did not converge")
+    assert json.loads((out / "report.json").read_text())["converged"] is False
 
 
 # ----------------------------------------------------------------- dynamics
@@ -282,13 +292,16 @@ def test_dynamics_log_base_override(runner, tmp_path):
 
 
 def test_dynamics_round_bound_error_exits_3(runner, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_mod, "thresholded_dynamics", failing_dynamics())
+    play_to_round_bound(monkeypatch)
     cfg = circulant_config(tmp_path)
+    out = tmp_path / "o"
     result = runner.invoke(
-        main,
-        ["dynamics", "--config", cfg, "--out", str(tmp_path / "o"), "--variant", "thresholded"],
+        main, ["dynamics", "--config", cfg, "--out", str(out), "--variant", "thresholded"]
     )
-    assert_no_convergence_exit(result)
+    assert_no_convergence_exit(result, "dynamics did not reach an epsilon-equilibrium")
+    report = json.loads((out / "report.json").read_text())
+    assert report["reached_eps_nash"] is False
+    assert report["iterations_used"] == report["iteration_bound"]
 
 
 # -------------------------------------------------------------------- multi
@@ -375,18 +388,22 @@ def test_sweep_has_no_seed_option(runner, tmp_path):
 
 @pytest.mark.parametrize("after", [0, 3], ids=["grid", "bisection"])
 def test_sweep_via_dynamics_round_bound_error_exits_3(runner, tmp_path, monkeypatch, after):
-    # the grid has 3 points, so after 3 runs the error comes from the
-    # critical-ratio bisection
-    monkeypatch.setattr(sweep_mod, "thresholded_dynamics", failing_dynamics(after))
+    # the grid has 3 points, so after 3 runs only the critical-ratio
+    # bisection plays to its round bound, and its first such point stops it
+    calls = play_to_round_bound(monkeypatch, after)
     cfg = circulant_config(tmp_path, rho={"start": 0.2, "stop": 0.6, "steps": 3})
     out = tmp_path / "out"
     result = runner.invoke(
         main, ["sweep", "--config", cfg, "--out", str(out), "--method", "dynamics"]
     )
-    assert_no_convergence_exit(result)
-    # the grid's rows are written once they are all solved
-    assert (out / "sweep.csv").exists() == bool(after)
-    assert not (out / "report.json").exists()
+    assert_no_convergence_exit(result, "some sweep points did not converge")
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[5] for row in rows] == ["true" if after else "false"] * 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["all_converged"] is False
+    if after:
+        assert len(calls) == after + 1
+        assert report["critical_rho"] == {"nats": None, "bits": None}
 
 
 # ------------------------------------------------------------------- verify

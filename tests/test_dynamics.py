@@ -184,34 +184,45 @@ def play_cases():
     return [(g, start or default_initial_pair(g)) for g, start in cases]
 
 
-def test_alternating_play_checks_once_per_round_against_a_new_opponent(monkeypatch):
+def test_alternating_play_checks_once_per_round_and_never_repeats_a_check(monkeypatch):
     # a player is checked only after its opponent adopted a move since its
-    # last check, which is why play keeps no best-response cache
+    # last check, or, against the same opponent, after adopting an answer
+    # not certified within epsilon (inflate); play never checks a player
+    # whose state and opponent are both unchanged, which is why it keeps no
+    # best-response cache
     checks = []
     decide, respond = dynamics_module._improvement_reference, dynamics_module.receiver_best_response
 
-    def sender_check(c, *args):
-        checks.append(("sender", c))
-        return decide(c, *args)
-
     def receiver_check(g, alpha):
-        checks.append(("receiver", alpha.a))
+        checks.append(("receiver", None, alpha.a))
         return respond(g, alpha)
 
-    monkeypatch.setattr(dynamics_module, "_improvement_reference", sender_check)
     monkeypatch.setattr(dynamics_module, "receiver_best_response", receiver_check)
-    for g, (alpha0, beta0) in play_cases():
-        for play in (best_response_dynamics, thresholded_dynamics):
-            checks.clear()
-            report = play(g, alpha0, beta0, 0.01)
-            assert report.reached_eps_nash
-            assert len(checks) == report.iterations_used
-            assert [who for who, _ in checks] == [rec.mover for rec in report.trajectory[1:]]
-            last = {}
-            for who, opponent in checks:
-                if who in last:
-                    assert not np.array_equal(last[who], opponent)
-                last[who] = opponent
+    repeats = {False: 0, True: 0}
+    for inflate in (False, True):
+        answer = recorded_checks(decide, [], inflate)
+
+        def sender_check(c, pzw, pw, rho, alpha, *args):
+            checks.append(("sender", alpha.a, c))
+            return answer(c, pzw, pw, rho, alpha, *args)
+
+        monkeypatch.setattr(dynamics_module, "_improvement_reference", sender_check)
+        for g, (alpha0, beta0) in play_cases():
+            for play in (best_response_dynamics, thresholded_dynamics):
+                checks.clear()
+                report = play(g, alpha0, beta0, 0.01)
+                assert report.reached_eps_nash
+                assert len(checks) == report.iterations_used
+                assert [who for who, _, _ in checks] == [
+                    rec.mover for rec in report.trajectory[1:]
+                ]
+                last = {}
+                for who, own, opponent in checks:
+                    if who in last and np.array_equal(last[who][1], opponent):
+                        assert who == "sender" and not np.array_equal(last[who][0], own)
+                        repeats[inflate] += 1
+                    last[who] = (own, opponent)
+    assert repeats[False] == 0 and repeats[True] > 0
 
 
 def test_uncertified_adoption_leaves_its_mover_unfrozen(monkeypatch):
