@@ -175,6 +175,7 @@ def solve(config_path, out, log_base, method):
         "sender_gap": check.sender_gap,
         "receiver_gap": check.receiver_gap,
         "sender_stationarity_gap": check.sender_stationarity_gap,
+        "verdict": check.verdict,
         "iterations": iterations,
         "converged": converged,
     })
@@ -268,6 +269,7 @@ def multi(config_path, out, seed, log_base):
         "receiver_gap": audit.receiver_gap,
         "sender_gaps": list(audit.sender_gaps),
         "sender_stationarity_gaps": list(audit.sender_stationarity_gaps),
+        "verdict": audit.verdict,
         "expected_distortion": xi,
         "potential": multi_mod.potential_multi(g, alphas, beta),
         "leakage_nats": [multi_mod.leakage_j(g, alphas, j) for j in range(g.n)],
@@ -362,7 +364,6 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
                 "sender_stationarity_gap": check.sender_stationarity_gap,
             }
             gaps = f"sender_gap={check.sender_gap:.3e}, receiver_gap={check.receiver_gap:.3e}"
-            sender_gaps = [check.sender_gap]
         else:
             g = cfg.build_multi(rho)
             alphas = sender_policy_set_from_json(texts)
@@ -377,17 +378,13 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
                 "sender_stationarity_gaps": list(check.sender_stationarity_gaps),
             }
             gaps = f"receiver_gap={check.receiver_gap:.3e}, sender_gaps={list(check.sender_gaps)}"
-            sender_gaps = check.sender_gaps
     except ConfigError as exc:
         _fail_config(exc)
     except (OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    # a gap above epsilon proves a failure; a non-member without one is unproven
-    failed = max(check.receiver_gap, *sender_gaps) > eps
-    verdict = "PASS" if doc["member"] else "FAIL" if failed else "UNCERTIFIED"
-    _json_report(out, {**doc, "verdict": verdict})
-    click.echo(f"epsilon-equilibrium check at eps={eps:g}: {verdict} ({gaps})")
+    _json_report(out, {**doc, "verdict": check.verdict})
+    click.echo(f"epsilon-equilibrium check at eps={eps:g}: {check.verdict} ({gaps})")
 
 
 if __name__ == "__main__":

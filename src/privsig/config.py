@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, fields
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -95,13 +96,22 @@ class GameConfig:
             return hamming_distortion(self.x_space)
         return DistortionMatrix(self.distortion)
 
-    def build_single(self, rho: float) -> GameInstance:
+    @cached_property
+    def _single_parts(self) -> tuple[JointPXZW, DistortionMatrix]:
+        """The validated joint and distortion of a single-sender config.
+
+        They do not depend on rho, so they are built once, and every game
+        built from the config, as along a sweep, shares them and the
+        marginals they cache.
+        """
         if self.mode != "single":
             raise ConfigError(["mode: expected a single-sender config"])
         joint = JointPXZW(self.x_space, self.x_space, self.w_spaces[0], self.joint)
-        return GameInstance(
-            joint, self.distortion_matrix(), self.y_spaces[0], self.internal_rho(rho)
-        )
+        return joint, self.distortion_matrix()
+
+    def build_single(self, rho: float) -> GameInstance:
+        joint, distortion = self._single_parts
+        return GameInstance(joint, distortion, self.y_spaces[0], self.internal_rho(rho))
 
     def build_multi(self, rho: float) -> MultiGameInstance:
         if self.mode != "multi":

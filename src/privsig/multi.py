@@ -36,6 +36,7 @@ from .solve import (
     _minimize_over_blocks,
     _posterior_decoder,
     _prior_estimate,
+    _verdict,
 )
 from .dynamics import DynamicsReport, TrajectoryRecord, _inner_settings, _play
 
@@ -332,6 +333,11 @@ class MultiEpsilonNashReport:
     sender_gaps: tuple[float, ...]
     sender_stationarity_gaps: tuple[float, ...]
     epsilon: float
+
+    @property
+    def verdict(self) -> str:
+        """PASS, FAIL or UNCERTIFIED (solve._verdict)."""
+        return _verdict(self.member, (self.receiver_gap, *self.sender_gaps), self.epsilon)
 
 
 def epsilon_nash_check_multi(

@@ -109,6 +109,14 @@ class BestResponseResult:
     stationarity_gap: float
 
 
+def _verdict(member: bool, gaps, epsilon: float) -> str:
+    """PASS when membership is proven; FAIL when a gap, an improvement that
+    some policy attains, exceeds epsilon; UNCERTIFIED when neither is shown."""
+    if member:
+        return "PASS"
+    return "FAIL" if max(gaps) > epsilon else "UNCERTIFIED"
+
+
 @dataclass(frozen=True)
 class EpsilonNashReport:
     """The sender's best improvement lies in [sender_gap, sender_gap +
@@ -120,6 +128,11 @@ class EpsilonNashReport:
     receiver_gap: float
     sender_stationarity_gap: float
     epsilon: float
+
+    @property
+    def verdict(self) -> str:
+        """PASS, FAIL or UNCERTIFIED (_verdict)."""
+        return _verdict(self.member, (self.sender_gap, self.receiver_gap), self.epsilon)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -645,13 +658,15 @@ def _newton_polish(
     unless it lifted. basis, when given, is an active-set basis
     (_active_set_basis) built for this P{Z, W}, reused while the active set
     is the one it was built for. Returns (encoder, cost, log-ratio, largest
-    block gap, iterations, done, basis) after at most min(_POLISH_ITERS,
-    budget) iterations; done means the encoder's summed gap meets grad_tol
-    or its lower bound reaches floor, and basis is the last one used.
+    block gap, iterations, done, basis, summed block gap) after at most
+    min(_POLISH_ITERS, budget) iterations; done means the encoder's summed
+    gap meets grad_tol or its lower bound reaches floor, and basis is the
+    last one used.
     """
     shape = a.shape
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
-    best = (np.inf, a, cost, logratio)
+    # with the iterate's block gaps, so that its sum is at hand if it returns
+    best = (np.inf, a, cost, logratio, None)
     lam = 1e-10
 
     def trial(flat):
@@ -688,9 +703,9 @@ def _newton_polish(
         blocks = _block_gaps(a, grad)
         gap, total = float(blocks.max()), float(blocks.sum())
         if total <= settings.grad_tol or (floor > -math.inf and cost - total >= floor):
-            return a, cost, logratio, gap, it - 1, True, basis
+            return a, cost, logratio, gap, it - 1, True, basis, total
         if gap < best[0]:
-            best = (gap, a, cost, logratio)
+            best = (gap, a, cost, logratio, blocks)
 
         heavy = a >= _FREEZE_MASS
         lam_b = np.where(heavy, grad, np.inf).min(axis=0)
@@ -785,10 +800,12 @@ def _newton_polish(
         lam = max(lam * 0.25, 1e-12)
 
     blocks = _block_gaps(a, _gradient(c, rho_pzw, logratio))
-    gap, conv = float(blocks.max()), float(blocks.sum()) <= settings.grad_tol
+    gap, total = float(blocks.max()), float(blocks.sum())
+    conv = total <= settings.grad_tol
     if best[0] < gap and not conv:
-        gap, a, cost, logratio = best
-    return a, cost, logratio, gap, it, conv, basis
+        gap, a, cost, logratio, blocks = best
+        total = float(blocks.sum())
+    return a, cost, logratio, gap, it, conv, basis, total
 
 
 def _mirror_phase(
@@ -808,12 +825,14 @@ def _mirror_phase(
     the iterate with the smallest largest gap, or, when certified, floored,
     at the handoff or at a crawl, the current one. handoff and crawl 0 keep
     the phase to the end. Returns (a, cost, log-ratio, largest gap, used,
-    done, step), done meaning certified or floored and step the one the
-    phase would have tried next, or None when it stalled below _TINY_STEP.
+    done, step, summed gap), done meaning certified or floored and step the
+    one the phase would have tried next, or None when it stalled below
+    _TINY_STEP.
     """
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     step = settings.step_init if step is None else step
-    best = (np.inf, a, cost, logratio)
+    # with the iterate's block gaps, so that its sum is at hand if it returns
+    best = (np.inf, a, cost, logratio, None)
     anchor = np.inf
     stalled = 0
     used = 0
@@ -824,19 +843,17 @@ def _mirror_phase(
         blocks = _block_gaps(a, grad, low)
         gap = float(blocks.max())
         if gap < best[0]:
-            best = (gap, a, cost, logratio)
+            best = (gap, a, cost, logratio, blocks)
         # the sum is at least the largest gap: sum only once that meets grad_tol
-        if gap <= settings.grad_tol and float(blocks.sum()) <= settings.grad_tol:
-            return a, cost, logratio, gap, used - 1, True, step
-        if floor > -math.inf and cost - float(blocks.sum()) >= floor:
-            return a, cost, logratio, gap, used - 1, True, step
-        if gap <= handoff:
-            return a, cost, logratio, gap, used - 1, False, step
+        certified = gap <= settings.grad_tol and float(blocks.sum()) <= settings.grad_tol
+        if certified or (floor > -math.inf and cost - float(blocks.sum()) >= floor):
+            return a, cost, logratio, gap, used - 1, True, step, float(blocks.sum())
         # a largest gap that has not halved in _STALL_PATIENCE iterations is
         # crawling: the Newton phase closes it from here in fewer iterations
         gaps.append(gap)
-        if gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]:
-            return a, cost, logratio, gap, used - 1, False, step
+        crawling = gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]
+        if gap <= handoff or crawling:
+            return a, cost, logratio, gap, used - 1, False, step, float(blocks.sum())
         if gap < 0.97 * anchor:
             anchor = gap
             stalled = 0
@@ -874,10 +891,12 @@ def _mirror_phase(
             break
 
     blocks = _block_gaps(a, _gradient(c, rho_pzw, logratio))
-    gap, conv = float(blocks.max()), float(blocks.sum()) <= settings.grad_tol
+    gap, total = float(blocks.max()), float(blocks.sum())
+    conv = total <= settings.grad_tol
     if best[0] < gap and not conv:
-        gap, a, cost, logratio = best
-    return a, cost, logratio, gap, used, conv, step if step >= _TINY_STEP else None
+        gap, a, cost, logratio, blocks = best
+        total = float(blocks.sum())
+    return a, cost, logratio, gap, used, conv, step if step >= _TINY_STEP else None, total
 
 
 class _WarmStart:
@@ -955,7 +974,7 @@ def _minimize_over_blocks(
         round_entry = best[0]
         # after a stalled Newton phase, re-shape the support until the
         # largest block gap is well below the best so far
-        a, cost, logratio, gap, used, conv, next_step = _mirror_phase(
+        a, cost, logratio, gap, used, conv, next_step, total = _mirror_phase(
             c, pzw, pw, rho, a, cost, logratio, settings,
             min(_PHASE_ONE_CAP, settings.max_iters - spent),
             min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]), floor, step,
@@ -966,7 +985,7 @@ def _minimize_over_blocks(
             best = (gap, a, cost, logratio)
         if conv or spent >= settings.max_iters:
             break
-        a, cost, logratio, gap, used, conv, basis = _newton_polish(
+        a, cost, logratio, gap, used, conv, basis, total = _newton_polish(
             c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent, floor, basis
         )
         spent += used
@@ -977,9 +996,9 @@ def _minimize_over_blocks(
             break
     if not conv:
         _, a, cost, logratio = best
-    gap = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
+        total = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
     start.a, start.step, start.basis = a, next_step, basis
-    return a, cost, spent, gap <= settings.grad_tol, gap
+    return a, cost, spent, total <= settings.grad_tol, total
 
 
 def sender_best_response(

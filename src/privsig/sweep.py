@@ -1,13 +1,27 @@
 """Privacy-ratio sweeps and the critical-ratio search."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import GameConfig, SweepSpec
 from .dynamics import default_initial_pair, thresholded_dynamics
-from .game import expected_distortion, leakage
+from .game import GameInstance, ReceiverPolicy, SenderPolicy, expected_distortion, leakage
 from .prob import LN2
-from .solve import _identity_best_response, _WarmStart
+from .solve import (
+    BestResponseResult,
+    SolverSettings,
+    _block_gaps,
+    _gradient,
+    _identity_best_response,
+    _leakage_parts,
+    _linear_coeffs,
+    _log_floored,
+    _objective_parts,
+    _WarmStart,
+)
 
 #: Distortion at or below this counts as "zero" when locating the transition.
 ZERO_DISTORTION = 1e-3
@@ -26,16 +40,107 @@ class SweepRow:
     method: str
 
 
-def _point(cfg: GameConfig, rho: float, method: str, chain: _WarmStart) -> SweepRow:
+def _truthful_critical_rho(g: GameInstance) -> float | None:
+    """Largest rho, in nats, at which the truthful encoder best-responds to
+    the identity decoder; g's own rho is not used.
+
+    At the truthful encoder t, a(y, z, w) = [y = z], the gradient is
+    c(y, z, w) + rho P{z, w} L(y, w), with c the identity decoder's
+    distortion coefficients and L(y, w) = log P{Z=y, W=w} / (P{Z=y} P{W=w})
+    fixed in rho. By convexity t is a best response exactly when each
+    block's gap is 0, that is for rho up to
+
+        min over y != z and w with L(z, w) > L(y, w) of
+        [c(y, z, w) - c(z, z, w)] / (P{z, w} (L(z, w) - L(y, w))),
+
+    which is inf when no pair bounds it. None when t is not a rho = 0 best
+    response (some c(y, z, w) < c(z, z, w)), when a cell of P{Z, W} has no
+    mass, so that t leaves a (y, w) cell empty and has no gradient there,
+    or when the message alphabet is not the state alphabet. O(|Y| |X| |W|),
+    with no solve.
+    """
+    m, q = g.x_space.size, g.w_space.size
+    pzw = g.joint.pzw
+    if g.y_space.size != m or not pzw.all():
+        return None
+    c = _linear_coeffs(g, ReceiverPolicy.identity(m))
+    # rise[y, z, w] = c(y, z, w) - c(z, z, w)
+    rise = c - c[np.arange(m), np.arange(m)][None]
+    if np.any(rise < 0.0):
+        return None
+    _, logratio = _leakage_parts(SenderPolicy.truthful(m, q).a, pzw, _log_floored(g.joint.pw))
+    # drop[y, z, w] = P{z, w} (L(z, w) - L(y, w))
+    drop = pzw[None] * (logratio[None] - logratio[:, None])
+    bounding = drop > 0.0
+    return float((rise[bounding] / drop[bounding]).min()) if bounding.any() else math.inf
+
+
+def _truthful_best_response(
+    g: GameInstance, settings: SolverSettings
+) -> tuple[BestResponseResult, ReceiverPolicy]:
+    """The truthful encoder as the answer to the identity decoder, with 0
+    iterations, and that decoder.
+
+    Its certificate is its own summed block gap under the exact gradient,
+    which every (y, w) cell having mass makes defined on the boundary; up to
+    _truthful_critical_rho it is 0 but for rounding. converged says whether
+    it meets grad_tol.
+    """
+    beta = ReceiverPolicy.identity(g.x_space.size)
+    a = SenderPolicy.truthful(g.x_space.size, g.w_space.size)
+    c, pzw = _linear_coeffs(g, beta), g.joint.pzw
+    cost, logratio = _objective_parts(c, pzw, _log_floored(g.joint.pw), g.rho, a.a)
+    gap = float(_block_gaps(a.a, _gradient(c, g.rho * pzw, logratio)).sum())
+    return BestResponseResult(a, cost, 0, gap <= settings.grad_tol, gap), beta
+
+
+class _SweepRows(list):
+    """run_sweep's rows, and as seed the chain's warm start as it stood
+    after the bracket's low end (critical_rho_from_rows): (that row's rho,
+    the warm start), or None. The bisection starts from it."""
+
+    seed = None
+
+
+def _exact_critical(cfg: GameConfig, method: str) -> float | None:
+    """The explicit construction's exact critical ratio in nats
+    (_truthful_critical_rho); None for the dynamics method. It does not
+    depend on rho, so it is read off the config's shared joint and
+    distortion, without building a point's game."""
+    if method != "explicit":
+        return None
+    joint, distortion = cfg._single_parts
+    return _truthful_critical_rho(GameInstance(joint, distortion, cfg.y_spaces[0], 0.0))
+
+
+def _explicit_answer(
+    g: GameInstance, settings: SolverSettings, chain: _WarmStart, rho_star: float | None
+) -> tuple[BestResponseResult, ReceiverPolicy]:
+    """The sender's answer to the identity decoder, and that decoder.
+
+    At or below rho_star (nats) it is the truthful encoder itself when its
+    own gap certifies it; otherwise a best response from the chain's warm
+    start. Either way the chain carries the answer on to its next point.
+    """
+    if rho_star is not None and g.rho <= rho_star:
+        res, beta = _truthful_best_response(g, settings)
+        if res.converged:
+            chain.a = res.policy.a
+            return res, beta
+    return _identity_best_response(g, settings, chain)
+
+
+def _point(
+    cfg: GameConfig, rho: float, method: str, chain: _WarmStart, rho_star: float | None = None
+) -> SweepRow:
     """Solve one point and return its row.
 
-    The explicit method starts its best response from the chain's warm
-    start, which the solve then hands on to the chain's next point; the
+    The explicit method answers from the chain (_explicit_answer); the
     dynamics method always starts cold.
     """
     g = cfg.build_single(rho)
     if method == "explicit":
-        res, beta = _identity_best_response(g, cfg.solver, chain)
+        res, beta = _explicit_answer(g, cfg.solver, chain, rho_star)
         alpha = res.policy
         iterations, converged = res.iterations, res.converged
     elif method == "dynamics":
@@ -55,22 +160,38 @@ def run_sweep(cfg: GameConfig, method: str = "explicit") -> list[SweepRow]:
 
     Neighbouring points have nearly the same optimum and the same P{Z, W},
     so with the explicit method each point starts from the previous point's
-    encoder, mirror step and Newton basis.
+    encoder, mirror step and Newton basis, and the points up to the exact
+    critical ratio take the truthful encoder without a solve. The rows also
+    carry the warm start at the bracket's low end, which sweep_report's
+    bisection starts from.
     """
     if not isinstance(cfg.rho, SweepSpec):
         raise ValueError("config rho must be a sweep specification")
-    chain = _WarmStart()
-    return [_point(cfg, float(r), method, chain) for r in cfg.rho.grid()]
+    rows, chain, rho_star = _SweepRows(), _WarmStart(), _exact_critical(cfg, method)
+    low_end = None  # the last row's seed while its distortion is zero
+    for r in cfg.rho.grid():
+        row = _point(cfg, float(r), method, chain, rho_star)
+        rows.append(row)
+        if row.expected_distortion <= ZERO_DISTORTION:
+            low_end = (row.rho, _WarmStart(chain.a, chain.step, chain.basis))
+        elif low_end is not None:
+            # a transition; the bisection brackets the last one
+            rows.seed, low_end = low_end, None
+    return rows
 
 
-def _bisect_critical(cfg: GameConfig, method: str, lo: float, hi: float) -> float | None:
-    """Bisect [lo, hi]; each point after the first starts from the previous
-    one's encoder, mirror step and Newton basis. Returns None at the first
-    point that does not converge, since its distortion proves nothing."""
-    chain = _WarmStart()
+def _bisect_critical(
+    cfg: GameConfig, method: str, lo: float, hi: float, start: _WarmStart | None = None
+) -> float | None:
+    """Bisect [lo, hi]; the first point starts from start, or cold, and each
+    later one from the previous one's encoder, mirror step and Newton basis.
+    Returns None at the first point that does not converge, since its
+    distortion proves nothing."""
+    chain = _WarmStart() if start is None else _WarmStart(start.a, start.step, start.basis)
+    rho_star = _exact_critical(cfg, method)
     while hi - lo > CRITICAL_WIDTH:
         mid = 0.5 * (lo + hi)
-        row = _point(cfg, mid, method, chain)
+        row = _point(cfg, mid, method, chain, rho_star)
         if not row.converged:
             return None
         if row.expected_distortion <= ZERO_DISTORTION:
@@ -96,7 +217,10 @@ def critical_rho_from_rows(
                 lo = i
     if lo is None:
         return None, True
-    critical = _bisect_critical(cfg, method, rows[lo].rho, rows[lo + 1].rho)
+    # run_sweep's rows hand the bisection the grid's warm start at rows[lo]
+    seed = getattr(rows, "seed", None)
+    start = seed[1] if seed is not None and seed[0] == rows[lo].rho else None
+    critical = _bisect_critical(cfg, method, rows[lo].rho, rows[lo + 1].rho, start)
     return critical, critical is not None
 
 
@@ -109,6 +233,13 @@ def sweep_report(cfg: GameConfig, rows: list[SweepRow], method: str) -> dict:
     CRITICAL_WIDTH times that factor: ln 2 times it for a nats sweep, 1/ln 2
     times it for a bits sweep. all_converged covers the bisection's points
     as well as the rows.
+
+    The explicit method also reports truthful_critical_rho, the exact ratio
+    up to which the truthful encoder is the sender's answer
+    (_truthful_critical_rho), in both bases: null when that function finds
+    none, or when the truthful encoder stays the answer at every rho. It
+    lies below the bisected ratio, which tests distortion against
+    ZERO_DISTORTION, not against 0.
     """
     bisected, bisection_converged = critical_rho_from_rows(cfg, rows, method)
     other, scale = ("bits", LN2) if cfg.log_base == "nats" else ("nats", 1.0 / LN2)
@@ -120,8 +251,12 @@ def sweep_report(cfg: GameConfig, rows: list[SweepRow], method: str) -> dict:
         "rho_start": rows[0].rho if rows else None,
         "rho_stop": rows[-1].rho if rows else None,
         "critical_rho": critical,
-        "all_converged": bisection_converged and all(r.converged for r in rows),
     }
+    if method == "explicit":
+        exact = _exact_critical(cfg, method)
+        finite = exact is not None and math.isfinite(exact)
+        report["truthful_critical_rho"] = {"nats": exact, "bits": exact * LN2} if finite else None
+    report["all_converged"] = bisection_converged and all(r.converged for r in rows)
     if cfg.reference_critical_rho is not None:
         report["reference_critical_rho"] = cfg.reference_critical_rho
         found = {b: v for b, v in critical.items() if v is not None}

@@ -158,6 +158,14 @@ def test_solve_writes_equilibrium_outputs(runner, tmp_path):
     assert "distortion=" in result.output
 
 
+def test_solve_reports_the_verdict_of_its_check(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["solve", "--config", circulant_config(tmp_path), "--out", str(out)])
+    assert result.exit_code == 0, all_text(result)
+    report = json.loads((out / "report.json").read_text())
+    assert report["member"] is True and report["verdict"] == "PASS"
+
+
 def test_solve_explicit_needs_as_many_messages_as_states(runner, tmp_path):
     cfg = circulant_config(tmp_path, y_size=4)
     out = tmp_path / "out"
@@ -322,6 +330,21 @@ def test_multi_writes_per_sender_policies(runner, tmp_path):
     # each sender gap is exact up to its best response's certificate
     assert len(report["sender_stationarity_gaps"]) == 2
     assert all(0.0 <= gap <= 1e-8 for gap in report["sender_stationarity_gaps"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("epsilon", [0.05, 0.01])
+def test_multi_exit_code_agrees_with_its_audit(runner, tmp_path, seed, epsilon):
+    # play's "reached" is a proof, so the exit code, which reads it, agrees
+    # with the audit's member and verdict in report.json
+    cfg = binary_multi_config(tmp_path, seed=seed, dynamics={"epsilon": epsilon})
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["multi", "--config", cfg, "--out", str(out)])
+    assert result.exit_code in (0, EXIT_NO_CONVERGENCE), all_text(result)
+    report = json.loads((out / "report.json").read_text())
+    reached = result.exit_code == 0
+    assert reached == report["reached_eps_nash"] == report["member"]
+    assert (report["verdict"] == "PASS") == reached
 
 
 def test_multi_same_seed_same_trajectory(runner, tmp_path):

@@ -92,6 +92,16 @@ def test_preset_builds_playable_game():
     assert g.x_space.size == g.y_space.size == g.w_space.size == 5
 
 
+def test_build_single_shares_one_validated_joint():
+    # the joint, the distortion and their cached marginals do not depend on
+    # rho, so every game of a config shares them
+    cfg = load_config(preset_text("circulant5"))
+    one, two = cfg.build_single(0.1), cfg.build_single(0.2)
+    assert one.joint is two.joint and one.distortion is two.distortion
+    assert one.joint.pzw is two.joint.pzw
+    assert (one.rho, two.rho) == (0.1, 0.2)
+
+
 def test_unknown_preset_is_reported():
     with pytest.raises(ConfigError, match="no bundled preset"):
         preset_text("missing_preset")

@@ -31,6 +31,7 @@ from privsig.game import (
     sender_cost,
 )
 import privsig.solve
+from privsig.multi import MultiEpsilonNashReport
 from privsig.prob import FiniteSpace, JointPXZW, _mutual_information
 from privsig.solve import (
     _FREEZE_MASS,
@@ -1342,6 +1343,23 @@ def test_epsilon_nash_check_fails_uniform_encoder_at_large_rho(rho, sender_gap):
     if sender_gap is not None:
         assert report.sender_gap == pytest.approx(sender_gap, abs=1e-4)
     assert report.sender_gap + report.sender_stationarity_gap > 0.3
+
+
+def test_epsilon_nash_reports_carry_the_three_valued_verdict():
+    # PASS is a proven membership; FAIL needs a gap above epsilon, an
+    # improvement some policy attains; anything else is UNCERTIFIED
+    g = circulant_game(0.5)
+    assert epsilon_nash_check(g, *explicit_equilibrium(g), 1e-6).verdict == "PASS"
+    g = circulant_game(1.0)
+    lying = epsilon_nash_check(g, SenderPolicy.truthful(5, 5), ReceiverPolicy.constant(0, 5, 5), 1e-6)
+    assert lying.receiver_gap > 1e-6 and lying.verdict == "FAIL"
+    g = circulant_game(1e15)
+    unproven = epsilon_nash_check(g, SenderPolicy.uniform(5, 5, 5), ReceiverPolicy.identity(5), 1e-3)
+    assert unproven.sender_gap <= 1e-3 and unproven.verdict == "UNCERTIFIED"
+    # the multi-sender report reads the receiver gap and every sender gap
+    assert MultiEpsilonNashReport(True, 0.0, (0.0, 0.0), (0.0, 0.0), 0.1).verdict == "PASS"
+    assert MultiEpsilonNashReport(False, 0.0, (0.0, 0.2), (0.0, 0.0), 0.1).verdict == "FAIL"
+    assert MultiEpsilonNashReport(False, 0.05, (0.0, 0.05), (0.0, 0.3), 0.1).verdict == "UNCERTIFIED"
 
 
 def test_explicit_equilibrium_receiver_side(rng):

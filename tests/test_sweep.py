@@ -5,13 +5,27 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from conftest import CIRCULANT_MATRIX, summed_block_gap
+from conftest import CIRCULANT_MATRIX, CIRCULANT_MI_NATS, circulant_game, summed_block_gap
 from privsig import sweep as sweep_mod
 from privsig.cli import main
 from privsig.config import load_config, preset_text
-from privsig.prob import LN2, JointPXZW
-from privsig.solve import _linear_coeffs, sender_cost_gradient
-from privsig.sweep import CRITICAL_WIDTH, run_sweep, sweep_report
+from privsig.game import (
+    DistortionMatrix,
+    GameInstance,
+    ReceiverPolicy,
+    SenderPolicy,
+    expected_distortion,
+    hamming_distortion,
+)
+from privsig.prob import LN2, FiniteSpace, JointPXZW
+from privsig.solve import DEFAULT_SETTINGS, _linear_coeffs, sender_best_response, sender_cost_gradient
+from privsig.sweep import (
+    CRITICAL_WIDTH,
+    _truthful_best_response,
+    _truthful_critical_rho,
+    run_sweep,
+    sweep_report,
+)
 
 
 def circulant_sweep_config(log_base: str, start: float, stop: float, steps: int):
@@ -83,25 +97,64 @@ def circulant5_sweeps():
 def test_sweep_points_start_from_the_previous_point(circulant5_sweeps):
     warm = circulant5_sweeps["warm"]
     solves, grid = warm["solves"], warm["grid"]
-    assert grid == 101 and len(solves) > grid
-    # the grid and the bisection each start cold, each with a chain of its
-    # own. Every later point starts from the previous answer, with the step
-    # the previous solve's last mirror phase would have taken next and its
-    # last Newton basis, built for the same P{Z, W}
+    # the 38 grid points up to rho* = 0.3789 take the truthful encoder
+    # without a solve, so the grid solves 63 points and the bisection 4
+    assert grid == 63 and len(solves) == grid + 4
+    # the grid and the bisection each have a chain of their own. Every solve
+    # starts from the previous point's answer, with the step the previous
+    # solve's last mirror phase would have taken next and its last Newton
+    # basis, built for the same P{Z, W}. The grid's first solve, at rho =
+    # 0.38, starts from the truthful encoder that the points before it
+    # carried, with no step or basis; the bisection's first starts from the
+    # grid's chain as it stood after the bracket's low end, that same 0.38,
+    # which is what the grid's next solve started from
     for i, (g, _, (chain, start), _) in enumerate(solves):
         assert chain is solves[0 if i < grid else grid][2][0]
-        if i in (0, grid):
-            assert start.a is None and start.step is None and start.basis is None
+        assert start.basis is None or np.array_equal(start.basis.pzw, g.joint.pzw)
+        if i == 0:
+            assert g.rho == 0.38
+            np.testing.assert_array_equal(start.a, SenderPolicy.truthful(5, 5).a)
+            assert start.step is None and start.basis is None
+        elif i == grid:
+            after_low = solves[1][2][1]
+            np.testing.assert_array_equal(start.a, solves[0][3].policy.a)
+            assert start.step == after_low.step and start.basis is after_low.basis
         else:
             np.testing.assert_array_equal(start.a, solves[i - 1][3].policy.a)
-            assert start.basis is None or np.array_equal(start.basis.pzw, g.joint.pzw)
+            assert start.step is not None and start.basis is not None
     assert solves[grid][2][0] is not solves[0][2][0]
-    # the rho = 0 point runs no phase, so the grid carries a step from its
-    # third point on, and a basis from the point after its first Newton phase
-    entries = [start for _, _, (_, start), _ in solves[:grid]]
-    assert all(start.step is not None for start in entries[2:])
-    first = next(i for i, start in enumerate(entries) if start.basis is not None)
-    assert 2 < first < grid - 50 and all(start.basis is not None for start in entries[first:])
+
+
+def test_bisection_starts_from_the_grid_only_with_run_sweeps_rows(circulant5_sweeps):
+    # plain rows carry no warm start, so sweep_report bisects them cold, to
+    # the same critical ratio
+    warm = circulant5_sweeps["warm"]
+    starts = []
+    inner = sweep_mod._identity_best_response
+
+    def recording(g, settings, start):
+        starts.append(copy.copy(start))
+        return inner(g, settings, start)
+
+    cfg = load_config(preset_text("circulant5"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_mod, "_identity_best_response", recording)
+        report = sweep_report(cfg, list(warm["rows"]), "explicit")
+    assert len(starts) == 4 and starts[0].a is None and starts[0].step is None
+    assert report == warm["report"]
+
+
+def test_sweep_rows_up_to_rho_star_are_the_truthful_encoder(circulant5_sweeps):
+    rows, report = circulant5_sweeps["warm"]["rows"], circulant5_sweeps["warm"]["report"]
+    exact = report["truthful_critical_rho"]
+    assert 0.3789 <= exact["nats"] <= 0.3790 and exact["nats"] <= report["critical_rho"]["nats"]
+    assert exact["bits"] == exact["nats"] * LN2
+    below = [row for row in rows if row.rho <= exact["nats"]]
+    assert len(below) == 38
+    for row in below:
+        assert row.expected_distortion == 0.0 and row.iterations == 0 and row.converged
+        assert row.mutual_information == pytest.approx(CIRCULANT_MI_NATS, rel=1e-12, abs=0.0)
+    assert all(row.expected_distortion > 0.0 for row in rows[len(below):])
 
 
 def test_warm_sweep_converges_at_every_point(circulant5_sweeps):
@@ -132,19 +185,24 @@ def test_warm_and_cold_sweeps_agree_within_their_certificates(circulant5_sweeps)
 
 
 def test_rho_zero_sweep_point_has_a_gradient_and_a_zero_gap(circulant5_sweeps):
-    # the rho = 0 answer is one-hot, on the boundary, where the gradient is
-    # the distortion coefficients alone
-    g, beta, _, res = circulant5_sweeps["warm"]["solves"][0]
-    assert g.rho == 0.0 and res.policy.a.min() == 0.0
+    # the rho = 0 point, like every point up to rho*, is the truthful encoder
+    # without a solve: one-hot, on the boundary, where the gradient at rho =
+    # 0 is the distortion coefficients alone
+    row = circulant5_sweeps["warm"]["rows"][0]
+    assert row.rho == 0.0 and row.iterations == 0 and row.expected_distortion == 0.0
+    g = circulant_game(0.0)
+    res, beta = _truthful_best_response(g, DEFAULT_SETTINGS)
+    assert res.policy.a.min() == 0.0 and res.iterations == 0 and res.converged
     np.testing.assert_array_equal(sender_cost_gradient(g, res.policy, beta), _linear_coeffs(g, beta))
-    assert summed_block_gap(g, beta, res) == 0.0
+    assert summed_block_gap(g, beta, res) == 0.0 == res.stationarity_gap
 
 
 def test_warm_sweep_takes_fewer_iterations(circulant5_sweeps):
     def total(run):
         return sum(res.iterations for _, _, _, res in run["solves"])
 
-    # 635 against 4340 when measured
+    # 613 against 3508 when measured; the truthful points up to rho* take
+    # no solve in either sweep, and cost 0 iterations either way
     assert total(circulant5_sweeps["warm"]) <= 0.4 * total(circulant5_sweeps["cold"])
 
 
@@ -156,3 +214,116 @@ def test_warm_sweep_output_is_byte_deterministic(tmp_path):
         assert result.exit_code == 0, result.output
     for name in ("sweep.csv", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# ------------------------------------------------ the exact critical ratio
+
+
+def truthful_gap(g: GameInstance) -> float:
+    """The truthful encoder's summed block gap against the identity decoder,
+    from the gradient c + rho P{z, w} log P{Z=y, W=w} / (P{Z=y} P{W=w})
+    written out afresh."""
+    m = g.x_space.size
+    t = SenderPolicy.truthful(m, g.w_space.size).a
+    c = _linear_coeffs(g, ReceiverPolicy.identity(m))
+    pzw = g.joint.pzw
+    ratio = np.log(pzw / (pzw.sum(axis=1, keepdims=True) * pzw.sum(axis=0, keepdims=True)))
+    grad = c + g.rho * pzw[None] * ratio[:, None, :]
+    return float(((t * grad).sum(axis=0) - grad.min(axis=0)).sum())
+
+
+def test_truthful_gap_is_zero_exactly_up_to_rho_star():
+    rho_star = _truthful_critical_rho(circulant_game(0.0))
+    assert rho_star == pytest.approx(0.378923, abs=1e-6)
+    for rho in (0.0, 0.2, rho_star * (1.0 - 1e-9)):
+        assert truthful_gap(circulant_game(rho)) == 0.0
+        assert _truthful_best_response(circulant_game(rho), DEFAULT_SETTINGS)[0].stationarity_gap == 0.0
+    assert truthful_gap(circulant_game(rho_star * (1.0 + 1e-6))) > 0.0
+
+
+def test_solver_leaves_the_truthful_encoder_past_rho_star():
+    # 1.3e-13 at rho* (1 - 1e-3) and 2.3e-4 at rho* (1 + 1e-3) when measured
+    rho_star = _truthful_critical_rho(circulant_game(0.0))
+    beta = ReceiverPolicy.identity(5)
+    for factor, low, high in ((1.0 - 1e-3, 0.0, 1e-9), (1.0 + 1e-3, 1e-4, 1e-3)):
+        g = circulant_game(rho_star * factor)
+        res = sender_best_response(g, beta)
+        assert res.converged and low < expected_distortion(g, res.policy, beta) < high
+
+
+def test_rho_star_matches_a_bisection_on_the_truthful_gap():
+    rng = np.random.default_rng(2215)
+    for _ in range(12):
+        m, q = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        pxw = rng.random((m, q)) + 0.02
+        d = rng.random((m, m)) * (1.0 - np.eye(m)) + 0.05 * (1.0 - np.eye(m))
+
+        def game(rho):
+            joint = JointPXZW.from_xw_matrix(pxw / pxw.sum())
+            return GameInstance(joint, DistortionMatrix(d), FiniteSpace(m), rho)
+
+        rho_star = _truthful_critical_rho(game(0.0))
+        lo, hi = 0.0, 1.0
+        while truthful_gap(game(hi)) == 0.0:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-12 * hi:
+            mid = 0.5 * (lo + hi)
+            if truthful_gap(game(mid)) == 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert rho_star == pytest.approx(lo, rel=1e-9)
+
+
+def test_rho_star_is_none_where_its_conditions_fail():
+    joint = JointPXZW.from_xw_matrix(CIRCULANT_MATRIX)
+    assert _truthful_critical_rho(circulant_game(0.4)) is not None
+    # reporting measurement 0 as 1 is cheaper than reporting it truthfully,
+    # so the truthful encoder is not the rho = 0 best response
+    d = np.ones((5, 5)) - np.eye(5)
+    d[0, 0], d[0, 1] = 0.5, 0.2
+    assert _truthful_critical_rho(GameInstance(joint, DistortionMatrix(d), FiniteSpace(5), 0.4)) is None
+    # P{Z, W} has a zero cell, which the truthful encoder leaves empty
+    pxw = CIRCULANT_MATRIX.copy()
+    pxw[0, 3] = 0.0
+    sparse = JointPXZW.from_xw_matrix(pxw / pxw.sum())
+    assert _truthful_critical_rho(GameInstance(sparse, hamming_distortion(5), FiniteSpace(5), 0.4)) is None
+    # no truthful encoder without a message per state
+    assert _truthful_critical_rho(GameInstance(joint, hamming_distortion(5), FiniteSpace(4), 0.4)) is None
+
+
+def test_sweep_without_rho_star_solves_every_point():
+    pxw = CIRCULANT_MATRIX.copy()
+    pxw[0, 3] = 0.0
+    cfg = load_config(json.dumps({
+        "schema_version": 1, "x_size": 5, "w_size": 5, "y_size": 5,
+        "joint": JointPXZW.from_xw_matrix(pxw / pxw.sum()).p.tolist(),
+        "rho": {"start": 0.2, "stop": 0.6, "steps": 5},
+    }))
+    rows = run_sweep(cfg)
+    report = sweep_report(cfg, rows, "explicit")
+    assert report["truthful_critical_rho"] is None and report["all_converged"]
+    assert all(row.expected_distortion > 0.0 for row in rows)
+
+
+def test_truthful_point_above_rho_star_falls_back_to_a_solve(monkeypatch):
+    # with rho* overstated, the points between the true rho* and the stated
+    # one find the truthful encoder's gap above grad_tol and are solved
+    cfg = circulant_sweep_config("nats", 0.3, 0.5, 5)
+    rows = run_sweep(cfg)
+    monkeypatch.setattr(sweep_mod, "_exact_critical", lambda cfg, method: 0.5)
+    overstated = run_sweep(cfg)
+    assert [row.iterations == 0 for row in overstated] == [True, True, False, False, False]
+    assert [row.expected_distortion == 0.0 for row in overstated] == [True, True, False, False, False]
+    for row, want in zip(overstated, rows):
+        assert row.converged
+        assert row.potential == pytest.approx(want.potential, abs=1e-8)
+
+
+def test_bits_sweep_reports_rho_star_in_both_bases():
+    reports = {}
+    for base in ("nats", "bits"):
+        cfg = circulant_sweep_config(base, 0.2, 0.6, 5)
+        reports[base] = sweep_report(cfg, run_sweep(cfg), "explicit")
+    assert reports["nats"]["truthful_critical_rho"] == reports["bits"]["truthful_critical_rho"]
+    assert reports["bits"]["truthful_critical_rho"]["bits"] <= reports["bits"]["critical_rho"]["bits"]
