@@ -325,8 +325,9 @@ def sender_best_response_multi(
 @dataclass(frozen=True)
 class MultiEpsilonNashReport:
     """Sender j's best improvement lies in [sender_gaps[j], sender_gaps[j] +
-    sender_stationarity_gaps[j]]; member means every upper end and
-    receiver_gap are at most epsilon (epsilon_nash_check_multi)."""
+    sender_stationarity_gaps[j]]; member applies EpsilonNashReport's test
+    to every sender (epsilon_nash_check_multi), so a clamped sender gap can
+    leave an upper end above epsilon in a member."""
 
     member: bool
     receiver_gap: float

@@ -120,8 +120,11 @@ def _verdict(member: bool, gaps, epsilon: float) -> str:
 @dataclass(frozen=True)
 class EpsilonNashReport:
     """The sender's best improvement lies in [sender_gap, sender_gap +
-    sender_stationarity_gap]; member means the upper end and receiver_gap
-    are at most epsilon (epsilon_nash_check)."""
+    sender_stationarity_gap], measured at an encoder ref. member means
+    receiver_gap <= epsilon and ref.cost - ref.stationarity_gap >= own -
+    epsilon, own the sender's cost (epsilon_nash_check); where sender_gap
+    was clamped at 0 the upper end can exceed epsilon in a member, and the
+    interval still contains the improvement."""
 
     member: bool
     sender_gap: float
@@ -216,18 +219,24 @@ def _gradient(c: np.ndarray, rho_pzw: np.ndarray, logratio: np.ndarray) -> np.nd
     return c + rho_pzw * logratio[:, None, :]
 
 
+def _has_gradient(pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> bool:
+    """Whether the cost has a finite gradient at a: rho is 0, or every (y, w)
+    cell of a secret with mass carries mass. Then a's summed block gap
+    (_block_gaps) bounds its cost above the optimum, on the boundary too."""
+    return bool(rho == 0.0 or a.all() or _joint_yw(pzw, a)[:, pw > 0.0].all())
+
+
 def sender_cost_gradient(g: GameInstance, alpha: SenderPolicy, beta: ReceiverPolicy) -> np.ndarray:
-    """Coordinate gradient of the sender cost at an interior encoder.
+    """Coordinate gradient of the sender cost at an encoder that has one.
 
     Entry (y, z, w) is the distortion coefficient plus rho times
-    P{Z=z, W=w} log [ P{Y=y, W=w} / (P{Y=y} P{W=w}) ]. At rho = 0 it is the
-    distortion coefficients alone, defined on the boundary too, so any
-    encoder is accepted there.
+    P{Z=z, W=w} log [ P{Y=y, W=w} / (P{Y=y} P{W=w}) ]. Encoders without a
+    finite gradient (_has_gradient) are refused.
     """
     g.check_sender(alpha)
     g.check_receiver(beta)
-    if g.rho != 0.0 and np.any(alpha.a <= 0.0):
-        raise ValueError("gradient requires a strictly positive (interior) encoder")
+    if not _has_gradient(g.joint.pzw, g.joint.pw, g.rho, alpha.a):
+        raise ValueError("gradient requires every (message, secret) cell with mass to carry mass")
     pzw = g.joint.pzw
     _, logratio = _leakage_parts(alpha.a, pzw, _log_floored(g.joint.pw))
     return _gradient(_linear_coeffs(g, beta), g.rho * pzw, logratio)
@@ -240,8 +249,8 @@ def _block_gaps(a: np.ndarray, grad: np.ndarray, low: np.ndarray | None = None) 
     has it at hand. By convexity the sum of the gaps, the Frank-Wolfe
     duality gap, bounds the cost of a above the optimum: the solver's
     certificate. The largest gap alone bounds nothing, and the solver reads
-    it only as a progress measure. Valid whenever a is strictly positive,
-    which every iterate is, or rho is 0.
+    it only as a progress measure. Valid wherever the cost has a gradient
+    at a (_has_gradient), as at every iterate, which is strictly positive.
     """
     return (a * grad).sum(axis=0) - (grad.min(axis=0) if low is None else low)
 
@@ -925,8 +934,11 @@ def _minimize_over_blocks(
 ):
     """Minimize (c . a) + rho * leakage over the product of message simplices.
 
-    Starts from the uniform encoder, or from start.a floored at _FREEZE_MASS
-    and renormalized per block, so that every coordinate can still grow.
+    A start.a with a zero entry that has a gradient (_has_gradient) and a
+    summed block gap within grad_tol is returned as it stands, with 0
+    iterations, and start is left as it was. Otherwise the solve starts from the uniform encoder, or from
+    start.a floored at _FREEZE_MASS and renormalized per block, so that
+    every coordinate can still grow.
     Alternates a multiplicative-weights phase that shapes the support with
     an active-set Newton phase that closes the gap, keeping the iterate
     with the smallest largest block gap across rounds; each phase hands the
@@ -958,17 +970,25 @@ def _minimize_over_blocks(
         a[rows, mi, qi] = 1.0
         start.a = a
         return a, float((c * a).sum()), 0, True, 0.0
-    if start.a is None:
+    a = start.a
+    if a is not None and not a.all() and _has_gradient(pzw, pw, rho, a):
+        # the floor below would move a off its face
+        cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
+        total = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
+        if total <= settings.grad_tol:
+            return a, cost, 0, True, total
+    if a is None:
         a = np.full_like(c, 1.0 / c.shape[0])
     else:
-        a = np.maximum(start.a, _FREEZE_MASS)
+        a = np.maximum(a, _FREEZE_MASS)
         a /= a.sum(axis=0)[None, :, :]
     cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
     step, basis = start.step, start.basis
     if basis is not None and not np.array_equal(basis.pzw, pzw):
         basis = None
 
-    best = (np.inf, a, cost, logratio)
+    # with the iterate's summed gap, so that it is at hand if it is returned
+    best = (np.inf, a, cost, logratio, np.inf)
     spent = 0
     while spent < settings.max_iters:
         round_entry = best[0]
@@ -982,7 +1002,7 @@ def _minimize_over_blocks(
         step = None
         spent += used
         if gap < best[0]:
-            best = (gap, a, cost, logratio)
+            best = (gap, a, cost, logratio, total)
         if conv or spent >= settings.max_iters:
             break
         a, cost, logratio, gap, used, conv, basis, total = _newton_polish(
@@ -990,13 +1010,12 @@ def _minimize_over_blocks(
         )
         spent += used
         if gap < best[0]:
-            best = (gap, a, cost, logratio)
+            best = (gap, a, cost, logratio, total)
         # neither phase moved the largest gap much: stuck, stop honestly
         if conv or best[0] > 0.9 * round_entry:
             break
     if not conv:
-        _, a, cost, logratio = best
-        total = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
+        _, a, cost, logratio, total = best
     start.a, start.step, start.basis = a, next_step, basis
     return a, cost, spent, total <= settings.grad_tol, total
 
@@ -1011,7 +1030,10 @@ def sender_best_response(
 
     The solver starts from the uniform encoder, or from start when given:
     typically the answer to a nearby problem, such as the previous point of
-    a sweep. start must have this game's shape; its entries are floored at
+    a sweep. start must have this game's shape. A start with a zero entry
+    whose own summed block gap certifies it (_has_gradient) is the answer,
+    with 0 iterations, as the truthful encoder is against the identity
+    decoder up to the critical ratio. Any other start is floored at
     _FREEZE_MASS (1e-10) and each block renormalized, so a zero entry can
     still grow. The answer is certified the same way from either start.
     """
@@ -1076,15 +1098,15 @@ def _improvement_reference(
     own - ref.cost + ref.stationarity_gap] by convexity (_block_gaps), and
     ref.cost - ref.stationarity_gap >= own - epsilon proves that it is at
     most epsilon. ref is alpha itself, at cost own and without a solve, when
-    alpha is interior or rho is 0 and its own summed gap is at most epsilon.
-    Otherwise ref is the answer of a solve floored at own - epsilon
-    (_minimize_over_blocks): it stops at the first iterate that proves the
+    the cost has a gradient at alpha (_has_gradient) and alpha's own summed
+    gap is at most epsilon. Otherwise ref is the answer of a solve floored
+    at own - epsilon (_minimize_over_blocks): it stops at the first iterate that proves the
     bound, and a solve that never does returns the unfloored answer. Either
     way own - ref.cost > epsilon exactly when it holds for the unfloored
     answer, so play that adopts on that test takes the same path.
     """
     a = alpha.a
-    if rho == 0.0 or np.all(a > 0.0):
+    if _has_gradient(pzw, pw, rho, a):
         _, logratio = _leakage_parts(a, pzw, _log_floored(pw))
         gap = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
         if gap <= epsilon:
@@ -1110,9 +1132,10 @@ def epsilon_nash_check(
     block gap settles the question, else the first solver iterate that
     does, else a full best response. No improvement is negative, so
     sender_gap is clamped at 0 where that encoder costs more than alpha.
-    member requires the receiver gap and the interval's upper end to be at
-    most epsilon, so it is a proof; a pair whose best response the solver
-    cannot certify closely enough is not a member.
+    member requires the receiver gap, and alpha's cost minus that encoder's
+    certified lower bound on the optimum (its cost minus its summed gap), to
+    be at most epsilon, so it is a proof; a pair whose best response the
+    solver cannot certify closely enough is not a member.
     """
     _check_epsilon(epsilon)
     own = sender_cost(g, alpha, beta)

@@ -10,18 +10,7 @@ from .config import GameConfig, SweepSpec
 from .dynamics import default_initial_pair, thresholded_dynamics
 from .game import GameInstance, ReceiverPolicy, SenderPolicy, expected_distortion, leakage
 from .prob import LN2
-from .solve import (
-    BestResponseResult,
-    SolverSettings,
-    _block_gaps,
-    _gradient,
-    _identity_best_response,
-    _leakage_parts,
-    _linear_coeffs,
-    _log_floored,
-    _objective_parts,
-    _WarmStart,
-)
+from .solve import _identity_best_response, _leakage_parts, _linear_coeffs, _log_floored, _WarmStart
 
 #: Distortion at or below this counts as "zero" when locating the transition.
 ZERO_DISTORTION = 1e-3
@@ -75,25 +64,6 @@ def _truthful_critical_rho(g: GameInstance) -> float | None:
     return float((rise[bounding] / drop[bounding]).min()) if bounding.any() else math.inf
 
 
-def _truthful_best_response(
-    g: GameInstance, settings: SolverSettings
-) -> tuple[BestResponseResult, ReceiverPolicy]:
-    """The truthful encoder as the answer to the identity decoder, with 0
-    iterations, and that decoder.
-
-    Its certificate is its own summed block gap under the exact gradient,
-    which every (y, w) cell having mass makes defined on the boundary; up to
-    _truthful_critical_rho it is 0 but for rounding. converged says whether
-    it meets grad_tol.
-    """
-    beta = ReceiverPolicy.identity(g.x_space.size)
-    a = SenderPolicy.truthful(g.x_space.size, g.w_space.size)
-    c, pzw = _linear_coeffs(g, beta), g.joint.pzw
-    cost, logratio = _objective_parts(c, pzw, _log_floored(g.joint.pw), g.rho, a.a)
-    gap = float(_block_gaps(a.a, _gradient(c, g.rho * pzw, logratio)).sum())
-    return BestResponseResult(a, cost, 0, gap <= settings.grad_tol, gap), beta
-
-
 class _SweepRows(list):
     """run_sweep's rows, and as seed the chain's warm start as it stood
     after the bracket's low end (critical_rho_from_rows): (that row's rho,
@@ -102,45 +72,37 @@ class _SweepRows(list):
     seed = None
 
 
-def _exact_critical(cfg: GameConfig, method: str) -> float | None:
-    """The explicit construction's exact critical ratio in nats
-    (_truthful_critical_rho); None for the dynamics method. It does not
-    depend on rho, so it is read off the config's shared joint and
-    distortion, without building a point's game."""
-    if method != "explicit":
-        return None
+def _game_at_zero(cfg: GameConfig) -> GameInstance:
+    """The config's game at rho = 0, built from its shared joint and
+    distortion rather than by build_single, since it is no sweep point."""
     joint, distortion = cfg._single_parts
-    return _truthful_critical_rho(GameInstance(joint, distortion, cfg.y_spaces[0], 0.0))
+    return GameInstance(joint, distortion, cfg.y_spaces[0], 0.0)
 
 
-def _explicit_answer(
-    g: GameInstance, settings: SolverSettings, chain: _WarmStart, rho_star: float | None
-) -> tuple[BestResponseResult, ReceiverPolicy]:
-    """The sender's answer to the identity decoder, and that decoder.
+def _chain(cfg: GameConfig, method: str) -> _WarmStart:
+    """A new continuation chain, started for the explicit method from the
+    exact rho = 0 answer to the identity decoder.
 
-    At or below rho_star (nats) it is the truthful encoder itself when its
-    own gap certifies it; otherwise a best response from the chain's warm
-    start. Either way the chain carries the answer on to its next point.
+    Up to the truthful critical ratio (_truthful_critical_rho) that answer,
+    the truthful encoder, certifies itself by its own summed gap, so each
+    point returns it as it stands, with 0 iterations (sender_best_response),
+    and hands it on to the next.
     """
-    if rho_star is not None and g.rho <= rho_star:
-        res, beta = _truthful_best_response(g, settings)
-        if res.converged:
-            chain.a = res.policy.a
-            return res, beta
-    return _identity_best_response(g, settings, chain)
+    chain = _WarmStart()
+    if method == "explicit":
+        _identity_best_response(_game_at_zero(cfg), cfg.solver, chain)
+    return chain
 
 
-def _point(
-    cfg: GameConfig, rho: float, method: str, chain: _WarmStart, rho_star: float | None = None
-) -> SweepRow:
+def _point(cfg: GameConfig, rho: float, method: str, chain: _WarmStart) -> SweepRow:
     """Solve one point and return its row.
 
-    The explicit method answers from the chain (_explicit_answer); the
-    dynamics method always starts cold.
+    The explicit method starts from the chain and updates it; the dynamics
+    method always starts cold.
     """
     g = cfg.build_single(rho)
     if method == "explicit":
-        res, beta = _explicit_answer(g, cfg.solver, chain, rho_star)
+        res, beta = _identity_best_response(g, cfg.solver, chain)
         alpha = res.policy
         iterations, converged = res.iterations, res.converged
     elif method == "dynamics":
@@ -160,17 +122,16 @@ def run_sweep(cfg: GameConfig, method: str = "explicit") -> list[SweepRow]:
 
     Neighbouring points have nearly the same optimum and the same P{Z, W},
     so with the explicit method each point starts from the previous point's
-    encoder, mirror step and Newton basis, and the points up to the exact
-    critical ratio take the truthful encoder without a solve. The rows also
-    carry the warm start at the bracket's low end, which sweep_report's
-    bisection starts from.
+    encoder, mirror step and Newton basis, the first from the rho = 0
+    answer (_chain). The rows also carry the warm start at the bracket's
+    low end, which sweep_report's bisection starts from.
     """
     if not isinstance(cfg.rho, SweepSpec):
         raise ValueError("config rho must be a sweep specification")
-    rows, chain, rho_star = _SweepRows(), _WarmStart(), _exact_critical(cfg, method)
+    rows, chain = _SweepRows(), _chain(cfg, method)
     low_end = None  # the last row's seed while its distortion is zero
     for r in cfg.rho.grid():
-        row = _point(cfg, float(r), method, chain, rho_star)
+        row = _point(cfg, float(r), method, chain)
         rows.append(row)
         if row.expected_distortion <= ZERO_DISTORTION:
             low_end = (row.rho, _WarmStart(chain.a, chain.step, chain.basis))
@@ -183,15 +144,14 @@ def run_sweep(cfg: GameConfig, method: str = "explicit") -> list[SweepRow]:
 def _bisect_critical(
     cfg: GameConfig, method: str, lo: float, hi: float, start: _WarmStart | None = None
 ) -> float | None:
-    """Bisect [lo, hi]; the first point starts from start, or cold, and each
-    later one from the previous one's encoder, mirror step and Newton basis.
-    Returns None at the first point that does not converge, since its
-    distortion proves nothing."""
-    chain = _WarmStart() if start is None else _WarmStart(start.a, start.step, start.basis)
-    rho_star = _exact_critical(cfg, method)
+    """Bisect [lo, hi]; the first point starts from start, or from a new
+    chain (_chain), and each later one from the previous one's encoder,
+    mirror step and Newton basis. Returns None at the first point that does
+    not converge, since its distortion proves nothing."""
+    chain = _chain(cfg, method) if start is None else _WarmStart(start.a, start.step, start.basis)
     while hi - lo > CRITICAL_WIDTH:
         mid = 0.5 * (lo + hi)
-        row = _point(cfg, mid, method, chain, rho_star)
+        row = _point(cfg, mid, method, chain)
         if not row.converged:
             return None
         if row.expected_distortion <= ZERO_DISTORTION:
@@ -253,7 +213,7 @@ def sweep_report(cfg: GameConfig, rows: list[SweepRow], method: str) -> dict:
         "critical_rho": critical,
     }
     if method == "explicit":
-        exact = _exact_critical(cfg, method)
+        exact = _truthful_critical_rho(_game_at_zero(cfg))
         finite = exact is not None and math.isfinite(exact)
         report["truthful_critical_rho"] = {"nats": exact, "bits": exact * LN2} if finite else None
     report["all_converged"] = bisection_converged and all(r.converged for r in rows)

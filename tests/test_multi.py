@@ -459,7 +459,7 @@ def play_fingerprint(report):
 def skip_cases():
     """(name, game, encoders, decoder, seed): seeded n = 2 and n = 3 games at
     rho 0.4, the binary game at rho 0, and a rho > 0 start whose first
-    encoder has a zero entry."""
+    encoder has zero entries and leaves message 1 unused under secret 0."""
     cases = []
     # draws whose play adopts moves of both kinds before it freezes
     for n, draw in ((2, 45), (3, 31)):
@@ -471,7 +471,7 @@ def skip_cases():
     g = two_sender_binary()
     alphas, beta = random_state(np.random.default_rng(13), g)
     a = alphas[0].a.copy()
-    a[:, 0, 0] = (1.0, 0.0)
+    a[:, :, 0] = ((1.0, 1.0), (0.0, 0.0))
     cases.append(("zero_entry", g, alphas.replace(0, SenderPolicy(a)), beta, 3))
     return cases
 
@@ -497,9 +497,9 @@ def test_certificate_skip_leaves_play_unchanged(monkeypatch):
             skipped = ref.policy is alpha
             skips[name] += skipped
             floored[name] += not skipped and own - ref.cost <= epsilon
-            if rho > 0.0 and np.any(alpha.a == 0.0):
-                # the gradient bounds nothing there, so even an epsilon
-                # above any gap is decided by a solve
+            if rho > 0.0 and not np.einsum("yzw,zw->yw", alpha.a, pzw)[:, pw > 0.0].all():
+                # an emptied (y, w) cell leaves the cost without a gradient,
+                # so even an epsilon above any gap is decided by a solve
                 assert decide(c, pzw, pw, rho, alpha, own, 1e9, settings).policy is not alpha
                 zero_solves[name] += 1
             return ref
@@ -513,7 +513,8 @@ def test_certificate_skip_leaves_play_unchanged(monkeypatch):
 
     assert all(count > 0 for count in skips.values()), skips
     assert sum(floored.values()) > 0, floored
-    # the start's zero-entry encoder faced a solve when its sender was drawn
+    # the start's encoder with an emptied cell faced a solve when its sender
+    # was drawn
     assert zero_solves["zero_entry"] > 0
 
 
@@ -722,11 +723,15 @@ def test_improvement_bound_is_sound():
 
 
 def test_epsilon_checks_clamp_sender_gaps_at_zero():
-    # the truthful encoder costs 0.06 here, and the solve floored at its
-    # cost - epsilon stops at once at the uniform start, which costs 0.8;
-    # no move improves by a negative amount, so both checks report 0
+    # the truthful encoder with measurement 1 reported as message 0 under
+    # secret 0 costs 0.086 here and leaves message 1 unused there, so it has
+    # no gradient; the solve floored at its cost - epsilon stops at once at
+    # the uniform start, which costs 0.8. No move improves by a negative
+    # amount, so both checks report 0
     g, eps = circulant_game(0.1), 0.1
-    alpha, beta = SenderPolicy.truthful(5, 5), ReceiverPolicy.identity(5)
+    a = SenderPolicy.truthful(5, 5).a.copy()
+    a[:, 1, 0] = np.eye(5)[0]
+    alpha, beta = SenderPolicy(a), ReceiverPolicy.identity(5)
     own = sender_cost(g, alpha, beta)
     ref = solve_module._improvement_reference(
         solve_module._linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho, alpha, own, eps,

@@ -300,9 +300,74 @@ def test_leakage_parts_match_masked_reference_to_the_bit():
 
 
 def test_gradient_requires_interior_point():
+    # the truthful encoder, on the boundary, loads every (y, w) cell and has
+    # a gradient; reporting measurement 1 as message 0 empties message 1
     g = circulant_game(1.0)
-    with pytest.raises(ValueError, match="interior"):
-        sender_cost_gradient(g, SenderPolicy.truthful(5, 5), ReceiverPolicy.identity(5))
+    sender_cost_gradient(g, SenderPolicy.truthful(5, 5), ReceiverPolicy.identity(5))
+    a = SenderPolicy.truthful(5, 5).a.copy()
+    a[:, 1, :] = a[:, 0, :]
+    with pytest.raises(ValueError, match="cell"):
+        sender_cost_gradient(g, SenderPolicy(a), ReceiverPolicy.identity(5))
+
+
+def boundary_encoder(rng, r: int, m: int, q: int, empty_cell: bool) -> np.ndarray:
+    """A random encoder that never sends message 0 from measurement 0, so
+    that it loads every (y, w) cell through the other measurements; with
+    empty_cell, message 0 is unused under secret 0 too."""
+    a = rng.random((r, m, q)) + 0.05
+    a[0, 0, :] = 0.0
+    if empty_cell:
+        a[0, :, 0] = 0.0
+    return a / a.sum(axis=0)
+
+
+def test_own_gap_certifies_boundary_encoders_that_load_every_cell():
+    # where every (y, w) cell carries mass the cost has a gradient on the
+    # boundary too: it matches one-sided differences along the moves that
+    # keep each block's mass, and the encoder's own summed gap bounds its
+    # cost above the optimum. An encoder that empties a cell has none
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        m, q, r = (int(v) for v in rng.integers(2, 5, 3))
+        g = random_game(rng, m, q, r, 0.05 + float(rng.random()) * 2.0)
+        beta = random_receiver(rng, m, r)
+        alpha = SenderPolicy(boundary_encoder(rng, r, m, q, empty_cell=False))
+        grad = sender_cost_gradient(g, alpha, beta)
+        own = sender_cost(g, alpha, beta)
+        solved = sender_best_response(g, beta)
+        assert solved.converged
+        gap = float(privsig.solve._block_gaps(alpha.a, grad).sum())
+        assert own - gap <= solved.cost + 1e-12
+        h = 1e-7
+        for k in range(6):
+            # the first move grows a zero entry, (0, 0, w)
+            z, w = (0 if k == 0 else int(rng.integers(m))), int(rng.integers(q))
+            src = int(rng.choice(np.flatnonzero(alpha.a[:, z, w] > h)))
+            dst = 0 if k == 0 else int(rng.choice([y for y in range(r) if y != src]))
+            moved = alpha.a.copy()
+            moved[src, z, w] -= h
+            moved[dst, z, w] += h
+            slope = (sender_cost(g, SenderPolicy(moved), beta) - own) / h
+            assert slope == pytest.approx(grad[dst, z, w] - grad[src, z, w], rel=1e-4, abs=1e-5)
+
+        empty = SenderPolicy(boundary_encoder(rng, r, m, q, empty_cell=True))
+        with pytest.raises(ValueError, match="cell"):
+            sender_cost_gradient(g, empty, beta)
+        c, pzw, pw = _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
+        cost = sender_cost(g, empty, beta)
+        ref = privsig.solve._improvement_reference(
+            c, pzw, pw, g.rho, empty, cost, 1e9, DEFAULT_SETTINGS
+        )
+        assert ref.policy is not empty
+        res = sender_best_response(g, beta, start=empty)
+        assert res.converged and res.policy.a.min() > 0.0
+
+    check()
 
 
 # ------------------------------------------------------------- sender BR
@@ -1034,7 +1099,8 @@ def test_sender_br_newton_phase_stays_within_max_iters():
 
 def test_sender_br_start_with_zeros_is_floored(monkeypatch):
     # the truthful encoder has exact zeros, which multiplicative steps could
-    # never lift; the solver starts from it floored and renormalized
+    # never lift; past rho* = 0.3789 its own gap does not certify it, and the
+    # solver starts from it floored and renormalized
     g = circulant_game(0.38)
     beta = ReceiverPolicy.identity(5)
     start = SenderPolicy.truthful(5, 5)
@@ -1055,6 +1121,28 @@ def test_sender_br_start_with_zeros_is_floored(monkeypatch):
     cold = sender_best_response(g, beta)
     bound = summed_block_gap(g, beta, warm) + summed_block_gap(g, beta, cold)
     assert abs(warm.cost - cold.cost) <= bound + 1e-15 * max(1.0, abs(cold.cost))
+
+
+def test_sender_br_checks_only_a_start_with_a_zero_entry(monkeypatch):
+    # an interior start is never checked, and a start with a zero entry whose
+    # own gap is above grad_tol is checked and then solved: both run the
+    # iterates of a solve that makes no check
+    g, beta = circulant_game(0.5), ReceiverPolicy.identity(5)
+    has_gradient = privsig.solve._has_gradient
+    interior = random_sender(np.random.default_rng(5), 5, 5, 5)
+    for start, checks in ((interior, 0), (SenderPolicy.truthful(5, 5), 1)):
+        checked = []
+        monkeypatch.setattr(
+            privsig.solve, "_has_gradient", lambda *args: checked.append(1) or has_gradient(*args)
+        )
+        res = sender_best_response(g, beta, start=start)
+        monkeypatch.setattr(privsig.solve, "_has_gradient", lambda *args: False)
+        unchecked = sender_best_response(g, beta, start=start)
+        assert len(checked) == checks and res.iterations > 0
+        np.testing.assert_array_equal(res.policy.a, unchecked.policy.a)
+        assert (res.cost, res.iterations, res.stationarity_gap) == (
+            unchecked.cost, unchecked.iterations, unchecked.stationarity_gap
+        )
 
 
 def test_sender_br_start_of_wrong_shape_is_rejected():

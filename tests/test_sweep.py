@@ -18,14 +18,8 @@ from privsig.game import (
     hamming_distortion,
 )
 from privsig.prob import LN2, FiniteSpace, JointPXZW
-from privsig.solve import DEFAULT_SETTINGS, _linear_coeffs, sender_best_response, sender_cost_gradient
-from privsig.sweep import (
-    CRITICAL_WIDTH,
-    _truthful_best_response,
-    _truthful_critical_rho,
-    run_sweep,
-    sweep_report,
-)
+from privsig.solve import _linear_coeffs, sender_best_response, sender_cost_gradient
+from privsig.sweep import CRITICAL_WIDTH, _truthful_critical_rho, run_sweep, sweep_report
 
 
 def circulant_sweep_config(log_base: str, start: float, stop: float, steps: int):
@@ -97,37 +91,44 @@ def circulant5_sweeps():
 def test_sweep_points_start_from_the_previous_point(circulant5_sweeps):
     warm = circulant5_sweeps["warm"]
     solves, grid = warm["solves"], warm["grid"]
-    # the 38 grid points up to rho* = 0.3789 take the truthful encoder
-    # without a solve, so the grid solves 63 points and the bisection 4
-    assert grid == 63 and len(solves) == grid + 4
+    # the grid's chain starts with the exact rho = 0 answer and then solves
+    # its 101 points; the bisection, seeded from the grid, solves 4
+    assert grid == 102 and len(solves) == grid + 4
     # the grid and the bisection each have a chain of their own. Every solve
     # starts from the previous point's answer, with the step the previous
     # solve's last mirror phase would have taken next and its last Newton
-    # basis, built for the same P{Z, W}. The grid's first solve, at rho =
-    # 0.38, starts from the truthful encoder that the points before it
-    # carried, with no step or basis; the bisection's first starts from the
-    # grid's chain as it stood after the bracket's low end, that same 0.38,
-    # which is what the grid's next solve started from
+    # basis, built for the same P{Z, W}. The 38 points up to rho* = 0.3789
+    # return the truthful encoder they start from as it stands, so the first
+    # point that moves, rho = 0.38, starts from it with no step or basis;
+    # the bisection's first starts from the grid's chain as it stood after
+    # the bracket's low end, that same 0.38, which is what the grid's next
+    # solve started from
+    first = next(i for i, (_, _, _, res) in enumerate(solves) if res.iterations > 0)
+    assert first == 39 and solves[first][0].rho == 0.38
+    truthful = SenderPolicy.truthful(5, 5).a
     for i, (g, _, (chain, start), _) in enumerate(solves):
         assert chain is solves[0 if i < grid else grid][2][0]
         assert start.basis is None or np.array_equal(start.basis.pzw, g.joint.pzw)
         if i == 0:
-            assert g.rho == 0.38
-            np.testing.assert_array_equal(start.a, SenderPolicy.truthful(5, 5).a)
-            assert start.step is None and start.basis is None
+            assert g.rho == 0.0 and start.a is None
         elif i == grid:
-            after_low = solves[1][2][1]
-            np.testing.assert_array_equal(start.a, solves[0][3].policy.a)
+            after_low = solves[first + 1][2][1]
+            np.testing.assert_array_equal(start.a, solves[first][3].policy.a)
             assert start.step == after_low.step and start.basis is after_low.basis
         else:
             np.testing.assert_array_equal(start.a, solves[i - 1][3].policy.a)
-            assert start.step is not None and start.basis is not None
+            if i <= first:
+                np.testing.assert_array_equal(start.a, truthful)
+                assert start.step is None and start.basis is None
+            else:
+                assert start.step is not None and start.basis is not None
     assert solves[grid][2][0] is not solves[0][2][0]
 
 
 def test_bisection_starts_from_the_grid_only_with_run_sweeps_rows(circulant5_sweeps):
-    # plain rows carry no warm start, so sweep_report bisects them cold, to
-    # the same critical ratio
+    # plain rows carry no warm start, so sweep_report bisects them from a
+    # chain of its own, started with the exact rho = 0 answer, to the same
+    # critical ratio
     warm = circulant5_sweeps["warm"]
     starts = []
     inner = sweep_mod._identity_best_response
@@ -140,7 +141,9 @@ def test_bisection_starts_from_the_grid_only_with_run_sweeps_rows(circulant5_swe
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sweep_mod, "_identity_best_response", recording)
         report = sweep_report(cfg, list(warm["rows"]), "explicit")
-    assert len(starts) == 4 and starts[0].a is None and starts[0].step is None
+    assert len(starts) == 5 and starts[0].a is None and starts[0].step is None
+    np.testing.assert_array_equal(starts[1].a, SenderPolicy.truthful(5, 5).a)
+    assert starts[1].step is None and starts[1].basis is None
     assert report == warm["report"]
 
 
@@ -186,13 +189,13 @@ def test_warm_and_cold_sweeps_agree_within_their_certificates(circulant5_sweeps)
 
 def test_rho_zero_sweep_point_has_a_gradient_and_a_zero_gap(circulant5_sweeps):
     # the rho = 0 point, like every point up to rho*, is the truthful encoder
-    # without a solve: one-hot, on the boundary, where the gradient at rho =
-    # 0 is the distortion coefficients alone
+    # with 0 iterations: one-hot, on the boundary, where the gradient at rho
+    # = 0 is the distortion coefficients alone
     row = circulant5_sweeps["warm"]["rows"][0]
     assert row.rho == 0.0 and row.iterations == 0 and row.expected_distortion == 0.0
-    g = circulant_game(0.0)
-    res, beta = _truthful_best_response(g, DEFAULT_SETTINGS)
-    assert res.policy.a.min() == 0.0 and res.iterations == 0 and res.converged
+    g, beta, _, res = circulant5_sweeps["warm"]["solves"][1]
+    assert g.rho == 0.0 and res.iterations == 0 and res.converged
+    np.testing.assert_array_equal(res.policy.a, SenderPolicy.truthful(5, 5).a)
     np.testing.assert_array_equal(sender_cost_gradient(g, res.policy, beta), _linear_coeffs(g, beta))
     assert summed_block_gap(g, beta, res) == 0.0 == res.stationarity_gap
 
@@ -201,8 +204,8 @@ def test_warm_sweep_takes_fewer_iterations(circulant5_sweeps):
     def total(run):
         return sum(res.iterations for _, _, _, res in run["solves"])
 
-    # 613 against 3508 when measured; the truthful points up to rho* take
-    # no solve in either sweep, and cost 0 iterations either way
+    # 613 against 4340 when measured; the cold sweep also solves the points
+    # up to rho*, which the warm one returns as they start, with 0 iterations
     assert total(circulant5_sweeps["warm"]) <= 0.4 * total(circulant5_sweeps["cold"])
 
 
@@ -235,10 +238,17 @@ def truthful_gap(g: GameInstance) -> float:
 def test_truthful_gap_is_zero_exactly_up_to_rho_star():
     rho_star = _truthful_critical_rho(circulant_game(0.0))
     assert rho_star == pytest.approx(0.378923, abs=1e-6)
+    # started there, the solve returns the truthful encoder as it stands
+    truthful, beta = SenderPolicy.truthful(5, 5), ReceiverPolicy.identity(5)
     for rho in (0.0, 0.2, rho_star * (1.0 - 1e-9)):
         assert truthful_gap(circulant_game(rho)) == 0.0
-        assert _truthful_best_response(circulant_game(rho), DEFAULT_SETTINGS)[0].stationarity_gap == 0.0
-    assert truthful_gap(circulant_game(rho_star * (1.0 + 1e-6))) > 0.0
+        res = sender_best_response(circulant_game(rho), beta, start=truthful)
+        np.testing.assert_array_equal(res.policy.a, truthful.a)
+        assert res.iterations == 0 and res.converged and res.stationarity_gap == 0.0
+    above = circulant_game(rho_star * (1.0 + 1e-6))
+    assert truthful_gap(above) > 0.0
+    res = sender_best_response(above, beta, start=truthful)
+    assert res.iterations > 0 and res.converged and res.policy.a.min() > 0.0
 
 
 def test_solver_leaves_the_truthful_encoder_past_rho_star():
@@ -306,18 +316,44 @@ def test_sweep_without_rho_star_solves_every_point():
     assert all(row.expected_distortion > 0.0 for row in rows)
 
 
-def test_truthful_point_above_rho_star_falls_back_to_a_solve(monkeypatch):
-    # with rho* overstated, the points between the true rho* and the stated
-    # one find the truthful encoder's gap above grad_tol and are solved
+def test_truthful_point_above_rho_star_falls_back_to_a_solve():
+    # past rho* the truthful encoder the chain carries has a summed gap above
+    # grad_tol, so those points are solved, to the answers of cold solves
     cfg = circulant_sweep_config("nats", 0.3, 0.5, 5)
     rows = run_sweep(cfg)
-    monkeypatch.setattr(sweep_mod, "_exact_critical", lambda cfg, method: 0.5)
-    overstated = run_sweep(cfg)
-    assert [row.iterations == 0 for row in overstated] == [True, True, False, False, False]
-    assert [row.expected_distortion == 0.0 for row in overstated] == [True, True, False, False, False]
-    for row, want in zip(overstated, rows):
-        assert row.converged
+    assert [row.iterations == 0 for row in rows] == [True, True, False, False, False]
+    assert [row.expected_distortion == 0.0 for row in rows] == [True, True, False, False, False]
+    inner = sweep_mod._identity_best_response
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_mod, "_identity_best_response", lambda g, settings, start: inner(g, settings))
+        cold = run_sweep(cfg)
+    for row, want in zip(rows, cold):
+        assert row.converged and want.converged
         assert row.potential == pytest.approx(want.potential, abs=1e-8)
+
+
+def test_sweep_from_above_zero_keeps_the_truthful_encoder_up_to_rho_star():
+    # a grid that starts above 0 starts its chain from the exact rho = 0
+    # answer all the same, so every point up to rho* returns it exactly
+    answers = []
+    inner = sweep_mod._identity_best_response
+
+    def recording(g, settings, start):
+        res, beta = inner(g, settings, start)
+        answers.append((g.rho, res))
+        return res, beta
+
+    cfg = circulant_sweep_config("nats", 0.2, 0.6, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep_mod, "_identity_best_response", recording)
+        rows = run_sweep(cfg)
+    rho_star = _truthful_critical_rho(circulant_game(0.0))
+    assert [rho for rho, _ in answers] == [0.0, 0.2, 0.3, 0.4, 0.5, 0.6]
+    below = [row for row in rows if row.rho <= rho_star]
+    assert len(below) == 2
+    for row, (_, res) in zip(below, answers[1:]):
+        np.testing.assert_array_equal(res.policy.a, SenderPolicy.truthful(5, 5).a)
+        assert row.iterations == 0 and row.expected_distortion == 0.0 and row.converged
 
 
 def test_bits_sweep_reports_rho_star_in_both_bases():
