@@ -37,6 +37,7 @@ from .solve import (
     _posterior_decoder,
     _prior_estimate,
     _verdict,
+    _WarmStart,
 )
 from .dynamics import DynamicsReport, TrajectoryRecord, _inner_settings, _play
 
@@ -411,8 +412,13 @@ def random_best_response_dynamics(
     A drawn sender is checked by _improvement_reference: without a solve
     when its current encoder's summed block gap is at most epsilon, which by
     convexity bounds any improvement, and otherwise by a solve that stops
-    at the first iterate proving no improvement above epsilon. Play adopts
-    and moves exactly as it would with a full best response at every check.
+    at the first iterate proving no improvement above epsilon. Every solve
+    starts from the uniform encoder with the mirror step and the Newton
+    basis of the last adopted answer, a continuation chain that carries no
+    encoder; a basis built for another P{Z, W} is dropped by the solve.
+    Only an adoption advances the chain, and an adopted answer never
+    reached its floor, so play adopts and moves exactly as it would with a
+    full best response at every check, started from the same chain.
 
     Play holds the decoder's distortion table, rebuilt when the receiver
     moves. Distortion is linear in each encoder, so after a sender adopts
@@ -433,6 +439,8 @@ def random_best_response_dynamics(
     zetas = [_leakage(g, alphas[j].a, j) for j in range(n)]
     # the cost a sender's adoption leaves it, as its check found it
     adopted = 0.0
+    # the mirror step and Newton basis of the last adopted answer
+    chain = _WarmStart()
 
     def psi():
         total = xi
@@ -449,17 +457,19 @@ def random_best_response_dynamics(
         i = p - 1
         own = xi + g.rho * zetas[i]
         c = _linear_coeffs_multi(g, alphas, table, i)
+        start = _WarmStart(None, chain.step, chain.basis)
         res = _improvement_reference(
-            c, g.joint.pzw(i), g.joint._pw[i], g.rho, alphas[i], own, epsilon, inner
+            c, g.joint.pzw(i), g.joint._pw[i], g.rho, alphas[i], own, epsilon, inner, start
         )
-        return own, res.cost, res.stationarity_gap, (res, c)
+        return own, res.cost, res.stationarity_gap, (res, c, start)
 
     def adopt(p, answer):
         nonlocal alphas, beta, table, xi, adopted
         if p == 0:
             beta, table, xi = answer
         else:
-            res, c = answer
+            res, c, start = answer
+            chain.step, chain.basis = start.step, start.basis
             alphas = alphas.replace(p - 1, res.policy)
             xi = float((c * res.policy.a).sum())
             zetas[p - 1] = _leakage(g, res.policy.a, p - 1)

@@ -681,7 +681,8 @@ def _newton_polish(
     def trial(flat):
         cand = np.maximum(flat.reshape(shape), _MASS_FLOOR)
         cand /= cand.sum(axis=0)[None, :, :]
-        return (cand, *_objective_parts(c, pzw, log_pw, rho, cand))
+        zeta, cand_ratio = _leakage_parts(cand, pzw, log_pw)
+        return cand, float((c * cand).sum()) + rho * zeta, cand_ratio
 
     refused = (None, set())  # an iterate, and the lifts refused at it
 
@@ -735,12 +736,15 @@ def _newton_polish(
             break
 
         af, gf = a.reshape(-1), grad.reshape(-1)
-        idx = np.flatnonzero(heavy)
+        idx = heavy.reshape(-1).nonzero()[0]
         # the basis and its QR depend on the active set alone. The last
         # direction, and a basis of another active set, are let go first, or
-        # they are alive at the heap's peak while the next basis is built
+        # they are alive at the heap's peak while the next basis is built.
+        # Active sets of one P{Z, W} are compared by their bytes, which
+        # costs less than np.array_equal; another message count gives
+        # another byte count
         direction = None
-        if basis is not None and not np.array_equal(basis.heavy, heavy):
+        if basis is not None and basis.heavy.tobytes() != heavy.tobytes():
             basis = None
         basis = basis or _active_set_basis(pzw, heavy)
         direction = _newton_direction(pzw, rho, a, heavy, grad, basis)
@@ -878,7 +882,8 @@ def _mirror_phase(
                 # candidate again
                 step = 0.0
                 break
-            cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
+            zeta, cand_ratio = _leakage_parts(cand, pzw, log_pw)
+            cand_cost = float((c * cand).sum()) + rho * zeta
             predicted = float((grad * (a - cand)).sum())
             if cand_cost <= cost - 1e-4 * predicted:
                 new_a, new_cost, new_ratio = cand, cand_cost, cand_ratio
@@ -914,8 +919,9 @@ class _WarmStart:
     The points of a sweep differ only in rho, so each solve starts from the
     previous answer a, with the step its last mirror phase would have taken
     next as the first trial step and its last Newton basis, whose P{Z, W} is
-    the same. An empty one starts a chain cold; a None step is settings'
-    step_init. A plain class, not a dataclass, so that code that prints or
+    the same. Multi-sender play hands on the step and the basis alone, with
+    a None, so that its solves start from the uniform encoder. An empty one
+    starts a chain cold; a None step is settings' step_init. A plain class, not a dataclass, so that code that prints or
     digests a call's arguments does not format the basis's arrays.
     """
 
@@ -1088,7 +1094,7 @@ def explicit_equilibrium(
 
 def _improvement_reference(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, alpha: SenderPolicy,
-    own: float, epsilon: float, settings: SolverSettings,
+    own: float, epsilon: float, settings: SolverSettings, start: _WarmStart | None = None,
 ) -> BestResponseResult:
     """The encoder that decides whether a sender can lower own by more than epsilon.
 
@@ -1104,6 +1110,11 @@ def _improvement_reference(
     bound, and a solve that never does returns the unfloored answer. Either
     way own - ref.cost > epsilon exactly when it holds for the unfloored
     answer, so play that adopts on that test takes the same path.
+
+    start, when given, is a continuation chain's warm start, which the
+    solve reads and then updates (_minimize_over_blocks); a check decided
+    without a solve leaves it as it was. A solve that adopts never reached
+    its floor, so it leaves start as the unfloored solve would.
     """
     a = alpha.a
     if _has_gradient(pzw, pw, rho, a):
@@ -1112,7 +1123,7 @@ def _improvement_reference(
         if gap <= epsilon:
             return BestResponseResult(alpha, own, 0, gap <= settings.grad_tol, gap)
     a, cost, iterations, converged, gap = _minimize_over_blocks(
-        c, pzw, pw, rho, settings, floor=own - epsilon
+        c, pzw, pw, rho, settings, start, own - epsilon
     )
     return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
 

@@ -8,8 +8,8 @@ import numpy as np
 
 from .config import GameConfig, SweepSpec
 from .dynamics import default_initial_pair, thresholded_dynamics
-from .game import GameInstance, ReceiverPolicy, SenderPolicy, expected_distortion, leakage
-from .prob import LN2
+from .game import GameInstance, ReceiverPolicy, SenderPolicy, _joint_xy, _joint_yw, _xi
+from .prob import LN2, _mutual_information
 from .solve import _identity_best_response, _leakage_parts, _linear_coeffs, _log_floored, _WarmStart
 
 #: Distortion at or below this counts as "zero" when locating the transition.
@@ -98,7 +98,8 @@ def _point(cfg: GameConfig, rho: float, method: str, chain: _WarmStart) -> Sweep
     """Solve one point and return its row.
 
     The explicit method starts from the chain and updates it; the dynamics
-    method always starts cold.
+    method always starts cold. The row is evaluated by the raw-array
+    workers, as both policies were checked against g when they were made.
     """
     g = cfg.build_single(rho)
     if method == "explicit":
@@ -112,8 +113,8 @@ def _point(cfg: GameConfig, rho: float, method: str, chain: _WarmStart) -> Sweep
         iterations, converged = rep.iterations_used, rep.reached_eps_nash
     else:
         raise ValueError(f"unknown sweep method {method!r}")
-    xi = expected_distortion(g, alpha, beta)
-    zeta = cfg.report_information(leakage(g, alpha))
+    xi = _xi(g.distortion.d, beta.b, _joint_xy(g.joint.p, alpha.a))
+    zeta = cfg.report_information(_mutual_information(_joint_yw(g.joint.pzw, alpha.a)))
     return SweepRow(float(rho), xi, zeta, xi + rho * zeta, iterations, converged, method)
 
 

@@ -67,12 +67,13 @@ def summed_block_gap(g: GameInstance, beta: ReceiverPolicy, result) -> float:
 
 
 def recorded_checks(decide, calls, inflate=False):
-    """_improvement_reference's stand-in: decide, appending (id of the
-    sender's P{Z, W}, whether the answer adopts) to calls for each check.
-    With inflate, an adopting answer's summed gap is reported as 2 epsilon,
-    so that it certifies nothing."""
-    def wrapper(c, pzw, pw, rho, alpha, own, epsilon, settings):
-        ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings)
+    """_improvement_reference's stand-in: decide, handing on play's
+    continuation chain when there is one, appending (id of the sender's
+    P{Z, W}, whether the answer adopts) to calls for each check. With
+    inflate, an adopting answer's summed gap is reported as 2 epsilon, so
+    that it certifies nothing."""
+    def wrapper(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
+        ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings, start)
         adopts = own - ref.cost > epsilon
         calls.append((id(pzw), adopts))
         return replace(ref, stationarity_gap=2.0 * epsilon) if adopts and inflate else ref

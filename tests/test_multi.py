@@ -83,20 +83,22 @@ def random_state(rng, g):
     return alphas, MultiReceiverPolicy(b / b.sum(axis=0))
 
 
-def two_sender_binary(rho: float = 0.3) -> MultiGameInstance:
-    # uniform binary state observed perfectly by both senders; each secret
+def binary_senders(n: int, rho: float = 0.3) -> MultiGameInstance:
+    # uniform binary state observed perfectly by every sender; each secret
     # agrees with the state with probability 0.8, independently
-    p = np.zeros((2, 2, 2, 2, 2))
+    p = np.zeros((2,) * (1 + 2 * n))
     for x in range(2):
-        for w1 in range(2):
-            for w2 in range(2):
-                f1 = 0.8 if w1 == x else 0.2
-                f2 = 0.8 if w2 == x else 0.2
-                p[x, x, x, w1, w2] = 0.5 * f1 * f2
-    joint = MultiJoint(FiniteSpace(2), (FiniteSpace(2), FiniteSpace(2)), p)
-    return MultiGameInstance(
-        joint, hamming_distortion(2), (FiniteSpace(2), FiniteSpace(2)), rho
-    )
+        for ws in itertools.product(range(2), repeat=n):
+            mass = 0.5
+            for w in ws:
+                mass *= 0.8 if w == x else 0.2
+            p[(x,) * (1 + n) + ws] = mass
+    joint = MultiJoint(FiniteSpace(2), (FiniteSpace(2),) * n, p)
+    return MultiGameInstance(joint, hamming_distortion(2), (FiniteSpace(2),) * n, rho)
+
+
+def two_sender_binary(rho: float = 0.3) -> MultiGameInstance:
+    return binary_senders(2, rho)
 
 
 # ----------------------------------------------------------------- oracles
@@ -476,15 +478,19 @@ def skip_cases():
     return cases
 
 
-def full_reference(c, pzw, pw, rho, alpha, own, epsilon, settings):
-    """_improvement_reference's stand-in: a full unfloored best response."""
-    a, cost, iterations, converged, gap = solve_module._minimize_over_blocks(c, pzw, pw, rho, settings)
+def full_reference(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
+    """_improvement_reference's stand-in: a full unfloored best response,
+    started from play's continuation chain."""
+    a, cost, iterations, converged, gap = solve_module._minimize_over_blocks(
+        c, pzw, pw, rho, settings, start
+    )
     return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
 
 
 def test_certificate_skip_leaves_play_unchanged(monkeypatch):
     # play decides each sender check by the encoder's own gap or a floored
-    # solve; with a full best response at every check it takes the same path
+    # solve; with a full best response at every check, started from the same
+    # continuation chain, it takes the same path
     eps = 0.02
     decide = multi_module._improvement_reference
     skips, floored, zero_solves = {}, {}, {}
@@ -492,8 +498,8 @@ def test_certificate_skip_leaves_play_unchanged(monkeypatch):
     for name, g, alphas0, beta0, seed in skip_cases():
         skips[name], floored[name], zero_solves[name] = 0, 0, 0
 
-        def counted(c, pzw, pw, rho, alpha, own, epsilon, settings):
-            ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings)
+        def counted(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
+            ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings, start)
             skipped = ref.policy is alpha
             skips[name] += skipped
             floored[name] += not skipped and own - ref.cost <= epsilon
@@ -516,6 +522,89 @@ def test_certificate_skip_leaves_play_unchanged(monkeypatch):
     # the start's encoder with an emptied cell faced a solve when its sender
     # was drawn
     assert zero_solves["zero_entry"] > 0
+
+
+def binary_cases():
+    """(game, encoders, decoder, seed): seeded random starts of the n = 2
+    and n = 3 binary games, whose senders share one P{Z, W}."""
+    cases = []
+    for n in (2, 3):
+        g = binary_senders(n)
+        for seed in range(8):
+            cases.append((g, *random_state(np.random.default_rng(seed), g), seed))
+    return cases
+
+
+def test_only_an_adoption_advances_the_chain(monkeypatch):
+    # each sender check's solve starts from play's chain, which carries a
+    # mirror step and a Newton basis but no encoder, and updates a copy of
+    # it; play keeps that copy only when it adopts, so a floored solve that
+    # rejects leaves the chain's step and basis as they were
+    decide = multi_module._improvement_reference
+    counts = dict.fromkeys(("adopted", "rejected_solves", "rejected_moves", "kept_basis"), 0)
+    cases = [case[1:] for case in skip_cases()] + binary_cases()
+    for g, alphas0, beta0, seed in cases:
+        checks = []
+
+        def recorded(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
+            assert start.a is None
+            before = (start.step, start.basis)
+            ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings, start)
+            checks.append((before, (start.step, start.basis), own - ref.cost > epsilon, ref.iterations))
+            return ref
+
+        monkeypatch.setattr(multi_module, "_improvement_reference", recorded)
+        assert random_best_response_dynamics(g, alphas0, beta0, 0.05, seed=seed).reached_eps_nash
+        chain = (None, None)
+        for before, after, adopts, iterations in checks:
+            assert before[0] is chain[0] and before[1] is chain[1]
+            counts["kept_basis"] += before[1] is not None
+            if adopts:
+                chain = after
+                counts["adopted"] += 1
+            elif iterations:
+                # a floored solve that took steps before it proved the
+                # bound moved its own copy, which play let go
+                counts["rejected_solves"] += 1
+                counts["rejected_moves"] += after[0] is not before[0] or after[1] is not before[1]
+    assert all(counts.values()), counts
+    assert counts["rejected_moves"] == counts["rejected_solves"], counts
+
+
+def test_chained_play_spends_fewer_solver_iterations(monkeypatch):
+    # the senders of the binary games share rho and P{Z, W}, so a solve
+    # that starts from the last adopted answer's step and basis skips much
+    # of the step ladder's climb from step_init (552 iterations against
+    # 743 cold here); every play still reaches an equilibrium
+    decide, minimize = multi_module._improvement_reference, solve_module._minimize_over_blocks
+    spent = {}
+
+    def counted(*args, **kwargs):
+        out = minimize(*args, **kwargs)
+        spent[mode] += out[2]
+        return out
+
+    def cold(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
+        return decide(c, pzw, pw, rho, alpha, own, epsilon, settings)
+
+    monkeypatch.setattr(solve_module, "_minimize_over_blocks", counted)
+    for mode, check in (("chained", decide), ("cold", cold)):
+        spent[mode] = 0
+        monkeypatch.setattr(multi_module, "_improvement_reference", check)
+        for g, alphas0, beta0, seed in binary_cases():
+            assert random_best_response_dynamics(g, alphas0, beta0, 0.05, seed=seed).reached_eps_nash
+    assert spent["chained"] <= 0.9 * spent["cold"], spent
+
+
+def test_chained_play_is_deterministic():
+    # the chain lives in one play: the same start and seed give the same
+    # bytes, whatever ran in between
+    cases = binary_cases()[::4]
+    first = [play_fingerprint(random_best_response_dynamics(g, a, b, 0.05, seed=s))
+             for g, a, b, s in cases]
+    second = [play_fingerprint(random_best_response_dynamics(g, a, b, 0.05, seed=s))
+              for g, a, b, s in reversed(cases)]
+    assert first == second[::-1]
 
 
 def test_uncertified_adoption_leaves_its_mover_unfrozen(monkeypatch):
