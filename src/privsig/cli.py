@@ -38,10 +38,11 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _fail_config(exc: ConfigError):
-    for line in exc.errors:
+def _fail(code: int, *lines) -> None:
+    """Print each line as an error and exit with code."""
+    for line in lines:
         click.echo(f"error: {line}", err=True)
-    sys.exit(EXIT_CONFIG)
+    sys.exit(code)
 
 
 def _load(config_path: str, log_base: str | None, seed: int | None = None) -> GameConfig:
@@ -61,7 +62,7 @@ def _game(config_path: str, log_base: str | None, multi: bool = False, seed: int
         rho = cfg.scalar_rho()
         g = cfg.build_multi(rho) if multi else cfg.build_single(rho)
     except ConfigError as exc:
-        _fail_config(exc)
+        _fail(EXIT_CONFIG, *exc.errors)
     return cfg, rho, g
 
 
@@ -106,6 +107,12 @@ def _json_report(out: str, doc: dict) -> str:
     return _write(out, "report.json", json.dumps(doc, indent=2) + "\n")
 
 
+def _audit_fields(check) -> dict:
+    """An epsilon-audit report's fields but epsilon, then its verdict."""
+    doc = {f.name: getattr(check, f.name) for f in fields(check) if f.name != "epsilon"}
+    return {**doc, "verdict": check.verdict}
+
+
 config_opt = click.option("--config", "config_path", required=True, help="Config file or bundled preset name.")
 out_opt = click.option("--out", default="out", show_default=True, help="Output directory.")
 base_opt = click.option(
@@ -125,7 +132,7 @@ def validate(config_path):
     try:
         cfg = resolve_config(config_path)
     except ConfigError as exc:
-        _fail_config(exc)
+        _fail(EXIT_CONFIG, *exc.errors)
     shape = "x".join(str(s) for s in cfg.joint.shape)
     click.echo(f"config OK: mode={cfg.mode}, joint {shape}, log_base={cfg.log_base}")
 
@@ -148,8 +155,7 @@ def solve(config_path, out, log_base, method):
         try:
             br, beta = _identity_best_response(g, cfg.solver)
         except ValueError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
+            _fail(EXIT_CONFIG, exc)
         alpha = br.policy
         converged, iterations = br.converged, br.iterations
     else:
@@ -171,11 +177,7 @@ def solve(config_path, out, log_base, method):
         "leakage_bits": nats_to_bits(zeta_nats),
         "sender_cost": xi + g.rho * zeta_nats,
         "epsilon": cfg.dynamics.epsilon,
-        "member": check.member,
-        "sender_gap": check.sender_gap,
-        "receiver_gap": check.receiver_gap,
-        "sender_stationarity_gap": check.sender_stationarity_gap,
-        "verdict": check.verdict,
+        **_audit_fields(check),
         "iterations": iterations,
         "converged": converged,
     })
@@ -183,8 +185,7 @@ def solve(config_path, out, log_base, method):
         f"rho={rho:g} ({cfg.log_base}): distortion={xi:.6f}, leakage={cfg.report_information(zeta_nats):.6f}"
     )
     if not converged:
-        click.echo("error: solver did not converge", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
+        _fail(EXIT_NO_CONVERGENCE, "solver did not converge")
 
 
 @main.command()
@@ -229,8 +230,7 @@ def dynamics(config_path, out, log_base, variant):
     else:
         click.echo(f"iterations used: {rep.iterations_used}")
     if not rep.reached_eps_nash:
-        click.echo("error: dynamics did not reach an epsilon-equilibrium", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
+        _fail(EXIT_NO_CONVERGENCE, "dynamics did not reach an epsilon-equilibrium")
 
 
 @main.command()
@@ -265,11 +265,7 @@ def multi(config_path, out, seed, log_base):
         "epsilon": rep.epsilon,
         "reached_eps_nash": rep.reached_eps_nash,
         "iterations_used": rep.iterations_used,
-        "member": audit.member,
-        "receiver_gap": audit.receiver_gap,
-        "sender_gaps": list(audit.sender_gaps),
-        "sender_stationarity_gaps": list(audit.sender_stationarity_gaps),
-        "verdict": audit.verdict,
+        **_audit_fields(audit),
         "expected_distortion": xi,
         "potential": multi_mod.potential_multi(g, alphas, beta),
         "leakage_nats": [multi_mod.leakage_j(g, alphas, j) for j in range(g.n)],
@@ -282,8 +278,7 @@ def multi(config_path, out, seed, log_base):
         f"distortion: {xi:.6f}"
     )
     if not rep.reached_eps_nash:
-        click.echo("error: dynamics did not reach an epsilon-equilibrium", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
+        _fail(EXIT_NO_CONVERGENCE, "dynamics did not reach an epsilon-equilibrium")
 
 
 @main.command()
@@ -305,10 +300,9 @@ def sweep(config_path, out, log_base, method):
             raise ConfigError(["mode: sweep supports single-sender configs"])
         rows = run_sweep(cfg, method)
     except ConfigError as exc:
-        _fail_config(exc)
+        _fail(EXIT_CONFIG, *exc.errors)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+        _fail(EXIT_CONFIG, exc)
     _write_csv(out, "sweep.csv", SweepRow, rows)
     report = sweep_report(cfg, rows, method)
     _json_report(out, report)
@@ -323,8 +317,7 @@ def sweep(config_path, out, log_base, method):
             f"{report['nearest_base']}"
         )
     if not report["all_converged"]:
-        click.echo("error: some sweep points did not converge", err=True)
-        sys.exit(EXIT_NO_CONVERGENCE)
+        _fail(EXIT_NO_CONVERGENCE, "some sweep points did not converge")
 
 
 @main.command()
@@ -355,35 +348,18 @@ def verify(config_path, out, log_base, alpha_paths, beta_path, epsilon):
             g.check_sender(alpha)
             g.check_receiver(beta)
             check = epsilon_nash_check(g, alpha, beta, eps, cfg.solver)
-            doc = {
-                "mode": "single",
-                "epsilon": eps,
-                "member": check.member,
-                "sender_gap": check.sender_gap,
-                "receiver_gap": check.receiver_gap,
-                "sender_stationarity_gap": check.sender_stationarity_gap,
-            }
             gaps = f"sender_gap={check.sender_gap:.3e}, receiver_gap={check.receiver_gap:.3e}"
         else:
             g = cfg.build_multi(rho)
             alphas = sender_policy_set_from_json(texts)
             beta = receiver_policy_from_json(beta_text, multi=True)
             check = multi_mod.epsilon_nash_check_multi(g, alphas, beta, eps, cfg.solver)
-            doc = {
-                "mode": "multi",
-                "epsilon": eps,
-                "member": check.member,
-                "receiver_gap": check.receiver_gap,
-                "sender_gaps": list(check.sender_gaps),
-                "sender_stationarity_gaps": list(check.sender_stationarity_gaps),
-            }
             gaps = f"receiver_gap={check.receiver_gap:.3e}, sender_gaps={list(check.sender_gaps)}"
     except ConfigError as exc:
-        _fail_config(exc)
+        _fail(EXIT_CONFIG, *exc.errors)
     except (OSError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _json_report(out, {**doc, "verdict": check.verdict})
+        _fail(EXIT_CONFIG, exc)
+    _json_report(out, {"mode": cfg.mode, "epsilon": eps, **_audit_fields(check)})
     click.echo(f"epsilon-equilibrium check at eps={eps:g}: {check.verdict} ({gaps})")
 
 

@@ -72,9 +72,10 @@ _LIGHT_ROW = 1e-3
 class SolverSettings:
     """Iteration budget and tolerances of the sender best response.
 
-    seed has no effect: the solver is deterministic and draws no random
-    numbers. It is validated and kept so that schema_version 1 configs,
-    which carry solver.seed, load and round-trip unchanged.
+    seed and obj_tol have no effect: the solver is deterministic and draws
+    no random numbers, and no stopping rule reads the cost's progress. Both
+    are validated and kept so that schema_version 1 configs, which carry
+    them, load and round-trip unchanged.
     """
 
     max_iters: int = 5000
@@ -443,10 +444,9 @@ def _cost_slack(cost: float, rho: float) -> float:
 
 def _row_rebalance(
     c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, logratio: np.ndarray, grad: np.ndarray, y: int, grad_tol: float,
-    refused: set | None = None,
+    cost: float, logratio: np.ndarray, grad: np.ndarray, y: int, refused: set | None = None,
 ):
-    """Re-profile one message row to its stationary shape and scale.
+    """Re-profile one message row to its stationary shape at its current mass.
 
     The leakage term is scale-invariant in a whole message row, so a row
     carrying little mass has its internal proportions decoupled from its
@@ -455,19 +455,19 @@ def _row_rebalance(
     rows, the row's cheapest profile routes each secret's mass through the
     measurement pair with the best price-to-coupling ratio and gives the
     cells shares proportional to pw * exp((price - distortion) / (rho *
-    coupling)); the scale is then fixed by bisecting for the point where the
-    best cell deficit vanishes, and a row priced above the blocks at every
-    scale dies at its current token size. Starts from a with its cost,
-    log-ratio (_objective_parts) and gradient, and evaluates each candidate
-    scale once. Accepted only if the cost is no worse. A rebalance depends
-    only on its row and a, so refused, when given, holds the rows refused
-    at a: a row in it returns unmoved at once, and a refused row joins it.
-    Returns (encoder, cost, log-ratio, moved).
+    coupling)). The row keeps its mass P{Y=y}, each cell capped at 0.45, and
+    a row that has died to the floor takes a token mass of 1e-200; its size
+    is left to the Newton steps and lifts that follow. Starts from a with
+    its cost, log-ratio (_objective_parts) and gradient, and evaluates the
+    one candidate once, unless it leaves the row as it is. Accepted only if
+    the cost is no worse. A rebalance depends only on its row and a, so
+    refused, when given, holds the rows refused at a: a row in it returns
+    unmoved at once, and a refused row joins it. Returns (encoder, cost,
+    log-ratio, moved).
     """
     if refused is not None and y in refused:
         return a, cost, logratio, False
-    r, m, q = a.shape
-    log_pw, rho_pzw = _log_floored(pw), rho * pzw
+    r, m = a.shape[:2]
     outside = a >= _FREEZE_MASS
     outside[y] = False
     lam_ex = np.where(outside, grad, np.inf).min(axis=0)
@@ -483,67 +483,28 @@ def _row_rebalance(
         return a, cost, logratio, False
     shares = pw[cells] * np.exp(np.clip(tbest[cells], -700.0, 700.0))
     shares /= shares.sum()
-    pzstar = pzw[zstar[cells], cells]
-
-    def build(s: float) -> np.ndarray:
-        cand = a.copy()
-        for j, w in enumerate(cells):
-            mass = min(max(s * shares[j] / pzstar[j], _MASS_FLOOR), 0.45)
-            for z in range(m):
-                mnew = mass if z == zstar[w] else _MASS_FLOOR
-                cur = float(cand[y, z, w])
-                if abs(np.log(max(cur, _MASS_FLOOR)) - np.log(mnew)) < 1e-12:
-                    continue
-                rest = 1.0 - cur
-                if rest <= 1e-12:
-                    # the row owns the whole column, so the complement has no
-                    # proportions to preserve; fill it evenly
-                    cand[:, z, w] = (1.0 - mnew) / (r - 1)
-                else:
-                    cand[:, z, w] *= (1.0 - mnew) / rest
-                cand[y, z, w] = mnew
-        return cand
-
-    def deficit_at(s: float):
-        cand = build(s)
-        # a scale that moves nothing keeps a's own evaluation
-        if np.array_equal(cand, a):
-            cand_cost, cand_ratio = cost, logratio
-        else:
-            cand_cost, cand_ratio = _objective_parts(c, pzw, log_pw, rho, cand)
-        gc = _gradient(c, rho_pzw, cand_ratio)
-        hv = cand >= _FREEZE_MASS
-        hv[y] = False
-        lam2 = np.where(hv, gc, np.inf).min(axis=0)
-        dvals = lam2[zstar[cells], cells] - gc[y, zstar[cells], cells]
-        dvals = dvals[np.isfinite(dvals)]
-        return (float(dvals.max()) if dvals.size else -np.inf), (cand, cand_cost, cand_ratio)
-
-    s_max = float(min(0.45, (0.45 * pzstar / shares).min()))
-    py_cur = float((pzw * a[y]).sum())
-    s_lo = float(min(max(py_cur, 1e-200), s_max))
-    quarter = 0.25 * grad_tol
-    dval, chosen = deficit_at(s_lo)
-    if dval > quarter:
-        dval, cand_hi = deficit_at(s_max)
-        if dval > quarter:
-            chosen = cand_hi
-        else:
-            lo, hi = np.log(s_lo), np.log(s_max)
-            chosen = cand_hi
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                dval, cand_mid = deficit_at(float(np.exp(mid)))
-                if dval > quarter:
-                    lo = mid
-                else:
-                    hi = mid
-                    chosen = cand_mid
-    new_a, new_cost, new_ratio = chosen
-    gap_before = np.log(np.maximum(a[y], _MASS_FLOOR))
-    gap_after = np.log(np.maximum(new_a[y], _MASS_FLOOR))
-    if float(np.abs(gap_after - gap_before).max()) >= 1e-9 and new_cost <= cost + _cost_slack(cost, rho):
-        return new_a, new_cost, new_ratio, True
+    row_mass = max(float((pzw * a[y]).sum()), 1e-200)
+    cand = a.copy()
+    for j, w in enumerate(cells):
+        mass = min(max(row_mass * shares[j] / pzw[zstar[w], w], _MASS_FLOOR), 0.45)
+        for z in range(m):
+            mnew = mass if z == zstar[w] else _MASS_FLOOR
+            cur = float(cand[y, z, w])
+            if abs(np.log(max(cur, _MASS_FLOOR)) - np.log(mnew)) < 1e-12:
+                continue
+            rest = 1.0 - cur
+            if rest <= 1e-12:
+                # the row owns the whole column, so the complement has no
+                # proportions to preserve; fill it evenly
+                cand[:, z, w] = (1.0 - mnew) / (r - 1)
+            else:
+                cand[:, z, w] *= (1.0 - mnew) / rest
+            cand[y, z, w] = mnew
+    shift = np.log(np.maximum(cand[y], _MASS_FLOOR)) - np.log(np.maximum(a[y], _MASS_FLOOR))
+    if float(np.abs(shift).max()) >= 1e-9:
+        cand_cost, cand_ratio = _objective_parts(c, pzw, _log_floored(pw), rho, cand)
+        if cand_cost <= cost + _cost_slack(cost, rho):
+            return cand, cand_cost, cand_ratio, True
     if refused is not None:
         refused.add(y)
     return a, cost, logratio, False
@@ -695,7 +656,7 @@ def _newton_polish(
         nonlocal refused
         rows = coords // (shape[1] * shape[2])
         light = (pzw * a).sum(axis=(1, 2))[rows] < _LIGHT_ROW
-        moves = [(_row_rebalance, (y, settings.grad_tol)) for y in np.unique(rows[light]).tolist()]
+        moves = [(_row_rebalance, (y,)) for y in np.unique(rows[light]).tolist()]
         if not light.all():
             moves.append((_batch_lift, (coords[~light],)))
         lifted = False
@@ -834,20 +795,20 @@ def _mirror_phase(
     until the summed block gap meets grad_tol or the certified lower bound,
     cost minus that sum, reaches floor, the largest gap meets the handoff
     threshold or crawls (at most crawl and more than half its value
-    _STALL_PATIENCE iterations earlier), a stall, or the budget, and returns
-    the iterate with the smallest largest gap, or, when certified, floored,
-    at the handoff or at a crawl, the current one. handoff and crawl 0 keep
-    the phase to the end. Returns (a, cost, log-ratio, largest gap, used,
-    done, step, summed gap), done meaning certified or floored and step the
-    one the phase would have tried next, or None when it stalled below
-    _TINY_STEP.
+    _STALL_PATIENCE iterations earlier), the Armijo search stalls with its
+    step below _TINY_STEP, or the budget runs out; progress in the cost
+    alone ends nothing, as it falls below rounding while the largest gap
+    still shrinks. Returns the iterate with the smallest largest gap, or,
+    when certified, floored, at the handoff or at a crawl, the current one.
+    handoff and crawl 0 keep the phase to the end. Returns (a, cost,
+    log-ratio, largest gap, used, done, step, summed gap), done meaning
+    certified or floored and step the one the phase would have tried next,
+    or None when it stalled below _TINY_STEP.
     """
     log_pw, rho_pzw = _log_floored(pw), rho * pzw
     step = settings.step_init if step is None else step
     # with the iterate's block gaps, so that its sum is at hand if it returns
     best = (np.inf, a, cost, logratio, None)
-    anchor = np.inf
-    stalled = 0
     used = 0
     gaps = []
     for used in range(1, budget + 1):
@@ -867,12 +828,8 @@ def _mirror_phase(
         crawling = gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]
         if gap <= handoff or crawling:
             return a, cost, logratio, gap, used - 1, False, step, float(blocks.sum())
-        if gap < 0.97 * anchor:
-            anchor = gap
-            stalled = 0
 
         shifted = grad - low
-        new_a, new_cost, new_ratio = a, cost, logratio
         refused = None
         while True:
             cand = np.maximum(a * np.exp(-step * shifted), _MASS_FLOOR)
@@ -886,7 +843,7 @@ def _mirror_phase(
             cand_cost = float((c * cand).sum()) + rho * zeta
             predicted = float((grad * (a - cand)).sum())
             if cand_cost <= cost - 1e-4 * predicted:
-                new_a, new_cost, new_ratio = cand, cand_cost, cand_ratio
+                a, cost, logratio = cand, cand_cost, cand_ratio
                 break
             refused = cand.tobytes()
             step *= 0.5
@@ -894,15 +851,7 @@ def _mirror_phase(
                 break
         if step < _TINY_STEP:
             break
-        rel_drop = (cost - new_cost) / max(1.0, abs(cost))
-        a, cost, logratio = new_a, new_cost, new_ratio
         step = min(step * _STEP_GROWTH, _MAX_STEP)
-        # objective progress routinely drops below measurable resolution while
-        # the largest block gap is still improving, so stagnation only counts
-        # when that gap has flatlined too
-        stalled = stalled + 1 if rel_drop <= settings.obj_tol else 0
-        if stalled >= _STALL_PATIENCE:
-            break
 
     blocks = _block_gaps(a, _gradient(c, rho_pzw, logratio))
     gap, total = float(blocks.max()), float(blocks.sum())

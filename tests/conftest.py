@@ -59,6 +59,35 @@ def random_receiver(rng, m: int, r: int) -> ReceiverPolicy:
     return ReceiverPolicy(b / b.sum(axis=0))
 
 
+def drawn_weights(data, shape) -> np.ndarray:
+    """Nonnegative integer weights of the given shape, drawn by hypothesis
+    (data is its st.data()), zeros included; an all-zero draw reads as ones."""
+    from hypothesis import strategies as st
+
+    size = int(np.prod(shape))
+    w = np.array(data.draw(st.lists(st.integers(0, 1000), min_size=size, max_size=size)), dtype=float)
+    return w.reshape(shape) if w.any() else np.ones(shape)
+
+
+def drawn_game(data, m: int, q: int, r: int, rho: float) -> GameInstance:
+    """random_game's shapes, with the joint and the distortion drawn by hypothesis."""
+    p = drawn_weights(data, (m, m, q))
+    d = drawn_weights(data, (m, m)) / 1000.0 * (1.0 - np.eye(m))
+    return GameInstance(JointPXZW.from_tensor(p / p.sum()), DistortionMatrix(d), FiniteSpace(r), rho)
+
+
+def drawn_sender(data, r: int, m: int, q: int) -> SenderPolicy:
+    a = drawn_weights(data, (r, m, q))
+    a[:, a.sum(axis=0) == 0.0] = 1.0
+    return SenderPolicy(a / a.sum(axis=0))
+
+
+def drawn_receiver(data, m: int, r: int) -> ReceiverPolicy:
+    b = drawn_weights(data, (m, r))
+    b[:, b.sum(axis=0) == 0.0] = 1.0
+    return ReceiverPolicy(b / b.sum(axis=0))
+
+
 def summed_block_gap(g: GameInstance, beta: ReceiverPolicy, result) -> float:
     """Sum over the (z, w) blocks of the linearized optimality gap at a best
     response's encoder: by convexity, a bound on its cost above the optimum."""

@@ -7,6 +7,9 @@ from conftest import (
     CIRCULANT_MATRIX,
     CIRCULANT_MI_NATS,
     circulant_game,
+    drawn_game,
+    drawn_receiver,
+    drawn_sender,
     random_game,
     random_receiver,
     random_sender,
@@ -185,21 +188,26 @@ def test_rho_zero_aligns_costs(rng):
     assert sender_cost(g, a, b) == receiver_cost(g, a, b)
 
 
-def test_potential_difference_identities(rng):
+def test_potential_difference_identities():
     """Unilateral cost differences equal potential differences."""
-    for _ in range(500):
-        m = int(rng.integers(2, 4))
-        q = int(rng.integers(2, 4))
-        r = int(rng.integers(2, 4))
-        g = random_game(rng, m, q, r, float(rng.random() * 2.0))
-        a, a2 = random_sender(rng, r, m, q), random_sender(rng, r, m, q)
-        b, b2 = random_receiver(rng, m, r), random_receiver(rng, m, r)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        m, q, r = (data.draw(st.integers(2, 3)) for _ in range(3))
+        g = drawn_game(data, m, q, r, data.draw(st.floats(0.0, 2.0, exclude_max=True)))
+        a, a2 = drawn_sender(data, r, m, q), drawn_sender(data, r, m, q)
+        b, b2 = drawn_receiver(data, m, r), drawn_receiver(data, m, r)
         lhs_r = receiver_cost(g, a, b) - receiver_cost(g, a, b2)
         rhs_r = potential(g, a, b) - potential(g, a, b2)
         assert abs(lhs_r - rhs_r) < 1e-10
         lhs_s = sender_cost(g, a, b) - sender_cost(g, a2, b)
         rhs_s = potential(g, a, b) - potential(g, a2, b)
         assert abs(lhs_s - rhs_s) < 1e-10
+
+    check()
 
 
 def test_distortion_is_bilinear(rng):
