@@ -31,7 +31,7 @@ from .dynamics import (
 )
 from .game import expected_distortion, leakage, potential, receiver_cost, sender_cost
 from .prob import nats_to_bits
-from .solve import _identity_best_response, epsilon_nash_check
+from .solve import epsilon_nash_check, explicit_equilibrium
 from .sweep import SweepRow, run_sweep, sweep_report
 
 EXIT_CONFIG = 2
@@ -153,7 +153,7 @@ def solve(config_path, out, log_base, method):
     cfg, rho, g = _game(config_path, log_base)
     if method == "explicit":
         try:
-            br, beta = _identity_best_response(g, cfg.solver)
+            br, beta = explicit_equilibrium(g, cfg.solver)
         except ValueError as exc:
             _fail(EXIT_CONFIG, exc)
         alpha = br.policy

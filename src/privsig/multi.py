@@ -36,6 +36,7 @@ from .solve import (
     _minimize_over_blocks,
     _posterior_decoder,
     _prior_estimate,
+    _Problem,
     _verdict,
     _WarmStart,
 )
@@ -317,10 +318,7 @@ def sender_best_response_multi(
     """
     g.check_policies(alphas, beta)
     c = _linear_coeffs_multi(g, alphas, _distortion_table(g, beta), j)
-    a, cost, iterations, converged, gap = _minimize_over_blocks(
-        c, g.joint.pzw(j), g.joint._pw[j], g.rho, settings
-    )
-    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
+    return _minimize_over_blocks(_Problem(c, g.joint.pzw(j), g.joint._pw[j], g.rho), settings)
 
 
 @dataclass(frozen=True)

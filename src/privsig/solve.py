@@ -14,6 +14,8 @@ lifting growers to their crossings, each set of them in one evaluated batch.
 The certificate is the sum of the simplex-block gaps (_block_gaps), which by
 convexity bounds the cost above the optimum; it sets converged and the
 reported gap. The largest block gap only measures the phases' progress.
+A solve poses its problem once, as a _Problem, which holds log P{W} and
+rho P{Z, W} and evaluates the cost, its gradient and the certificate.
 """
 from __future__ import annotations
 
@@ -209,17 +211,6 @@ def _leakage_parts(a: np.ndarray, pzw: np.ndarray, log_pw: np.ndarray):
     return float((jyw * logratio).sum()), logratio
 
 
-def _objective_parts(c: np.ndarray, pzw: np.ndarray, log_pw: np.ndarray, rho: float, a: np.ndarray):
-    """Objective value at a, and a's log-ratio, which gives its gradient."""
-    zeta, logratio = _leakage_parts(a, pzw, log_pw)
-    return float((c * a).sum()) + rho * zeta, logratio
-
-
-def _gradient(c: np.ndarray, rho_pzw: np.ndarray, logratio: np.ndarray) -> np.ndarray:
-    """Objective gradient from an encoder's log-ratio; rho_pzw is rho * P{Z, W}."""
-    return c + rho_pzw * logratio[:, None, :]
-
-
 def _has_gradient(pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> bool:
     """Whether the cost has a finite gradient at a: rho is 0, or every (y, w)
     cell of a secret with mass carries mass. Then a's summed block gap
@@ -238,9 +229,8 @@ def sender_cost_gradient(g: GameInstance, alpha: SenderPolicy, beta: ReceiverPol
     g.check_receiver(beta)
     if not _has_gradient(g.joint.pzw, g.joint.pw, g.rho, alpha.a):
         raise ValueError("gradient requires every (message, secret) cell with mass to carry mass")
-    pzw = g.joint.pzw
-    _, logratio = _leakage_parts(alpha.a, pzw, _log_floored(g.joint.pw))
-    return _gradient(_linear_coeffs(g, beta), g.rho * pzw, logratio)
+    prob = _Problem(_linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho)
+    return prob.gradient(prob.evaluate(alpha.a)[1])
 
 
 def _block_gaps(a: np.ndarray, grad: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
@@ -254,6 +244,39 @@ def _block_gaps(a: np.ndarray, grad: np.ndarray, low: np.ndarray | None = None) 
     at a (_has_gradient), as at every iterate, which is strictly positive.
     """
     return (a * grad).sum(axis=0) - (grad.min(axis=0) if low is None else low)
+
+
+class _Problem:
+    """One sender's problem: minimize (c . a) + rho * leakage over the
+    product of message simplices.
+
+    c is the distortion coefficients (_linear_coeffs), pzw the P{Z, W} and
+    pw its secret marginal. log P{W} (_log_floored) and rho P{Z, W} are
+    computed here, once per solve.
+    """
+
+    __slots__ = ("c", "pzw", "pw", "rho", "log_pw", "rho_pzw")
+
+    def __init__(self, c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float):
+        self.c, self.pzw, self.pw, self.rho = c, pzw, pw, rho
+        self.log_pw, self.rho_pzw = _log_floored(pw), rho * pzw
+
+    def evaluate(self, a: np.ndarray):
+        """The cost at a, and a's log-ratio (_leakage_parts), which gives its gradient."""
+        zeta, logratio = _leakage_parts(a, self.pzw, self.log_pw)
+        return float((self.c * a).sum()) + self.rho * zeta, logratio
+
+    def gradient(self, logratio: np.ndarray) -> np.ndarray:
+        """The cost's gradient at the encoder with this log-ratio."""
+        return self.c + self.rho_pzw * logratio[:, None, :]
+
+    def certificate(self, a: np.ndarray):
+        """(cost, summed block gap) at a, the gap bounding the cost above the
+        optimum, or None where the cost has no gradient at a (_has_gradient)."""
+        if not _has_gradient(self.pzw, self.pw, self.rho, a):
+            return None
+        cost, logratio = self.evaluate(a)
+        return cost, float(_block_gaps(a, self.gradient(logratio)).sum())
 
 
 def _helmert_rows(heavy: np.ndarray):
@@ -443,8 +466,8 @@ def _cost_slack(cost: float, rho: float) -> float:
 
 
 def _row_rebalance(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, logratio: np.ndarray, grad: np.ndarray, y: int, refused: set | None = None,
+    prob: _Problem, a: np.ndarray, cost: float, logratio: np.ndarray, grad: np.ndarray,
+    y: int, refused: set,
 ):
     """Re-profile one message row to its stationary shape at its current mass.
 
@@ -458,15 +481,16 @@ def _row_rebalance(
     coupling)). The row keeps its mass P{Y=y}, each cell capped at 0.45, and
     a row that has died to the floor takes a token mass of 1e-200; its size
     is left to the Newton steps and lifts that follow. Starts from a with
-    its cost, log-ratio (_objective_parts) and gradient, and evaluates the
+    its cost, log-ratio (_Problem.evaluate) and gradient, and evaluates the
     one candidate once, unless it leaves the row as it is. Accepted only if
     the cost is no worse. A rebalance depends only on its row and a, so
-    refused, when given, holds the rows refused at a: a row in it returns
-    unmoved at once, and a refused row joins it. Returns (encoder, cost,
-    log-ratio, moved).
+    refused holds the rows refused at a: a row in it returns unmoved at
+    once, and a refused row joins it. Returns (encoder, cost, log-ratio,
+    moved).
     """
-    if refused is not None and y in refused:
+    if y in refused:
         return a, cost, logratio, False
+    pzw, pw = prob.pzw, prob.pw
     r, m = a.shape[:2]
     outside = a >= _FREEZE_MASS
     outside[y] = False
@@ -476,7 +500,7 @@ def _row_rebalance(
     # a subnormal rho overflows the ratio; the isfinite test below then
     # returns a unmoved
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        tmat = np.where(usable, (lam_ex - c[y]) / (rho * np.where(usable, pzw, 1.0)), -np.inf)
+        tmat = np.where(usable, (lam_ex - prob.c[y]) / np.where(usable, prob.rho_pzw, prob.rho), -np.inf)
     tbest = tmat.max(axis=0)
     zstar = tmat.argmax(axis=0)
     if not np.all(np.isfinite(tbest[cells])):
@@ -502,18 +526,16 @@ def _row_rebalance(
             cand[y, z, w] = mnew
     shift = np.log(np.maximum(cand[y], _MASS_FLOOR)) - np.log(np.maximum(a[y], _MASS_FLOOR))
     if float(np.abs(shift).max()) >= 1e-9:
-        cand_cost, cand_ratio = _objective_parts(c, pzw, _log_floored(pw), rho, cand)
-        if cand_cost <= cost + _cost_slack(cost, rho):
+        cand_cost, cand_ratio = prob.evaluate(cand)
+        if cand_cost <= cost + _cost_slack(cost, prob.rho):
             return cand, cand_cost, cand_ratio, True
-    if refused is not None:
-        refused.add(y)
+    refused.add(y)
     return a, cost, logratio, False
 
 
 def _batch_lift(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, logratio: np.ndarray, grad: np.ndarray, coords: np.ndarray,
-    refused: set | None = None,
+    prob: _Problem, a: np.ndarray, cost: float, logratio: np.ndarray, grad: np.ndarray,
+    coords: np.ndarray, refused: set,
 ):
     """Move the coordinates coords (flat indices) toward their stationary mass at once.
 
@@ -538,13 +560,14 @@ def _batch_lift(
     step; a grower stops at mass 1/2 and a shrinking coordinate at the
     floor. This batch too is evaluated once and kept only if it lowers the
     cost. A batch is its coordinates and their target masses, and none is
-    evaluated twice at a: refused, when given, holds the batches refused
-    there, from this call or from another coordinate list, and a refused
-    batch joins it. Starts from a with its cost, log-ratio (_objective_parts)
-    and gradient. Returns (encoder, cost, log-ratio, moved).
+    evaluated twice at a: refused holds the batches refused there, from
+    this call or from another coordinate list, and a refused batch joins
+    it. Starts from a with its cost, log-ratio (_Problem.evaluate) and
+    gradient. Returns (encoder, cost, log-ratio, moved).
     """
+    pzw = prob.pzw
     ys, zs, ws = np.unravel_index(coords, a.shape)
-    p, cur = pzw[zs, ws], a[ys, zs, ws]
+    p, rho_p, cur = pzw[zs, ws], prob.rho_pzw[zs, ws], a[ys, zs, ws]
     jyw = _joint_yw(pzw, a)
     py = jyw.sum(axis=1)
     lam_b = np.where(a >= _FREEZE_MASS, grad, np.inf).min(axis=0)[zs, ws]
@@ -559,12 +582,10 @@ def _batch_lift(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # the crossing is where P{Y=y, W=w} / P{Y=y} reaches k, which no mass
         # does when k >= 1
-        k = pw[ws] * np.exp((lam_b - c[ys, zs, ws]) / (rho * p))
+        k = prob.pw[ws] * np.exp((lam_b - prob.c[ys, zs, ws]) / rho_p)
         cross = np.where(k >= 1.0, 0.5, np.clip((k * p0 - j0) / (p * (1.0 - k)), _MASS_FLOOR, 0.5))
         mass = np.where(shrink, _MASS_FLOOR, cross)
         first = (shrink | grow) & (np.abs(np.log(mass) - np.log(np.maximum(cur, _MASS_FLOOR))) >= 1e-9)
-
-    refused = set() if refused is None else refused
 
     def attempt(sel, x):
         # a batch is its coordinates and their target masses, whichever
@@ -582,7 +603,7 @@ def _batch_lift(
         moved = np.zeros(pzw.shape, dtype=bool)
         moved[z, w] = True
         cand /= np.where(moved, cand.sum(axis=0), 1.0)
-        cand_cost, cand_ratio = _objective_parts(c, pzw, _log_floored(pw), rho, cand)
+        cand_cost, cand_ratio = prob.evaluate(cand)
         if cand_cost < cost:
             return cand, cand_cost, cand_ratio, True
         refused.add(key)
@@ -594,9 +615,9 @@ def _batch_lift(
         v[ys, np.arange(ys.size)] = 1.0
         slope = (grad[:, zs, ws] * v).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            curv = rho * p * p * (v * v * (1.0 / jyw[:, ws] - 1.0 / py[:, None])).sum(axis=0)
+            curv = rho_p * p * (v * v * (1.0 / jyw[:, ws] - 1.0 / py[:, None])).sum(axis=0)
             again = np.where(grow, slope < 0.0, shrink & (slope > 0.0)) & (0.0 < curv) & (curv < np.inf)
-            cell = np.where(again, ys * pw.size + ws, -1)
+            cell = np.where(again, ys * prob.pw.size + ws, -1)
             _, at, count = np.unique(cell, return_inverse=True, return_counts=True)
             x = cur - slope / (curv * count[at])
         x = np.where(grow, np.minimum(x, 0.5), np.maximum(x, _MASS_FLOOR))
@@ -605,14 +626,13 @@ def _batch_lift(
 
 
 def _newton_polish(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
-    floor: float = -math.inf, basis: _ActiveSetBasis | None = None,
+    prob: _Problem, a: np.ndarray, cost: float, logratio: np.ndarray, settings: SolverSettings,
+    budget: int, floor: float = -math.inf, basis: _ActiveSetBasis | None = None,
 ):
     """Active-set Newton refinement on the product of simplex blocks.
 
     Starts from a, strictly positive like every iterate the solver makes,
-    with its cost and log-ratio (_objective_parts). Coordinates
+    with its cost and log-ratio (_Problem.evaluate). Coordinates
     below the freeze mass are held fixed unless they want to grow, which
     lifts them (a light row by a whole-row rebalance, the others in one
     batch, _batch_lift); the rest take damped Newton steps constrained to
@@ -629,12 +649,11 @@ def _newton_polish(
     (_active_set_basis) built for this P{Z, W}, reused while the active set
     is the one it was built for. Returns (encoder, cost, log-ratio, largest
     block gap, iterations, done, basis, summed block gap) after at most
-    min(_POLISH_ITERS, budget) iterations; done means the encoder's summed
-    gap meets grad_tol or its lower bound reaches floor, and basis is the
-    last one used.
+    min(_POLISH_ITERS, budget) iterations (_phase_end); done means the
+    encoder's summed gap meets grad_tol or its lower bound reaches floor,
+    and basis is the last one used.
     """
-    shape = a.shape
-    log_pw, rho_pzw = _log_floored(pw), rho * pzw
+    shape, pzw = a.shape, prob.pzw
     # with the iterate's block gaps, so that its sum is at hand if it returns
     best = (np.inf, a, cost, logratio, None)
     lam = 1e-10
@@ -642,8 +661,7 @@ def _newton_polish(
     def trial(flat):
         cand = np.maximum(flat.reshape(shape), _MASS_FLOOR)
         cand /= cand.sum(axis=0)[None, :, :]
-        zeta, cand_ratio = _leakage_parts(cand, pzw, log_pw)
-        return cand, float((c * cand).sum()) + rho * zeta, cand_ratio
+        return (cand, *prob.evaluate(cand))
 
     refused = (None, set())  # an iterate, and the lifts refused at it
 
@@ -663,14 +681,14 @@ def _newton_polish(
         for move, args in moves:
             if refused[0] is not a:
                 refused = (a, set())
-            a, cost, logratio, moved = move(c, pzw, pw, rho, a, cost, logratio, grad, *args, refused[1])
+            a, cost, logratio, moved = move(prob, a, cost, logratio, grad, *args, refused[1])
             if moved:
-                grad, lifted = _gradient(c, rho_pzw, logratio), True
+                grad, lifted = prob.gradient(logratio), True
         return a, cost, logratio, lifted
 
     it = 0
     for it in range(1, min(_POLISH_ITERS, budget) + 1):
-        grad = _gradient(c, rho_pzw, logratio)
+        grad = prob.gradient(logratio)
         blocks = _block_gaps(a, grad)
         gap, total = float(blocks.max()), float(blocks.sum())
         if total <= settings.grad_tol or (floor > -math.inf and cost - total >= floor):
@@ -687,7 +705,7 @@ def _newton_polish(
             if lifted_here:
                 # fall through to the Newton step on the refreshed state, or
                 # lift churn between coupled coordinates can eat the budget
-                grad = _gradient(c, rho_pzw, logratio)
+                grad = prob.gradient(logratio)
                 heavy = a >= _FREEZE_MASS
         if not np.any(heavy.sum(axis=0) > 1):
             # no move keeps the block masses: the direction is 0 at every
@@ -708,7 +726,7 @@ def _newton_polish(
         if basis is not None and basis.heavy.tobytes() != heavy.tobytes():
             basis = None
         basis = basis or _active_set_basis(pzw, heavy)
-        direction = _newton_direction(pzw, rho, a, heavy, grad, basis)
+        direction = _newton_direction(pzw, prob.rho, a, heavy, grad, basis)
         moved = adopted = False
         for _ in range(14):
             try:
@@ -747,7 +765,7 @@ def _newton_polish(
                 cf = af.copy()
                 cf[idx] += t * d
                 cand, cand_cost, cand_ratio = trial(cf)
-                if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost, rho):
+                if cand_cost <= cost + 1e-4 * t * slope + _cost_slack(cost, prob.rho):
                     # a step inside the slack that lowers nothing is no move,
                     # or a stuck phase would spend its whole budget on them
                     moved, adopted = cand_cost < cost, True
@@ -760,9 +778,7 @@ def _newton_polish(
                 # lifting them in one batch removes the pin, and doubles as
                 # the rescue move when the step itself was rejected
                 blockers = idx[neg][ratios < 0.05]
-                a, cost, logratio, lifted = lift(
-                    a, cost, logratio, _gradient(c, rho_pzw, logratio), blockers
-                )
+                a, cost, logratio, lifted = lift(a, cost, logratio, prob.gradient(logratio), blockers)
                 moved |= lifted
             # a retry's step starts from the iteration's entry state, so
             # none may follow an adopted step
@@ -772,24 +788,30 @@ def _newton_polish(
         if not moved and not lifted_here:
             break
         lam = max(lam * 0.25, 1e-12)
+    return _phase_end(prob, settings, best, a, cost, logratio, it, basis)
 
-    blocks = _block_gaps(a, _gradient(c, rho_pzw, logratio))
+
+def _phase_end(prob: _Problem, settings: SolverSettings, best: tuple, a, cost, logratio, used, carry):
+    """A phase's answer once its loop ends: (encoder, cost, log-ratio,
+    largest gap, used, converged, carry, summed gap) at a, or at best, the
+    iterate with the smallest largest gap, if that is smaller and a is not
+    certified. best is (largest gap, encoder, cost, log-ratio, block gaps)."""
+    blocks = _block_gaps(a, prob.gradient(logratio))
     gap, total = float(blocks.max()), float(blocks.sum())
     conv = total <= settings.grad_tol
     if best[0] < gap and not conv:
         gap, a, cost, logratio, blocks = best
         total = float(blocks.sum())
-    return a, cost, logratio, gap, it, conv, basis, total
+    return a, cost, logratio, gap, used, conv, carry, total
 
 
 def _mirror_phase(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray,
-    cost: float, logratio: np.ndarray, settings: SolverSettings, budget: int,
-    handoff: float, crawl: float, floor: float = -math.inf, step: float | None = None,
+    prob: _Problem, a: np.ndarray, cost: float, logratio: np.ndarray, settings: SolverSettings,
+    budget: int, handoff: float, crawl: float, floor: float = -math.inf, step: float | None = None,
 ):
     """Multiplicative-weights segment with Armijo backtracking.
 
-    Starts from a with its cost and log-ratio (_objective_parts), and with
+    Starts from a with its cost and log-ratio (_Problem.evaluate), and with
     step, or settings.step_init when step is None, as its first trial step;
     the evaluation that accepts a step gives the next iterate's gradient. Runs
     until the summed block gap meets grad_tol or the certified lower bound,
@@ -798,21 +820,20 @@ def _mirror_phase(
     _STALL_PATIENCE iterations earlier), the Armijo search stalls with its
     step below _TINY_STEP, or the budget runs out; progress in the cost
     alone ends nothing, as it falls below rounding while the largest gap
-    still shrinks. Returns the iterate with the smallest largest gap, or,
-    when certified, floored, at the handoff or at a crawl, the current one.
-    handoff and crawl 0 keep the phase to the end. Returns (a, cost,
-    log-ratio, largest gap, used, done, step, summed gap), done meaning
-    certified or floored and step the one the phase would have tried next,
-    or None when it stalled below _TINY_STEP.
+    still shrinks. Returns the iterate with the smallest largest gap
+    (_phase_end), or, when certified, floored, at the handoff or at a
+    crawl, the current one. handoff and crawl 0 keep the phase to the end.
+    Returns (a, cost, log-ratio, largest gap, used, done, step, summed gap),
+    done meaning certified or floored and step the one the phase would have
+    tried next, or None when it stalled below _TINY_STEP.
     """
-    log_pw, rho_pzw = _log_floored(pw), rho * pzw
     step = settings.step_init if step is None else step
     # with the iterate's block gaps, so that its sum is at hand if it returns
     best = (np.inf, a, cost, logratio, None)
     used = 0
     gaps = []
     for used in range(1, budget + 1):
-        grad = _gradient(c, rho_pzw, logratio)
+        grad = prob.gradient(logratio)
         low = grad.min(axis=0)
         blocks = _block_gaps(a, grad, low)
         gap = float(blocks.max())
@@ -839,8 +860,7 @@ def _mirror_phase(
                 # candidate again
                 step = 0.0
                 break
-            zeta, cand_ratio = _leakage_parts(cand, pzw, log_pw)
-            cand_cost = float((c * cand).sum()) + rho * zeta
+            cand_cost, cand_ratio = prob.evaluate(cand)
             predicted = float((grad * (a - cand)).sum())
             if cand_cost <= cost - 1e-4 * predicted:
                 a, cost, logratio = cand, cand_cost, cand_ratio
@@ -852,14 +872,7 @@ def _mirror_phase(
         if step < _TINY_STEP:
             break
         step = min(step * _STEP_GROWTH, _MAX_STEP)
-
-    blocks = _block_gaps(a, _gradient(c, rho_pzw, logratio))
-    gap, total = float(blocks.max()), float(blocks.sum())
-    conv = total <= settings.grad_tol
-    if best[0] < gap and not conv:
-        gap, a, cost, logratio, blocks = best
-        total = float(blocks.sum())
-    return a, cost, logratio, gap, used, conv, step if step >= _TINY_STEP else None, total
+    return _phase_end(prob, settings, best, a, cost, logratio, used, step if step >= _TINY_STEP else None)
 
 
 class _WarmStart:
@@ -884,16 +897,16 @@ class _WarmStart:
 
 
 def _minimize_over_blocks(
-    c: np.ndarray, pzw: np.ndarray, pw: np.ndarray, rho: float, settings: SolverSettings,
-    start: _WarmStart | None = None, floor: float = -math.inf,
-):
-    """Minimize (c . a) + rho * leakage over the product of message simplices.
+    prob: _Problem, settings: SolverSettings, start: _WarmStart | None = None,
+    floor: float = -math.inf,
+) -> BestResponseResult:
+    """Solve prob: minimize (c . a) + rho * leakage over the product of message simplices.
 
-    A start.a with a zero entry that has a gradient (_has_gradient) and a
-    summed block gap within grad_tol is returned as it stands, with 0
-    iterations, and start is left as it was. Otherwise the solve starts from the uniform encoder, or from
-    start.a floored at _FREEZE_MASS and renormalized per block, so that
-    every coordinate can still grow.
+    A start.a with a zero entry whose certificate (_Problem.certificate)
+    meets grad_tol is returned as it stands, with 0 iterations, and start
+    is left as it was. Otherwise the solve starts from the uniform encoder,
+    or from start.a floored at _FREEZE_MASS and renormalized per block, so
+    that every coordinate can still grow.
     Alternates a multiplicative-weights phase that shapes the support with
     an active-set Newton phase that closes the gap, keeping the iterate
     with the smallest largest block gap across rounds; each phase hands the
@@ -905,8 +918,8 @@ def _minimize_over_blocks(
     solve. So does an iterate whose certified lower bound on the optimum,
     its cost minus its summed block gap, reaches floor: that iterate is
     returned. A solve that never reaches floor runs the iterates of the
-    solve without one. Returns (a, cost, iterations, converged, gap), gap
-    a's summed block gap and converged whether it meets grad_tol.
+    solve without one. The result's stationarity_gap is its encoder's
+    summed block gap, and converged says whether that meets grad_tol.
 
     The first mirror phase's first trial step is start.step, the later
     phases' settings.step_init. Each Newton phase starts with the last basis
@@ -917,29 +930,28 @@ def _minimize_over_blocks(
     start the next solve of a continuation chain.
     """
     start = start or _WarmStart()
-    if rho == 0.0:
+    c = prob.c
+    if prob.rho == 0.0:
         # no leakage term: each block independently loads its cheapest message
         a = np.zeros_like(c)
         rows = np.argmin(c, axis=0)
         mi, qi = np.indices(rows.shape)
         a[rows, mi, qi] = 1.0
         start.a = a
-        return a, float((c * a).sum()), 0, True, 0.0
+        return BestResponseResult(SenderPolicy(a), float((c * a).sum()), 0, True, 0.0)
     a = start.a
-    if a is not None and not a.all() and _has_gradient(pzw, pw, rho, a):
-        # the floor below would move a off its face
-        cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
-        total = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
-        if total <= settings.grad_tol:
-            return a, cost, 0, True, total
+    # the floor below would move a start with a zero entry off its face
+    cert = None if a is None or a.all() else prob.certificate(a)
+    if cert is not None and cert[1] <= settings.grad_tol:
+        return BestResponseResult(SenderPolicy(a), cert[0], 0, True, cert[1])
     if a is None:
         a = np.full_like(c, 1.0 / c.shape[0])
     else:
         a = np.maximum(a, _FREEZE_MASS)
         a /= a.sum(axis=0)[None, :, :]
-    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
+    cost, logratio = prob.evaluate(a)
     step, basis = start.step, start.basis
-    if basis is not None and not np.array_equal(basis.pzw, pzw):
+    if basis is not None and not np.array_equal(basis.pzw, prob.pzw):
         basis = None
 
     # with the iterate's summed gap, so that it is at hand if it is returned
@@ -950,8 +962,7 @@ def _minimize_over_blocks(
         # after a stalled Newton phase, re-shape the support until the
         # largest block gap is well below the best so far
         a, cost, logratio, gap, used, conv, next_step, total = _mirror_phase(
-            c, pzw, pw, rho, a, cost, logratio, settings,
-            min(_PHASE_ONE_CAP, settings.max_iters - spent),
+            prob, a, cost, logratio, settings, min(_PHASE_ONE_CAP, settings.max_iters - spent),
             min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]), floor, step,
         )
         step = None
@@ -961,7 +972,7 @@ def _minimize_over_blocks(
         if conv or spent >= settings.max_iters:
             break
         a, cost, logratio, gap, used, conv, basis, total = _newton_polish(
-            c, pzw, pw, rho, a, cost, logratio, settings, settings.max_iters - spent, floor, basis
+            prob, a, cost, logratio, settings, settings.max_iters - spent, floor, basis
         )
         spent += used
         if gap < best[0]:
@@ -972,7 +983,7 @@ def _minimize_over_blocks(
     if not conv:
         _, a, cost, logratio, total = best
     start.a, start.step, start.basis = a, next_step, basis
-    return a, cost, spent, total <= settings.grad_tol, total
+    return BestResponseResult(SenderPolicy(a), cost, spent, total <= settings.grad_tol, total)
 
 
 def sender_best_response(
@@ -998,11 +1009,8 @@ def sender_best_response(
         start = _WarmStart(start.a)
     # otherwise start is None or a continuation chain's _WarmStart (sweep.py),
     # which the solve updates for the chain's next one
-    c = _linear_coeffs(g, beta)
-    a, cost, iterations, converged, gap = _minimize_over_blocks(
-        c, g.joint.pzw, g.joint.pw, g.rho, settings, start
-    )
-    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
+    prob = _Problem(_linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho)
+    return _minimize_over_blocks(prob, settings, start)
 
 
 def babbling_equilibrium(g: GameInstance) -> tuple[SenderPolicy, ReceiverPolicy]:
@@ -1014,31 +1022,23 @@ def babbling_equilibrium(g: GameInstance) -> tuple[SenderPolicy, ReceiverPolicy]
     return alpha, beta
 
 
-def _identity_best_response(
-    g: GameInstance, settings: SolverSettings, start: _WarmStart | None = None
+def explicit_equilibrium(
+    g: GameInstance, settings: SolverSettings = DEFAULT_SETTINGS, start: SenderPolicy | None = None
 ) -> tuple[BestResponseResult, ReceiverPolicy]:
-    """Sender best response to the identity decoder, and that decoder.
+    """Equilibrium built from the identity decoder: the sender's best
+    response to it, and that decoder.
 
-    start, when given, is a continuation chain's warm start, which the solve
-    reads and then updates (_minimize_over_blocks).
+    Requires the message alphabet to equal the state alphabet. The sender
+    best-responds to the identity decoder; data processing makes the identity
+    decoder optimal in return. The pair is an equilibrium only as far as the
+    best response is one: its converged flag says whether its summed block
+    gap meets grad_tol. start is sender_best_response's, or a continuation
+    chain's _WarmStart (sweep.py), which the solve reads and then updates.
     """
     if g.y_space.size != g.x_space.size:
         raise ValueError("explicit construction needs message alphabet = state alphabet")
     beta = ReceiverPolicy.identity(g.x_space.size)
     return sender_best_response(g, beta, settings, start), beta
-
-
-def explicit_equilibrium(
-    g: GameInstance, settings: SolverSettings = DEFAULT_SETTINGS
-) -> tuple[SenderPolicy, ReceiverPolicy]:
-    """Equilibrium built from the identity decoder.
-
-    Requires the message alphabet to equal the state alphabet. The sender
-    best-responds to the identity decoder; data processing makes the identity
-    decoder optimal in return.
-    """
-    br, beta = _identity_best_response(g, settings)
-    return br.policy, beta
 
 
 def _improvement_reference(
@@ -1053,8 +1053,8 @@ def _improvement_reference(
     own - ref.cost + ref.stationarity_gap] by convexity (_block_gaps), and
     ref.cost - ref.stationarity_gap >= own - epsilon proves that it is at
     most epsilon. ref is alpha itself, at cost own and without a solve, when
-    the cost has a gradient at alpha (_has_gradient) and alpha's own summed
-    gap is at most epsilon. Otherwise ref is the answer of a solve floored
+    alpha has a certificate (_Problem.certificate) whose summed gap is at
+    most epsilon. Otherwise ref is the answer of a solve floored
     at own - epsilon (_minimize_over_blocks): it stops at the first iterate that proves the
     bound, and a solve that never does returns the unfloored answer. Either
     way own - ref.cost > epsilon exactly when it holds for the unfloored
@@ -1065,16 +1065,11 @@ def _improvement_reference(
     without a solve leaves it as it was. A solve that adopts never reached
     its floor, so it leaves start as the unfloored solve would.
     """
-    a = alpha.a
-    if _has_gradient(pzw, pw, rho, a):
-        _, logratio = _leakage_parts(a, pzw, _log_floored(pw))
-        gap = float(_block_gaps(a, _gradient(c, rho * pzw, logratio)).sum())
-        if gap <= epsilon:
-            return BestResponseResult(alpha, own, 0, gap <= settings.grad_tol, gap)
-    a, cost, iterations, converged, gap = _minimize_over_blocks(
-        c, pzw, pw, rho, settings, start, own - epsilon
-    )
-    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
+    prob = _Problem(c, pzw, pw, rho)
+    cert = prob.certificate(alpha.a)
+    if cert is not None and cert[1] <= epsilon:
+        return BestResponseResult(alpha, own, 0, cert[1] <= settings.grad_tol, cert[1])
+    return _minimize_over_blocks(prob, settings, start, own - epsilon)
 
 
 def epsilon_nash_check(

@@ -10,7 +10,7 @@ from .config import GameConfig, SweepSpec
 from .dynamics import default_initial_pair, thresholded_dynamics
 from .game import GameInstance, ReceiverPolicy, SenderPolicy, _joint_xy, _joint_yw, _xi
 from .prob import LN2, _mutual_information
-from .solve import _identity_best_response, _leakage_parts, _linear_coeffs, _log_floored, _WarmStart
+from .solve import _leakage_parts, _linear_coeffs, _log_floored, _WarmStart, explicit_equilibrium
 
 #: Distortion at or below this counts as "zero" when locating the transition.
 ZERO_DISTORTION = 1e-3
@@ -90,7 +90,7 @@ def _chain(cfg: GameConfig, method: str) -> _WarmStart:
     """
     chain = _WarmStart()
     if method == "explicit":
-        _identity_best_response(_game_at_zero(cfg), cfg.solver, chain)
+        explicit_equilibrium(_game_at_zero(cfg), cfg.solver, chain)
     return chain
 
 
@@ -103,7 +103,7 @@ def _point(cfg: GameConfig, rho: float, method: str, chain: _WarmStart) -> Sweep
     """
     g = cfg.build_single(rho)
     if method == "explicit":
-        res, beta = _identity_best_response(g, cfg.solver, chain)
+        res, beta = explicit_equilibrium(g, cfg.solver, chain)
         alpha = res.policy
         iterations, converged = res.iterations, res.converged
     elif method == "dynamics":

@@ -167,7 +167,8 @@ def test_criterion_4_explicit_equilibrium():
         m = int(rng.integers(2, 5))
         q = int(rng.integers(2, 4))
         g = random_game(rng, m, q, m, float(rng.random() * 2.0))
-        alpha, beta = explicit_equilibrium(g)
+        br, beta = explicit_equilibrium(g)
+        alpha = br.policy
         check = epsilon_nash_check(g, alpha, beta, 1e-6)
         ok = ok and check.member
         worst_gap = max(worst_gap, check.sender_gap, check.receiver_gap)

@@ -215,7 +215,8 @@ def test_solve_explicit_solves_one_best_response(runner, tmp_path, monkeypatch):
     # check separately through the public functions
     cfg = load_config_file(cfg_path)
     g = cfg.build_single(cfg.scalar_rho())
-    alpha, beta = solve_mod.explicit_equilibrium(g, cfg.solver)
+    br, beta = solve_mod.explicit_equilibrium(g, cfg.solver)
+    alpha = br.policy
     br = solve_mod.sender_best_response(g, beta, cfg.solver)
     check = solve_mod.epsilon_nash_check(g, alpha, beta, cfg.dynamics.epsilon, cfg.solver)
     assert report["member"] == check.member

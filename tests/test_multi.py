@@ -42,11 +42,8 @@ from privsig.multi import (
 from privsig.prob import FiniteSpace
 from privsig import solve as solve_module
 from privsig.solve import (
-    BestResponseResult,
     _block_gaps,
-    _gradient,
-    _leakage_parts,
-    _log_floored,
+    _Problem,
     epsilon_nash_check,
     receiver_best_response,
     sender_best_response,
@@ -481,10 +478,7 @@ def skip_cases():
 def full_reference(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
     """_improvement_reference's stand-in: a full unfloored best response,
     started from play's continuation chain."""
-    a, cost, iterations, converged, gap = solve_module._minimize_over_blocks(
-        c, pzw, pw, rho, settings, start
-    )
-    return BestResponseResult(SenderPolicy(a), cost, iterations, converged, gap)
+    return solve_module._minimize_over_blocks(_Problem(c, pzw, pw, rho), settings, start)
 
 
 def test_certificate_skip_leaves_play_unchanged(monkeypatch):
@@ -581,7 +575,7 @@ def test_chained_play_spends_fewer_solver_iterations(monkeypatch):
 
     def counted(*args, **kwargs):
         out = minimize(*args, **kwargs)
-        spent[mode] += out[2]
+        spent[mode] += out.iterations
         return out
 
     def cold(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
@@ -851,7 +845,7 @@ def test_audit_solves_only_what_play_did_not(monkeypatch):
 
     def counted(*args, **kwargs):
         out = minimize(*args, **kwargs)
-        iterations[-1] += out[2]
+        iterations[-1] += out.iterations
         return out
 
     monkeypatch.setattr(solve_module, "_minimize_over_blocks", counted)
@@ -868,8 +862,8 @@ def test_audit_solves_only_what_play_did_not(monkeypatch):
     for j in range(g.n):
         c, pzw = _linear_coeffs_multi(g, alphas, _distortion_table(g, beta), j), g.joint.pzw(j)
         a = alphas[j].a
-        _, logratio = _leakage_parts(a, pzw, _log_floored(pzw.sum(axis=0)))
-        gap = float(_block_gaps(a, _gradient(c, g.rho * pzw, logratio)).sum())
+        prob = _Problem(c, pzw, pzw.sum(axis=0), g.rho)
+        gap = float(_block_gaps(a, prob.gradient(prob.evaluate(a)[1])).sum())
         full = sender_best_response_multi(g, alphas, beta, j)
         (settled if gap <= eps else rest).append((iterations[j], full.iterations))
     assert settled and rest, (settled, rest)

@@ -44,13 +44,10 @@ from privsig.solve import (
     _active_set_basis,
     _batch_lift,
     _cost_slack,
-    _gradient,
-    _identity_best_response,
     _linear_coeffs,
-    _log_floored,
     _newton_direction,
     _newton_polish,
-    _objective_parts,
+    _Problem,
     _WarmStart,
     babbling_equilibrium,
     epsilon_nash_check,
@@ -327,8 +324,9 @@ def boundary_encoder(rng, r: int, m: int, q: int, empty_cell: bool) -> np.ndarra
 def test_own_gap_certifies_boundary_encoders_that_load_every_cell():
     # where every (y, w) cell carries mass the cost has a gradient on the
     # boundary too: it matches one-sided differences along the moves that
-    # keep each block's mass, and the encoder's own summed gap bounds its
-    # cost above the optimum. An encoder that empties a cell has none
+    # keep each block's mass, and the encoder's own summed gap, which the
+    # solver's certificate gives, bounds its cost above the optimum. An
+    # encoder that empties a cell has none
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -346,6 +344,10 @@ def test_own_gap_certifies_boundary_encoders_that_load_every_cell():
         assert solved.converged
         gap = float(privsig.solve._block_gaps(alpha.a, grad).sum())
         assert own - gap <= solved.cost + 1e-12
+        c, pzw, pw = _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
+        prob = _Problem(c, pzw, pw, g.rho)
+        cert = prob.certificate(alpha.a)
+        assert cert[1] == gap and cert[0] == pytest.approx(own, rel=1e-12, abs=1e-12)
         h = 1e-7
         for k in range(6):
             # the first move grows a zero entry, (0, 0, w)
@@ -361,7 +363,7 @@ def test_own_gap_certifies_boundary_encoders_that_load_every_cell():
         empty = SenderPolicy(boundary_encoder(rng, r, m, q, empty_cell=True))
         with pytest.raises(ValueError, match="cell"):
             sender_cost_gradient(g, empty, beta)
-        c, pzw, pw = _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
+        assert prob.certificate(empty.a) is None
         cost = sender_cost(g, empty, beta)
         ref = privsig.solve._improvement_reference(
             c, pzw, pw, g.rho, empty, cost, 1e9, DEFAULT_SETTINGS
@@ -530,8 +532,8 @@ def test_mirror_phase_stops_halving_below_rounding(monkeypatch):
     for g, m in [(circulant_game(0.38), 5), (shifted_circulant_game(8, 0.6), 8)]:
         beta = ReceiverPolicy.identity(m)
         a = sender_best_response(g, beta).policy.a
-        c, pzw, pw = privsig.solve._linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
-        cost, logratio = _objective_parts(c, pzw, _log_floored(pw), g.rho, a)
+        prob = _Problem(privsig.solve._linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho)
+        cost, logratio = prob.evaluate(a)
         keys = []
         leakage_parts = privsig.solve._leakage_parts
 
@@ -540,8 +542,8 @@ def test_mirror_phase_stops_halving_below_rounding(monkeypatch):
             return leakage_parts(x, *rest)
 
         monkeypatch.setattr(privsig.solve, "_leakage_parts", recording)
-        out = privsig.solve._mirror_phase(c, pzw, pw, g.rho, a, cost, logratio, settings, 200, 0.0, 0.0)
-        privsig.solve._newton_polish(c, pzw, pw, g.rho, *out[:3], settings, 10)
+        out = privsig.solve._mirror_phase(prob, a, cost, logratio, settings, 200, 0.0, 0.0)
+        privsig.solve._newton_polish(prob, *out[:3], settings, 10)
         monkeypatch.undo()
         assert out[4] < 200  # the mirror phase stopped before its budget
         assert len(keys) == len(set(keys))
@@ -599,8 +601,9 @@ def test_sender_br_twelve_symbol_newton_systems_stay_small(rho, monkeypatch):
 
 def evaluate(c, pzw, pw, rho, a):
     """The solver's evaluation of a: (cost, log-ratio, gradient)."""
-    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
-    return cost, logratio, _gradient(c, rho * pzw, logratio)
+    prob = _Problem(c, pzw, pw, rho)
+    cost, logratio = prob.evaluate(a)
+    return cost, logratio, prob.gradient(logratio)
 
 
 def dense_newton_direction(pzw, rho, a, heavy, grad, lam):
@@ -825,13 +828,13 @@ def test_newton_phase_solves_nothing_without_two_heavy_coordinates_in_a_block(rh
     g, beta = circulant_game(rho), ReceiverPolicy.identity(5)
     a = np.maximum(SenderPolicy.truthful(5, 5).a, 1e-12)
     a /= a.sum(axis=0)
-    c, pzw, pw = _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
-    cost, logratio = _objective_parts(c, pzw, _log_floored(pw), rho, a)
+    prob = _Problem(_linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, rho)
+    cost, logratio = prob.evaluate(a)
     solves, builds = [], []
     solve, basis = np.linalg.solve, privsig.solve._active_set_basis
     monkeypatch.setattr(privsig.solve.np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
     monkeypatch.setattr(privsig.solve, "_active_set_basis", lambda *args: builds.append(1) or basis(*args))
-    out = _newton_polish(c, pzw, pw, rho, a, cost, logratio, SolverSettings(grad_tol=1e-300), 10)
+    out = _newton_polish(prob, a, cost, logratio, SolverSettings(grad_tol=1e-300), 10)
     monkeypatch.undo()
     assert out[0] is a and out[4] == 1 and not out[5]
     assert not solves and not builds
@@ -873,7 +876,9 @@ def test_batch_lift_hands_back_its_own_evaluation(monkeypatch):
 
         evaluations.clear()
         with np.errstate(divide="ignore", invalid="ignore"):
-            got_a, got_cost, got_ratio, moved = _batch_lift(*fixed, a, cost, logratio, grad, coords)
+            got_a, got_cost, got_ratio, moved = _batch_lift(
+                _Problem(*fixed), a, cost, logratio, grad, coords, set()
+            )
         tried = list(evaluations)
         np.testing.assert_array_equal(a, a_in)  # the input is not mutated
         assert len(tried) <= 2
@@ -954,6 +959,22 @@ def test_sender_br_converges_on_every_stream_draw(seed, count, budget):
     assert total <= budget
 
 
+def test_a_solve_takes_log_pw_once(monkeypatch):
+    # a solve poses its problem once (_Problem), so log P{W} is taken once
+    # per best response; each phase, lift and start check took it again,
+    # 4 to 46 times per solve on these draws
+    log_floored = privsig.solve._log_floored
+    for g, beta in stochastic_decoder_draws(7, 40):
+        calls = []
+        monkeypatch.setattr(
+            privsig.solve, "_log_floored", lambda x: calls.append(x is g.joint.pw) or log_floored(x)
+        )
+        res = sender_best_response(g, beta)
+        monkeypatch.undo()
+        assert res.converged
+        assert sum(calls) == 1
+
+
 def test_row_rebalance_keeps_the_row_mass(monkeypatch):
     # a rebalance re-profiles a light row at its own mass P{Y=y}; only the
     # 0.45 cap on a cell, or the token mass 1e-200 that revives a row which
@@ -962,10 +983,10 @@ def test_row_rebalance_keeps_the_row_mass(monkeypatch):
     rebalance = privsig.solve._row_rebalance
     moved = []
 
-    def recording(c, pzw, pw, rho, a, *rest):
-        out = rebalance(c, pzw, pw, rho, a, *rest)
+    def recording(prob, a, *rest):
+        out = rebalance(prob, a, *rest)
         if out[3]:
-            y = rest[3]
+            y, pzw = rest[3], prob.pzw
             moved.append((float((pzw * a[y]).sum()), float((pzw * out[0][y]).sum()), out[0][y].max()))
         return out
 
@@ -1136,9 +1157,9 @@ def test_sender_br_start_with_zeros_is_floored(monkeypatch):
     entries = []
     mirror = privsig.solve._mirror_phase
 
-    def recording_mirror(c, pzw, pw, rho, a, *rest):
+    def recording_mirror(prob, a, *rest):
         entries.append(a.copy())
-        return mirror(c, pzw, pw, rho, a, *rest)
+        return mirror(prob, a, *rest)
 
     monkeypatch.setattr(privsig.solve, "_mirror_phase", recording_mirror)
     warm = sender_best_response(g, beta, start=start)
@@ -1185,7 +1206,7 @@ def test_warm_start_reuses_a_basis_only_for_its_own_pzw(monkeypatch):
     # the one it was built for, as along a sweep. After P{Z, W} moves by
     # 1e-6 it builds its own, although the active set is the carried one
     chain = _WarmStart()
-    _identity_best_response(circulant_game(0.38), DEFAULT_SETTINGS, chain)
+    explicit_equilibrium(circulant_game(0.38), DEFAULT_SETTINGS, chain)
     built, used = [], []
     basis, direction = privsig.solve._active_set_basis, privsig.solve._newton_direction
 
@@ -1200,13 +1221,13 @@ def test_warm_start_reuses_a_basis_only_for_its_own_pzw(monkeypatch):
     monkeypatch.setattr(privsig.solve, "_active_set_basis", recording_basis)
     monkeypatch.setattr(privsig.solve, "_newton_direction", recording_direction)
     carried = chain.basis
-    assert _identity_best_response(circulant_game(0.39), DEFAULT_SETTINGS, chain)[0].converged
+    assert explicit_equilibrium(circulant_game(0.39), DEFAULT_SETTINGS, chain)[0].converged
     assert not built and used[0][1] is carried
     nudged = CIRCULANT_MATRIX.copy()
     nudged[0, :2] += [1e-6, -1e-6]
     g = GameInstance(JointPXZW.from_xw_matrix(nudged), hamming_distortion(5), FiniteSpace(5), 0.4)
     carried, used[:] = chain.basis, []
-    assert _identity_best_response(g, DEFAULT_SETTINGS, chain)[0].converged
+    assert explicit_equilibrium(g, DEFAULT_SETTINGS, chain)[0].converged
     monkeypatch.undo()
     assert built and np.array_equal(built[0].heavy, carried.heavy)
     assert all(b is not carried and np.array_equal(b.pzw, pzw) for pzw, b in used)
@@ -1230,11 +1251,11 @@ def test_warm_start_carries_no_stalled_step(monkeypatch):
         return out
 
     monkeypatch.setattr(privsig.solve, "_mirror_phase", recording)
-    _identity_best_response(g, settings, chain)
+    explicit_equilibrium(g, settings, chain)
     assert phases[0][0] == 100.0 and all(entry is None for entry, _ in phases[1:])
     assert phases[-1][1] is None and chain.step is None
     phases.clear()
-    _identity_best_response(g, settings, chain)
+    explicit_equilibrium(g, settings, chain)
     monkeypatch.undo()
     assert phases[0][0] is None
 
@@ -1331,9 +1352,9 @@ def test_cost_slack_covers_the_objectives_rounding(rho):
         g = random_game(rng, 4, 3, 4, rho)
         beta = random_receiver(rng, 4, 4)
         a = random_sender(rng, 4, 4, 3).a
-        c, pzw, log_pw = _linear_coeffs(g, beta), g.joint.pzw, _log_floored(g.joint.pw)
-        cost, _ = _objective_parts(c, pzw, log_pw, rho, a)
-        relabeled, _ = _objective_parts(c[..., ::-1], pzw[:, ::-1], log_pw[::-1], rho, a[..., ::-1])
+        c, pzw, pw = _linear_coeffs(g, beta), g.joint.pzw, g.joint.pw
+        cost, _ = _Problem(c, pzw, pw, rho).evaluate(a)
+        relabeled, _ = _Problem(c[..., ::-1], pzw[:, ::-1], pw[::-1], rho).evaluate(a[..., ::-1])
         assert abs(relabeled - cost) <= _cost_slack(cost, rho)
 
 
@@ -1404,7 +1425,8 @@ def test_babbling_general_distortion_uses_prior_cost():
 
 def test_explicit_equilibrium_rho_zero_circulant():
     g = circulant_game(0.0)
-    alpha, beta = explicit_equilibrium(g)
+    br, beta = explicit_equilibrium(g)
+    alpha = br.policy
     np.testing.assert_array_equal(beta.b, np.eye(5))
     assert expected_distortion(g, alpha, beta) <= 1e-10
     assert abs(leakage(g, alpha) - CIRCULANT_MI_NATS) < 1e-6
@@ -1415,7 +1437,8 @@ def test_explicit_equilibrium_large_rho_suppresses_leakage():
     # babbling cost: scrambling only where measurements are ambiguous keeps
     # distortion well below the prior-guessing level
     g = circulant_game(10.0)
-    alpha, beta = explicit_equilibrium(g)
+    br, beta = explicit_equilibrium(g)
+    alpha = br.policy
     assert leakage(g, alpha) < 1e-3
     babbling_cost = 0.8
     assert sender_cost(g, alpha, beta) < babbling_cost - 0.1
@@ -1442,7 +1465,8 @@ def test_explicit_equilibrium_independent_secret_stays_truthful():
         g = GameInstance(
             JointPXZW.from_tensor(p), hamming_distortion(2), FiniteSpace(2), rho
         )
-        alpha, beta = explicit_equilibrium(g)
+        br, beta = explicit_equilibrium(g)
+        alpha = br.policy
         assert expected_distortion(g, alpha, beta) <= 1e-8
         assert leakage(g, alpha) <= 1e-8
         np.testing.assert_allclose(alpha.a, SenderPolicy.truthful(2, 2).a, atol=1e-6)
@@ -1478,7 +1502,8 @@ def test_epsilon_nash_reports_carry_the_three_valued_verdict():
     # PASS is a proven membership; FAIL needs a gap above epsilon, an
     # improvement some policy attains; anything else is UNCERTIFIED
     g = circulant_game(0.5)
-    assert epsilon_nash_check(g, *explicit_equilibrium(g), 1e-6).verdict == "PASS"
+    br, beta = explicit_equilibrium(g)
+    assert epsilon_nash_check(g, br.policy, beta, 1e-6).verdict == "PASS"
     g = circulant_game(1.0)
     lying = epsilon_nash_check(g, SenderPolicy.truthful(5, 5), ReceiverPolicy.constant(0, 5, 5), 1e-6)
     assert lying.receiver_gap > 1e-6 and lying.verdict == "FAIL"
@@ -1491,12 +1516,37 @@ def test_epsilon_nash_reports_carry_the_three_valued_verdict():
     assert MultiEpsilonNashReport(False, 0.05, (0.0, 0.05), (0.0, 0.3), 0.1).verdict == "UNCERTIFIED"
 
 
+def explicit_draw(index: int) -> GameInstance:
+    """Draw number `index` of the stream default_rng(2026): m = integers(2, 6),
+    |W| = integers(2, 5) and rho = 10^uniform(-2, 2), then random_game with
+    |Y| = m."""
+    rng = np.random.default_rng(2026)
+    for _ in range(index + 1):
+        m, q = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        g = random_game(rng, m, q, m, 10.0 ** rng.uniform(-2.0, 2.0))
+    return g
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 4, 30, 203, 279])
+def test_explicit_equilibrium_carries_a_faithful_converged_flag(index):
+    # the pair is an equilibrium only as far as its best response is
+    # certified, so the best response comes back with its flag, which says
+    # whether its encoder's summed gap meets grad_tol. Draws 30 and 203
+    # (m = 5, rho = 52.9 and 74.5) and 279 (m = 3, rho = 0.0128) ended
+    # unconverged here, at summed gaps of 6.7e-3, 7.0e-3 and 8.1e-8
+    g = explicit_draw(index)
+    br, beta = explicit_equilibrium(g)
+    np.testing.assert_array_equal(beta.b, np.eye(g.x_space.size))
+    assert br.converged == (summed_block_gap(g, beta, br) <= DEFAULT_SETTINGS.grad_tol)
+
+
 def test_explicit_equilibrium_receiver_side(rng):
     # identity decoding is already optimal against the constructed encoder
     for _ in range(10):
         m = int(rng.integers(2, 4))
         g = random_game(rng, m, 2, m, float(rng.random() * 1.5))
-        alpha, beta = explicit_equilibrium(g)
+        br, beta = explicit_equilibrium(g)
+        alpha = br.policy
         best = receiver_best_response(g, alpha)
         assert expected_distortion(g, alpha, best) >= expected_distortion(g, alpha, beta) - 1e-8
 

@@ -66,7 +66,7 @@ def recorded_circulant5_sweep(cold: bool) -> dict:
     warm start (encoder, mirror step and Newton basis) copied as the solve
     received it; cold drops the whole warm start the sweep passes."""
     solves = []
-    inner = sweep_mod._identity_best_response
+    inner = sweep_mod.explicit_equilibrium
 
     def recording(g, settings, start):
         entry = (start, copy.copy(start))
@@ -76,7 +76,7 @@ def recorded_circulant5_sweep(cold: bool) -> dict:
 
     cfg = load_config(preset_text("circulant5"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep_mod, "_identity_best_response", recording)
+        mp.setattr(sweep_mod, "explicit_equilibrium", recording)
         rows = run_sweep(cfg)
         grid = len(solves)
         report = sweep_report(cfg, rows, "explicit")
@@ -131,7 +131,7 @@ def test_bisection_starts_from_the_grid_only_with_run_sweeps_rows(circulant5_swe
     # critical ratio
     warm = circulant5_sweeps["warm"]
     starts = []
-    inner = sweep_mod._identity_best_response
+    inner = sweep_mod.explicit_equilibrium
 
     def recording(g, settings, start):
         starts.append(copy.copy(start))
@@ -139,7 +139,7 @@ def test_bisection_starts_from_the_grid_only_with_run_sweeps_rows(circulant5_swe
 
     cfg = load_config(preset_text("circulant5"))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep_mod, "_identity_best_response", recording)
+        mp.setattr(sweep_mod, "explicit_equilibrium", recording)
         report = sweep_report(cfg, list(warm["rows"]), "explicit")
     assert len(starts) == 5 and starts[0].a is None and starts[0].step is None
     np.testing.assert_array_equal(starts[1].a, SenderPolicy.truthful(5, 5).a)
@@ -323,9 +323,9 @@ def test_truthful_point_above_rho_star_falls_back_to_a_solve():
     rows = run_sweep(cfg)
     assert [row.iterations == 0 for row in rows] == [True, True, False, False, False]
     assert [row.expected_distortion == 0.0 for row in rows] == [True, True, False, False, False]
-    inner = sweep_mod._identity_best_response
+    inner = sweep_mod.explicit_equilibrium
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep_mod, "_identity_best_response", lambda g, settings, start: inner(g, settings))
+        mp.setattr(sweep_mod, "explicit_equilibrium", lambda g, settings, start: inner(g, settings))
         cold = run_sweep(cfg)
     for row, want in zip(rows, cold):
         assert row.converged and want.converged
@@ -336,7 +336,7 @@ def test_sweep_from_above_zero_keeps_the_truthful_encoder_up_to_rho_star():
     # a grid that starts above 0 starts its chain from the exact rho = 0
     # answer all the same, so every point up to rho* returns it exactly
     answers = []
-    inner = sweep_mod._identity_best_response
+    inner = sweep_mod.explicit_equilibrium
 
     def recording(g, settings, start):
         res, beta = inner(g, settings, start)
@@ -345,7 +345,7 @@ def test_sweep_from_above_zero_keeps_the_truthful_encoder_up_to_rho_star():
 
     cfg = circulant_sweep_config("nats", 0.2, 0.6, 5)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep_mod, "_identity_best_response", recording)
+        mp.setattr(sweep_mod, "explicit_equilibrium", recording)
         rows = run_sweep(cfg)
     rho_star = _truthful_critical_rho(circulant_game(0.0))
     assert [rho for rho, _ in answers] == [0.0, 0.2, 0.3, 0.4, 0.5, 0.6]
