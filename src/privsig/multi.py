@@ -350,9 +350,10 @@ def epsilon_nash_check_multi(
     """Decide whether a multi-sender state is an epsilon-equilibrium.
 
     Each sender is decided as in epsilon_nash_check: by its encoder's own
-    summed block gap when that settles it, else by a solve that stops at
-    the first iterate that does. member is a proof, and each sender gap is
-    clamped at 0, as there.
+    summed block gap when that settles it, else by the leakage-blind
+    encoder when it is a best response or settles it, else by a solve that
+    stops at the first iterate that does. member is a proof, and each
+    sender gap is clamped at 0, as there.
     """
     _check_epsilon(epsilon)
     g.check_policies(alphas, beta)
@@ -407,16 +408,19 @@ def random_best_response_dynamics(
     that is not frozen is checked, and _play decides adoption, freezing and
     stopping. Play is reached once every player is frozen.
 
-    A drawn sender is checked by _improvement_reference: without a solve
+    A drawn sender is checked by _improvement_reference. No solve is made
     when its current encoder's summed block gap is at most epsilon, which by
-    convexity bounds any improvement, and otherwise by a solve that stops
-    at the first iterate proving no improvement above epsilon. Every solve
-    starts from the uniform encoder with the mirror step and the Newton
-    basis of the last adopted answer, a continuation chain that carries no
-    encoder; a basis built for another P{Z, W} is dropped by the solve.
-    Only an adoption advances the chain, and an adopted answer never
-    reached its floor, so play adopts and moves exactly as it would with a
-    full best response at every check, started from the same chain.
+    convexity bounds any improvement, or when the leakage-blind encoder is
+    a best response or proves that no move gains more than epsilon; any
+    other check is decided by a solve that stops at the first iterate
+    proving no improvement above epsilon. Every solve starts from the
+    uniform encoder with the mirror step and the Newton basis of the last
+    adopted answer, a continuation chain that carries no encoder; a basis
+    built for another P{Z, W} is dropped by the solve. Only an adoption
+    advances the chain, and an adopted solve never reached its floor, so
+    play adopts and moves exactly as it would with a best response at
+    every check that is the blind encoder when that is one, and otherwise
+    a full solve started from the same chain.
 
     Play holds the decoder's distortion table, rebuilt when the receiver
     moves. Distortion is linear in each encoder, so after a sender adopts

@@ -875,6 +875,16 @@ def _mirror_phase(
     return _phase_end(prob, settings, best, a, cost, logratio, used, step if step >= _TINY_STEP else None)
 
 
+def _blind_encoder(c: np.ndarray, rho: float) -> np.ndarray:
+    """The encoder that ignores leakage: each (z, w) block loads its
+    cheapest message under c, ties to the lowest. With rho > 0 it is
+    floored at _MASS_FLOOR, so that a message unused everywhere still has
+    a gradient; a block's sum stays 1.0 in floating point."""
+    a = np.zeros_like(c)
+    np.put_along_axis(a, np.argmin(c, axis=0)[None], 1.0, axis=0)
+    return np.maximum(a, _MASS_FLOOR) if rho > 0.0 else a
+
+
 class _WarmStart:
     """What a solve hands the next one on a continuation chain.
 
@@ -932,12 +942,8 @@ def _minimize_over_blocks(
     start = start or _WarmStart()
     c = prob.c
     if prob.rho == 0.0:
-        # no leakage term: each block independently loads its cheapest message
-        a = np.zeros_like(c)
-        rows = np.argmin(c, axis=0)
-        mi, qi = np.indices(rows.shape)
-        a[rows, mi, qi] = 1.0
-        start.a = a
+        # no leakage term: the leakage-blind encoder is the answer
+        a = start.a = _blind_encoder(c, 0.0)
         return BestResponseResult(SenderPolicy(a), float((c * a).sum()), 0, True, 0.0)
     a = start.a
     # the floor below would move a start with a zero entry off its face
@@ -1054,11 +1060,16 @@ def _improvement_reference(
     ref.cost - ref.stationarity_gap >= own - epsilon proves that it is at
     most epsilon. ref is alpha itself, at cost own and without a solve, when
     alpha has a certificate (_Problem.certificate) whose summed gap is at
-    most epsilon. Otherwise ref is the answer of a solve floored
-    at own - epsilon (_minimize_over_blocks): it stops at the first iterate that proves the
-    bound, and a solve that never does returns the unfloored answer. Either
-    way own - ref.cost > epsilon exactly when it holds for the unfloored
-    answer, so play that adopts on that test takes the same path.
+    most epsilon. Next, also without a solve, ref is the leakage-blind
+    encoder (_blind_encoder), the answer below the critical ratio, when its
+    summed gap is at most grad_tol, a best response, or when it proves the
+    bound. Otherwise ref is the answer of a solve floored at own - epsilon
+    (_minimize_over_blocks): it stops at the first iterate that proves the
+    bound, and a solve that never does returns the unfloored answer.
+    own - ref.cost > epsilon holds for a proof or a floored answer exactly
+    when it holds for the unfloored answer. For the blind best response it
+    holds as for any other best response, unless the improvement lies
+    within the two answers' summed gaps of epsilon.
 
     start, when given, is a continuation chain's warm start, which the
     solve reads and then updates (_minimize_over_blocks); a check decided
@@ -1069,6 +1080,10 @@ def _improvement_reference(
     cert = prob.certificate(alpha.a)
     if cert is not None and cert[1] <= epsilon:
         return BestResponseResult(alpha, own, 0, cert[1] <= settings.grad_tol, cert[1])
+    blind = _blind_encoder(c, rho)
+    cost, gap = prob.certificate(blind)
+    if gap <= settings.grad_tol or cost - gap >= own - epsilon:
+        return BestResponseResult(SenderPolicy(blind), cost, 0, gap <= settings.grad_tol, gap)
     return _minimize_over_blocks(prob, settings, start, own - epsilon)
 
 
@@ -1084,7 +1099,8 @@ def epsilon_nash_check(
     The receiver gap is exact. The sender's best improvement lies in
     [sender_gap, sender_gap + sender_stationarity_gap], both measured at the
     encoder _improvement_reference picks: alpha itself when its own summed
-    block gap settles the question, else the first solver iterate that
+    block gap settles the question, else the leakage-blind encoder when it
+    is a best response or settles it, else the first solver iterate that
     does, else a full best response. No improvement is negative, so
     sender_gap is clamped at 0 where that encoder costs more than alpha.
     member requires the receiver gap, and alpha's cost minus that encoder's

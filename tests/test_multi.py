@@ -42,6 +42,7 @@ from privsig.multi import (
 from privsig.prob import FiniteSpace
 from privsig import solve as solve_module
 from privsig.solve import (
+    BestResponseResult,
     _block_gaps,
     _Problem,
     epsilon_nash_check,
@@ -476,15 +477,26 @@ def skip_cases():
 
 
 def full_reference(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
-    """_improvement_reference's stand-in: a full unfloored best response,
-    started from play's continuation chain."""
-    return solve_module._minimize_over_blocks(_Problem(c, pzw, pw, rho), settings, start)
+    """_improvement_reference's stand-in: the leakage-blind encoder when its
+    summed gap makes it a best response, else a full unfloored best
+    response, started from play's continuation chain."""
+    prob = _Problem(c, pzw, pw, rho)
+    blind = solve_module._blind_encoder(c, rho)
+    cost, gap = prob.certificate(blind)
+    if gap <= settings.grad_tol:
+        return BestResponseResult(SenderPolicy(blind), cost, 0, True, gap)
+    return solve_module._minimize_over_blocks(prob, settings, start)
 
 
 def test_certificate_skip_leaves_play_unchanged(monkeypatch):
-    # play decides each sender check by the encoder's own gap or a floored
-    # solve; with a full best response at every check, started from the same
-    # continuation chain, it takes the same path
+    # play decides each sender check by the encoder's own gap, the
+    # leakage-blind encoder's gap or a floored solve; with a best response
+    # at every check that takes the blind encoder first when it is one, and
+    # else solves in full from the same continuation chain, it takes the
+    # same path. Two best responses can differ along a flat face of the
+    # cost (the n2 case adopts the blind always-message-0 encoder where a
+    # solve ends at the uniform one, at the same cost), so the stand-in
+    # accepts the blind one first as play does
     eps = 0.02
     decide = multi_module._improvement_reference
     skips, floored, zero_solves = {}, {}, {}
@@ -529,6 +541,43 @@ def binary_cases():
     return cases
 
 
+def screened_checks(monkeypatch, decide, checks):
+    """decide (an _improvement_reference), appending (adopts, summed gap,
+    grad_tol) to checks for each check that the leakage-blind encoder
+    decided: one that returned another encoder than alpha without a solve."""
+    solves = []
+    minimize = solve_module._minimize_over_blocks
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(solve_module, "_minimize_over_blocks", counted)
+
+    def wrapper(c, pzw, pw, rho, alpha, own, epsilon, settings, start=None):
+        before = len(solves)
+        ref = decide(c, pzw, pw, rho, alpha, own, epsilon, settings, start)
+        if ref.policy is not alpha and len(solves) == before:
+            checks.append((own - ref.cost > epsilon, ref.stationarity_gap, settings.grad_tol))
+        return ref
+    return wrapper
+
+
+def test_blind_encoder_decides_binary_checks_without_a_solve(monkeypatch):
+    # in the binary games the leakage-blind encoder often loads one message
+    # everywhere, which leaks nothing and is a best response, or proves that
+    # no move gains more than epsilon; either decides the check without a
+    # solve, and an adopted blind answer is certified within grad_tol
+    checks = []
+    monkeypatch.setattr(multi_module, "_improvement_reference", screened_checks(
+        monkeypatch, multi_module._improvement_reference, checks))
+    for g, alphas0, beta0, seed in binary_cases():
+        assert random_best_response_dynamics(g, alphas0, beta0, 0.05, seed=seed).reached_eps_nash
+    adopted = [(gap, tol) for adopts, gap, tol in checks if adopts]
+    assert adopted and len(adopted) < len(checks), checks
+    assert all(gap <= tol for gap, tol in adopted), adopted
+
+
 def test_only_an_adoption_advances_the_chain(monkeypatch):
     # each sender check's solve starts from play's chain, which carries a
     # mirror step and a Newton basis but no encoder, and updates a copy of
@@ -567,9 +616,11 @@ def test_only_an_adoption_advances_the_chain(monkeypatch):
 
 def test_chained_play_spends_fewer_solver_iterations(monkeypatch):
     # the senders of the binary games share rho and P{Z, W}, so a solve
-    # that starts from the last adopted answer's step and basis skips much
-    # of the step ladder's climb from step_init (552 iterations against
-    # 743 cold here); every play still reaches an equilibrium
+    # that starts from the last adopted answer's step and basis skips part
+    # of the step ladder's climb from step_init (407 iterations against
+    # 449 cold here; the checks whose answer is the leakage-blind encoder,
+    # where the chain saved most, are decided without a solve); every play
+    # still reaches an equilibrium
     decide, minimize = multi_module._improvement_reference, solve_module._minimize_over_blocks
     spent = {}
 
@@ -587,7 +638,7 @@ def test_chained_play_spends_fewer_solver_iterations(monkeypatch):
         monkeypatch.setattr(multi_module, "_improvement_reference", check)
         for g, alphas0, beta0, seed in binary_cases():
             assert random_best_response_dynamics(g, alphas0, beta0, 0.05, seed=seed).reached_eps_nash
-    assert spent["chained"] <= 0.9 * spent["cold"], spent
+    assert spent["chained"] <= 0.92 * spent["cold"], spent
 
 
 def test_chained_play_is_deterministic():
@@ -805,22 +856,101 @@ def test_improvement_bound_is_sound():
     check()
 
 
-def test_epsilon_checks_clamp_sender_gaps_at_zero():
-    # the truthful encoder with measurement 1 reported as message 0 under
-    # secret 0 costs 0.086 here and leaves message 1 unused there, so it has
-    # no gradient; the solve floored at its cost - epsilon stops at once at
-    # the uniform start, which costs 0.8. No move improves by a negative
-    # amount, so both checks report 0
-    g, eps = circulant_game(0.1), 0.1
+def test_blind_screen_decides_as_a_full_best_response(monkeypatch):
+    # wherever the leakage-blind encoder decides a check without a solve, a
+    # full unfloored best response adopts or rejects the same way, unless
+    # its improvement lies within the two answers' summed gaps of epsilon
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    minimize = solve_module._minimize_over_blocks
+    checks = []
+    decide = screened_checks(monkeypatch, solve_module._improvement_reference, checks)
+    settings = solve_module.DEFAULT_SETTINGS
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(2, 3), st.integers(1, 3), st.integers(2, 3), st.floats(0.01, 2.0),
+        st.floats(1e-4, 0.3), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1),
+    )
+    def check(m, q, r, rho, eps, mix, seed):
+        gen = np.random.default_rng(seed)
+        g = random_game(gen, m, q, r, rho)
+        beta = random_receiver(gen, m, r)
+        c = solve_module._linear_coeffs(g, beta)
+        if mix < 0.5:
+            # a random deterministic encoder, whose emptied cells can leave
+            # it without a gradient
+            a = np.zeros((r, m, q))
+            mi, qi = np.indices((m, q))
+            a[gen.integers(0, r, size=(m, q)), mi, qi] = 1.0
+        else:
+            # a random encoder, pulled toward the blind one
+            a = (2.0 * mix - 1.0) * random_sender(gen, r, m, q).a
+            a += (2.0 - 2.0 * mix) * solve_module._blind_encoder(c, 0.0)
+        alpha = SenderPolicy(a)
+        own = sender_cost(g, alpha, beta)
+        before = len(checks)
+        decide(c, g.joint.pzw, g.joint.pw, rho, alpha, own, eps, settings)
+        if len(checks) == before:
+            return
+        adopts, gap, tol = checks[-1]
+        full = minimize(_Problem(c, g.joint.pzw, g.joint.pw, rho), settings)
+        if gap > tol:
+            # a rejection proven by the blind encoder's lower bound on the
+            # optimum, which no best response's cost lies under
+            assert not adopts and own - full.cost <= eps + 1e-12
+        elif abs(own - full.cost - eps) > gap + full.stationarity_gap + 1e-12:
+            assert adopts == (own - full.cost > eps)
+
+    check()
+    assert any(adopts for adopts, _, _ in checks), checks
+    assert any(gap > tol for _, gap, tol in checks), checks
+
+
+def emptied_truthful_check(rho):
+    """circulant5 at rho against the identity decoder, with the truthful
+    encoder reporting measurement 1 as message 0 under secret 0, which
+    leaves message 1 unused there, so the cost has no gradient at it.
+    Returns (game, encoder, decoder, its cost)."""
+    g = circulant_game(rho)
     a = SenderPolicy.truthful(5, 5).a.copy()
     a[:, 1, 0] = np.eye(5)[0]
     alpha, beta = SenderPolicy(a), ReceiverPolicy.identity(5)
-    own = sender_cost(g, alpha, beta)
+    return g, alpha, beta, sender_cost(g, alpha, beta)
+
+
+def test_blind_encoder_proves_the_bound_from_its_lower_bound(monkeypatch):
+    # just above the critical ratio the leakage-blind encoder, the truthful
+    # one, is no best response, but its cost minus its summed gap bounds the
+    # optimum below: it decides the check without a solve exactly when that
+    # bound proves that no move gains more than epsilon
+    g, alpha, beta, own = emptied_truthful_check(0.4)
+    settings = solve_module.DEFAULT_SETTINGS
+    c = solve_module._linear_coeffs(g, beta)
+    cost, gap = _Problem(c, g.joint.pzw, g.joint.pw, g.rho).certificate(
+        solve_module._blind_encoder(c, g.rho))
+    assert gap > settings.grad_tol
+    checks = []
+    decide = screened_checks(monkeypatch, solve_module._improvement_reference, checks)
+    for eps in (own - (cost - gap) + 1e-6, own - (cost - gap) - 1e-6):
+        decide(c, g.joint.pzw, g.joint.pw, g.rho, alpha, own, eps, settings)
+    assert checks == [(False, gap, settings.grad_tol)]
+
+
+def test_epsilon_checks_clamp_sender_gaps_at_zero():
+    # the encoder costs 0.349 here and has no gradient. Above the critical
+    # ratio the leakage-blind encoder, the truthful one, is no best
+    # response and proves no bound at this epsilon, so the check is decided
+    # by the solve floored at own - epsilon, which stops at an iterate that
+    # costs 0.573. No move improves by a negative amount, so both checks
+    # report 0
+    eps = 0.1
+    g, alpha, beta, own = emptied_truthful_check(0.5)
     ref = solve_module._improvement_reference(
         solve_module._linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho, alpha, own, eps,
         solve_module.DEFAULT_SETTINGS,
     )
-    assert ref.cost > own + 0.5
+    assert ref.iterations > 0 and ref.cost > own + 0.2
     single = epsilon_nash_check(g, alpha, beta, eps)
     multi = epsilon_nash_check_multi(
         lift_single(g), SenderPolicySet((alpha,)), MultiReceiverPolicy(beta.b), eps
