@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import DistortionMatrix, SenderPolicy, _check_blocks, _joint_yw
+from .game import DistortionMatrix, SenderPolicy, _check_blocks
 from .prob import (
     FiniteSpace,
     _check_entries,
@@ -33,6 +33,8 @@ from .solve import (
     SolverSettings,
     _check_epsilon,
     _improvement_reference,
+    _leakage_parts,
+    _log_floored,
     _minimize_over_blocks,
     _posterior_decoder,
     _prior_estimate,
@@ -233,8 +235,9 @@ def _distortion(q: np.ndarray, table: np.ndarray) -> float:
 
 
 def _leakage(g: MultiGameInstance, a: np.ndarray, j: int) -> float:
-    """I(Y_j; W_j) of encoder a for sender j, from the joint's cached marginal."""
-    return _mutual_information(_joint_yw(g.joint.pzw(j), a))
+    """I(Y_j; W_j) of encoder a for sender j by the solver's kernel
+    (_leakage_parts), clamped at 0 as _mutual_information clamps it."""
+    return max(0.0, _leakage_parts(a, g.joint.pzw(j), _log_floored(g.joint._pw[j]))[0])
 
 
 def expected_distortion_multi(

@@ -197,18 +197,19 @@ def _leakage_parts(a: np.ndarray, pzw: np.ndarray, log_pw: np.ndarray):
     secret marginal of pzw, so a secret of probability zero leaves its
     (y, w) cells without mass. Treats the secret marginal as fixed, which is
     what makes the coordinate gradient of the leakage exact even off the
-    simplex.
+    simplex. The value is one dot (np.vdot) of P{Y, W} with the log-ratio,
+    which is 0 on a cell without mass. The Armijo test's predicted decrease
+    is formed from the block gaps, not from this value (_mirror_phase).
     """
     jyw = _joint_yw(pzw, a)
-    log_py = _log_floored(jyw.sum(axis=1))[:, None]
-    if jyw.all():
-        logratio = np.log(jyw) - log_py - log_pw
-    else:
-        # log 1 stands in where the ratio goes unused, so no log of zero is
-        # taken
-        valid = jyw > 0.0
-        logratio = np.where(valid, np.log(np.where(valid, jyw, 1.0)) - log_py - log_pw, 0.0)
-    return float((jyw * logratio).sum()), logratio
+    full = np.logical_and.reduce(jyw, None)
+    # log 1 stands in where the ratio goes unused, so no log of zero is taken
+    logratio = np.log(jyw if full else np.where(jyw > 0.0, jyw, 1.0))
+    logratio -= _log_floored(np.add.reduce(jyw, 1))[:, None]
+    logratio -= log_pw
+    if not full:
+        logratio[jyw == 0.0] = 0.0
+    return float(np.vdot(jyw, logratio)), logratio
 
 
 def _has_gradient(pzw: np.ndarray, pw: np.ndarray, rho: float, a: np.ndarray) -> bool:
@@ -243,7 +244,7 @@ def _block_gaps(a: np.ndarray, grad: np.ndarray, low: np.ndarray | None = None) 
     it only as a progress measure. Valid wherever the cost has a gradient
     at a (_has_gradient), as at every iterate, which is strictly positive.
     """
-    return (a * grad).sum(axis=0) - (grad.min(axis=0) if low is None else low)
+    return np.add.reduce(a * grad, 0) - (np.minimum.reduce(grad, 0) if low is None else low)
 
 
 class _Problem:
@@ -262,9 +263,12 @@ class _Problem:
         self.log_pw, self.rho_pzw = _log_floored(pw), rho * pzw
 
     def evaluate(self, a: np.ndarray):
-        """The cost at a, and a's log-ratio (_leakage_parts), which gives its gradient."""
+        """The cost at a, and a's log-ratio (_leakage_parts), which gives its
+        gradient. The distortion term keeps numpy's pairwise sum: a dot's
+        order moves solver paths. The Armijo test's predicted decrease comes
+        from the block gaps (_mirror_phase)."""
         zeta, logratio = _leakage_parts(a, self.pzw, self.log_pw)
-        return float((self.c * a).sum()) + self.rho * zeta, logratio
+        return float(np.add.reduce(self.c * a, None)) + self.rho * zeta, logratio
 
     def gradient(self, logratio: np.ndarray) -> np.ndarray:
         """The cost's gradient at the encoder with this log-ratio."""
@@ -276,7 +280,7 @@ class _Problem:
         if not _has_gradient(self.pzw, self.pw, self.rho, a):
             return None
         cost, logratio = self.evaluate(a)
-        return cost, float(_block_gaps(a, self.gradient(logratio)).sum())
+        return cost, float(np.add.reduce(_block_gaps(a, self.gradient(logratio)), None))
 
 
 def _helmert_rows(heavy: np.ndarray):
@@ -707,6 +711,7 @@ def _newton_polish(
                 # lift churn between coupled coordinates can eat the budget
                 grad = prob.gradient(logratio)
                 heavy = a >= _FREEZE_MASS
+                lam_b = np.where(heavy, grad, np.inf).min(axis=0)
         if not np.any(heavy.sum(axis=0) > 1):
             # no move keeps the block masses: the direction is 0 at every
             # damping, so no damping value can move
@@ -755,7 +760,6 @@ def _newton_polish(
                 # one evaluation
                 full = af.copy()
                 full[idx] += d
-                lam_b = np.where(heavy, grad, np.inf).min(axis=0)
                 if np.all((grad > lam_b).reshape(-1)[full < _MASS_FLOOR]):
                     cand, cand_cost, cand_ratio = trial(full)
                     if cand_cost <= cost + 1e-4 * float(gf @ (cand.reshape(-1) - af)):
@@ -826,6 +830,10 @@ def _mirror_phase(
     Returns (a, cost, log-ratio, largest gap, used, done, step, summed gap),
     done meaning certified or floored and step the one the phase would have
     tried next, or None when it stalled below _TINY_STEP.
+    A step to cand is accepted when it lowers cost by at least 1e-4 times the
+    predicted decrease grad . (a - cand), formed as the summed block gap at
+    a less one dot, shifted . cand (shifted: grad less its block minima);
+    both terms lie in about [0, gap], so it rounds as the gap, not the cost.
     """
     step = settings.step_init if step is None else step
     # with the iterate's block gaps, so that its sum is at hand if it returns
@@ -834,35 +842,35 @@ def _mirror_phase(
     gaps = []
     for used in range(1, budget + 1):
         grad = prob.gradient(logratio)
-        low = grad.min(axis=0)
+        low = np.minimum.reduce(grad, 0)
         blocks = _block_gaps(a, grad, low)
-        gap = float(blocks.max())
+        gap, total = float(np.maximum.reduce(blocks, None)), float(np.add.reduce(blocks, None))
         if gap < best[0]:
             best = (gap, a, cost, logratio, blocks)
-        # the sum is at least the largest gap: sum only once that meets grad_tol
-        certified = gap <= settings.grad_tol and float(blocks.sum()) <= settings.grad_tol
-        if certified or (floor > -math.inf and cost - float(blocks.sum()) >= floor):
-            return a, cost, logratio, gap, used - 1, True, step, float(blocks.sum())
+        if total <= settings.grad_tol or (floor > -math.inf and cost - total >= floor):
+            return a, cost, logratio, gap, used - 1, True, step, total
         # a largest gap that has not halved in _STALL_PATIENCE iterations is
         # crawling: the Newton phase closes it from here in fewer iterations
         gaps.append(gap)
         crawling = gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]
         if gap <= handoff or crawling:
-            return a, cost, logratio, gap, used - 1, False, step, float(blocks.sum())
+            return a, cost, logratio, gap, used - 1, False, step, total
 
         shifted = grad - low
         refused = None
         while True:
-            cand = np.maximum(a * np.exp(-step * shifted), _MASS_FLOOR)
-            cand /= cand.sum(axis=0)[None, :, :]
-            if refused == cand.tobytes():
+            cand = np.multiply(shifted, -step)
+            np.exp(cand, out=cand)
+            cand *= a
+            np.maximum(cand, _MASS_FLOOR, out=cand)
+            cand /= np.add.reduce(cand, 0)
+            if refused is not None and refused == cand.tobytes():
                 # the step is below rounding: halving it builds the refused
                 # candidate again
                 step = 0.0
                 break
             cand_cost, cand_ratio = prob.evaluate(cand)
-            predicted = float((grad * (a - cand)).sum())
-            if cand_cost <= cost - 1e-4 * predicted:
+            if cand_cost <= cost - 1e-4 * (total - float(np.vdot(shifted, cand))):
                 a, cost, logratio = cand, cand_cost, cand_ratio
                 break
             refused = cand.tobytes()
@@ -880,9 +888,8 @@ def _blind_encoder(c: np.ndarray, rho: float) -> np.ndarray:
     cheapest message under c, ties to the lowest. With rho > 0 it is
     floored at _MASS_FLOOR, so that a message unused everywhere still has
     a gradient; a block's sum stays 1.0 in floating point."""
-    a = np.zeros_like(c)
-    np.put_along_axis(a, np.argmin(c, axis=0)[None], 1.0, axis=0)
-    return np.maximum(a, _MASS_FLOOR) if rho > 0.0 else a
+    cheapest = np.arange(c.shape[0])[:, None, None] == np.argmin(c, axis=0)
+    return np.where(cheapest, 1.0, _MASS_FLOOR if rho > 0.0 else 0.0)
 
 
 class _WarmStart:

@@ -34,7 +34,7 @@ from privsig.game import (
     sender_cost,
 )
 import privsig.solve
-from privsig.multi import MultiEpsilonNashReport
+from privsig.multi import MultiEpsilonNashReport, MultiGameInstance, MultiJoint
 from privsig.prob import FiniteSpace, JointPXZW, _mutual_information
 from privsig.solve import (
     _FREEZE_MASS,
@@ -43,7 +43,9 @@ from privsig.solve import (
     SolverSettings,
     _active_set_basis,
     _batch_lift,
+    _block_gaps,
     _cost_slack,
+    _has_gradient,
     _linear_coeffs,
     _newton_direction,
     _newton_polish,
@@ -262,7 +264,8 @@ def test_gradient_leakage_part_vanishes_at_uniform(rng):
 
 def masked_leakage_parts(a, pzw, pw):
     """Reference: the leakage kernel that masks every (y, w) cell, by
-    P{W} > 0 and P{Y, W} > 0, whether or not any cell lacks mass."""
+    P{W} > 0 and P{Y, W} > 0, whether or not any cell lacks mass. Its value
+    is summed as the kernel sums it, by one dot."""
     jyw = np.einsum("yzw,zw->yw", a, pzw)
     py = jyw.sum(axis=1)
     valid = (pw[None, :] > 0.0) & (jyw > 0.0)
@@ -272,7 +275,7 @@ def masked_leakage_parts(a, pzw, pw):
         - np.log(np.maximum(py, 1e-300))[:, None] - np.log(np.maximum(pw, 1e-300))[None, :],
         0.0,
     )
-    return float((jyw * logratio).sum()), logratio
+    return float(np.vdot(jyw, logratio)), logratio
 
 
 def test_leakage_parts_match_masked_reference_to_the_bit():
@@ -297,6 +300,87 @@ def test_leakage_parts_match_masked_reference_to_the_bit():
         np.testing.assert_array_equal(logratio, logratio_ref)
         every_cell += bool(np.einsum("yzw,zw->yw", a, pzw).all())
     assert 50 <= every_cell <= 250
+
+
+def test_pricing_kernel_matches_the_public_cost_gap_and_leakage():
+    # the kernel that prices an encoder, against the public functions, on
+    # games with zero-probability cells, a secret of probability zero and
+    # encoders with emptied messages: the cost, the summed gap wherever a
+    # gradient exists, and multi-sender play's own leakage, which must never
+    # read below 0 (the uniform encoder leaks exactly nothing)
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    seen = set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        st.integers(2, 4), st.integers(2, 3), st.integers(2, 4), st.floats(0.0, 2.0),
+        st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def check(m, q, r, rho, dead_secret, seed):
+        gen = np.random.default_rng(seed)
+        p = gen.random((m, m, q)) ** 2
+        p[gen.random(p.shape) < 0.3] = 0.0  # zero-probability cells
+        if dead_secret:
+            p[:, :, q - 1] = 0.0  # a secret of probability zero
+        p[0, 0, 0] += 0.1
+        g = GameInstance(
+            JointPXZW.from_tensor(p / p.sum()),
+            DistortionMatrix(gen.random((m, m)) * (1.0 - np.eye(m))), FiniteSpace(r), rho,
+        )
+        gm = MultiGameInstance(
+            MultiJoint(FiniteSpace(m), (FiniteSpace(q),), g.joint.p), g.distortion,
+            (FiniteSpace(r),), rho,
+        )
+        a = gen.random((r, m, q))
+        a[gen.random(a.shape) < 0.4] = 0.0  # emptied messages
+        a[0][a.sum(axis=0) == 0.0] = 1.0
+        a /= a.sum(axis=0)
+        beta = random_receiver(gen, m, r)
+        prob = _Problem(_linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, rho)
+        for enc in (a, np.full_like(a, 1.0 / r)):
+            alpha = SenderPolicy(enc)
+            cost = sender_cost(g, alpha, beta)
+            assert abs(prob.evaluate(enc)[0] - cost) <= 1e-12 * (1.0 + abs(cost))
+            cert = prob.certificate(enc)
+            has = _has_gradient(g.joint.pzw, g.joint.pw, rho, enc)
+            seen.add(has)
+            if has:
+                gap = float(_block_gaps(enc, sender_cost_gradient(g, alpha, beta)).sum())
+                assert abs(cert[0] - cost) <= 1e-12 * (1.0 + abs(cost))
+                assert abs(cert[1] - gap) <= 1e-12 * (1.0 + abs(gap))
+            else:
+                assert cert is None
+            zeta = privsig.multi._leakage(gm, enc, 0)
+            assert zeta >= 0.0
+            assert abs(zeta - _mutual_information(np.einsum("yzw,zw->yw", enc, g.joint.pzw))) <= 1e-12
+
+    check()
+    assert seen == {False, True}
+
+
+def test_blind_encoder_loads_the_lowest_cheapest_message():
+    # random prices and prices drawn from three values, so that most blocks
+    # tie; against the scatter it replaced, bit for bit
+    rng = np.random.default_rng(61)
+    ties = 0
+    for k in range(200):
+        r, m, q = (int(v) for v in rng.integers(1, 5, 3))
+        c = rng.random((r, m, q)) if k % 2 else rng.integers(0, 3, (r, m, q)).astype(float)
+        lowest = np.argmax(c == c.min(axis=0), axis=0)
+        ties += int(((c == c.min(axis=0)).sum(axis=0) > 1).sum())
+        for rho in (0.0, 0.3):
+            a = privsig.solve._blind_encoder(c, rho)
+            scatter = np.zeros_like(c)
+            np.put_along_axis(scatter, np.argmin(c, axis=0)[None], 1.0, axis=0)
+            if rho > 0.0:
+                scatter = np.maximum(scatter, _MASS_FLOOR)
+            assert a.tobytes() == scatter.tobytes()
+            loaded = np.arange(r)[:, None, None] == lowest
+            assert np.all(a[loaded] == 1.0)
+            assert np.all(a[~loaded] == (_MASS_FLOOR if rho > 0.0 else 0.0))
+            assert np.all(a.sum(axis=0) == 1.0)
+    assert ties > 100
 
 
 def test_gradient_requires_interior_point():
