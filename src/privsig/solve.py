@@ -6,9 +6,10 @@ message simplices, one per (measurement, secret) pair: exponentiated
 gradient steps shape the support and an active-set Newton phase closes the
 gap, its steps solved in each secret's mass-conserving coordinates, where the
 leakage curvature has rank |Y| at most. Every problem size runs the same
-rounds: the mirror phase hands off at a largest block gap of _POLISH_AT, or
-as soon as a gap below _CRAWL_AT stops halving within _STALL_PATIENCE
-iterations, a rule on the iterates' progress alone; the Newton phase then
+rounds: the mirror phase hands off at a summed block gap of _POLISH_AT, or
+as soon as a largest gap below _CRAWL_AT stops halving within
+_STALL_PATIENCE iterations, a rule on the iterates' progress alone; the
+Newton phase, its damping started at the entry's largest gap, then
 finds the active set itself, cutting shrinking coordinates at the floor and
 lifting growers to their crossings, each set of them in one evaluated batch.
 The certificate is the sum of the simplex-block gaps (_block_gaps), which by
@@ -45,13 +46,14 @@ _MASS_FLOOR = 1e-300
 # power-of-two limit cycle around the scale a flat block needs
 _STEP_GROWTH = 1.3
 _STALL_PATIENCE = 30
-# hand off to the Newton phase once multiplicative steps are this close, or
-# once they crawl below _CRAWL_AT: a gap that has not halved in
-# _STALL_PATIENCE iterations. On small problems the mirror phase otherwise
-# spends most of a solve creeping from 1e-3 to 1e-5 (the 200 seed-7 games
-# against stochastic decoders in tests/test_solver.py: 69,769 iterations in
-# all, 18,958 with the crawl hand-off)
-_POLISH_AT = 1e-5
+# hand off to the Newton phase once the summed block gap, the certificate,
+# is this small, or once the largest gap crawls below _CRAWL_AT: it has not
+# halved in _STALL_PATIENCE iterations. The sum grows with the block count,
+# so small problems hand off early, and the m = 16 circulants where they did
+# when the largest gap had to reach 1e-5 (the 200 seed-7 games against
+# stochastic decoders in tests/test_solver.py: 14,587 iterations in all,
+# 18,163 under that rule)
+_POLISH_AT = 1e-3
 _CRAWL_AT = 1e-3
 _POLISH_ITERS = 100
 _PHASE_ONE_CAP = 600
@@ -636,7 +638,11 @@ def _newton_polish(
     """Active-set Newton refinement on the product of simplex blocks.
 
     Starts from a, strictly positive like every iterate the solver makes,
-    with its cost and log-ratio (_Problem.evaluate). Coordinates
+    with its cost and log-ratio (_Problem.evaluate). The damping starts on
+    the ladder 1e-10 times a power of 100, at the highest rung at or below
+    a's largest block gap, as the rungs below give directions too long to
+    trust (_NEWTON_MAX_LEN); a refused direction climbs one rung, and each
+    iteration that moves lowers the damping fourfold. Coordinates
     below the freeze mass are held fixed unless they want to grow, which
     lifts them (a light row by a whole-row rebalance, the others in one
     batch, _batch_lift); the rest take damped Newton steps constrained to
@@ -699,6 +705,8 @@ def _newton_polish(
             return a, cost, logratio, gap, it - 1, True, basis, total
         if gap < best[0]:
             best = (gap, a, cost, logratio, blocks)
+        while it == 1 and 100.0 * lam <= gap:
+            lam *= 100.0
 
         heavy = a >= _FREEZE_MASS
         lam_b = np.where(heavy, grad, np.inf).min(axis=0)
@@ -819,12 +827,12 @@ def _mirror_phase(
     step, or settings.step_init when step is None, as its first trial step;
     the evaluation that accepts a step gives the next iterate's gradient. Runs
     until the summed block gap meets grad_tol or the certified lower bound,
-    cost minus that sum, reaches floor, the largest gap meets the handoff
-    threshold or crawls (at most crawl and more than half its value
-    _STALL_PATIENCE iterations earlier), the Armijo search stalls with its
-    step below _TINY_STEP, or the budget runs out; progress in the cost
-    alone ends nothing, as it falls below rounding while the largest gap
-    still shrinks. Returns the iterate with the smallest largest gap
+    cost minus that sum, reaches floor, the summed gap meets the handoff
+    threshold, the largest gap crawls (at most crawl and more than half its
+    value _STALL_PATIENCE iterations earlier), the Armijo search stalls
+    with its step below _TINY_STEP, or the budget runs out; progress in the
+    cost alone ends nothing, as it falls below rounding while the largest
+    gap still shrinks. Returns the iterate with the smallest largest gap
     (_phase_end), or, when certified, floored, at the handoff or at a
     crawl, the current one. handoff and crawl 0 keep the phase to the end.
     Returns (a, cost, log-ratio, largest gap, used, done, step, summed gap),
@@ -853,7 +861,7 @@ def _mirror_phase(
         # crawling: the Newton phase closes it from here in fewer iterations
         gaps.append(gap)
         crawling = gap <= crawl and len(gaps) > _STALL_PATIENCE and 2.0 * gap > gaps[-1 - _STALL_PATIENCE]
-        if gap <= handoff or crawling:
+        if total <= handoff or crawling:
             return a, cost, logratio, gap, used - 1, False, step, total
 
         shifted = grad - low
@@ -900,8 +908,9 @@ class _WarmStart:
     next as the first trial step and its last Newton basis, whose P{Z, W} is
     the same. Multi-sender play hands on the step and the basis alone, with
     a None, so that its solves start from the uniform encoder. An empty one
-    starts a chain cold; a None step is settings' step_init. A plain class, not a dataclass, so that code that prints or
-    digests a call's arguments does not format the basis's arrays.
+    starts a chain cold; a None step is settings' step_init. A plain class,
+    not a dataclass, so that code that prints or digests a call's arguments
+    does not format the basis's arrays.
     """
 
     __slots__ = ("a", "step", "basis")
@@ -928,9 +937,10 @@ def _minimize_over_blocks(
     an active-set Newton phase that closes the gap, keeping the iterate
     with the smallest largest block gap across rounds; each phase hands the
     next its iterate's cost and log-ratio, so no encoder is evaluated again.
-    A mirror phase runs at most _PHASE_ONE_CAP iterations and hands off at
-    _POLISH_AT or when its largest gap crawls below _CRAWL_AT, both lowered
-    to 0.03 times the best after a stalled Newton phase; a certified phase
+    A mirror phase runs at most _PHASE_ONE_CAP iterations and hands off when
+    its summed gap reaches _POLISH_AT or its largest gap crawls below
+    _CRAWL_AT; after a stalled Newton phase they drop to 0.03 times the best
+    iterate's summed and largest gap respectively; a certified phase
     or a round in which neither phase cuts the best by a tenth ends the
     solve. So does an iterate whose certified lower bound on the optimum,
     its cost minus its summed block gap, reaches floor: that iterate is
@@ -973,10 +983,10 @@ def _minimize_over_blocks(
     while spent < settings.max_iters:
         round_entry = best[0]
         # after a stalled Newton phase, re-shape the support until the
-        # largest block gap is well below the best so far
+        # block gaps are well below the best iterate's
         a, cost, logratio, gap, used, conv, next_step, total = _mirror_phase(
             prob, a, cost, logratio, settings, min(_PHASE_ONE_CAP, settings.max_iters - spent),
-            min(_POLISH_AT, 0.03 * best[0]), min(_CRAWL_AT, 0.03 * best[0]), floor, step,
+            min(_POLISH_AT, 0.03 * best[4]), min(_CRAWL_AT, 0.03 * best[0]), floor, step,
         )
         step = None
         spent += used

@@ -617,10 +617,11 @@ def test_only_an_adoption_advances_the_chain(monkeypatch):
 def test_chained_play_spends_fewer_solver_iterations(monkeypatch):
     # the senders of the binary games share rho and P{Z, W}, so a solve
     # that starts from the last adopted answer's step and basis skips part
-    # of the step ladder's climb from step_init (407 iterations against
-    # 449 cold here; the checks whose answer is the leakage-blind encoder,
-    # where the chain saved most, are decided without a solve); every play
-    # still reaches an equilibrium
+    # of the step ladder's climb from step_init (303 iterations against
+    # 320 cold here, 407 against 449 when the mirror phase waited for a
+    # largest gap of 1e-5; the checks whose answer is the leakage-blind
+    # encoder, where the chain saved most, are decided without a solve);
+    # every play still reaches an equilibrium
     decide, minimize = multi_module._improvement_reference, solve_module._minimize_over_blocks
     spent = {}
 
@@ -638,7 +639,7 @@ def test_chained_play_spends_fewer_solver_iterations(monkeypatch):
         monkeypatch.setattr(multi_module, "_improvement_reference", check)
         for g, alphas0, beta0, seed in binary_cases():
             assert random_best_response_dynamics(g, alphas0, beta0, 0.05, seed=seed).reached_eps_nash
-    assert spent["chained"] <= 0.92 * spent["cold"], spent
+    assert spent["chained"] <= 0.96 * spent["cold"], spent
 
 
 def test_chained_play_is_deterministic():

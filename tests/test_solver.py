@@ -878,9 +878,11 @@ def test_newton_phase_builds_one_basis_per_active_set(monkeypatch):
 def test_damping_skip_drops_only_overlong_directions(monkeypatch):
     # a damping value whose curvature-free part alone makes the direction
     # longer than the Newton phase accepts is skipped without a solve; the
-    # solve it skips would have been rejected as overlong
+    # solve it skips would have been rejected as overlong. A Newton phase's
+    # damping starts at its entry gap's rung, which skips most of the tiny
+    # values, so twelve draws are needed for twenty skips
     problems = [(circulant_game(rho), ReceiverPolicy.identity(5)) for rho in (0.1, 0.38, 0.9)]
-    problems += [stochastic_decoder_draw(7, i) for i in range(10)]
+    problems += [stochastic_decoder_draw(7, i) for i in range(12)]
     skipped, overlong = [], []
     direction = privsig.solve._newton_direction
 
@@ -901,6 +903,80 @@ def test_damping_skip_drops_only_overlong_directions(monkeypatch):
         assert sender_best_response(g, beta).converged
     monkeypatch.undo()
     assert len(skipped) >= 20 and all(overlong)
+
+
+def uniform_start(g, beta):
+    """g's problem against beta, the uniform encoder, and its cost and log-ratio."""
+    prob = _Problem(_linear_coeffs(g, beta), g.joint.pzw, g.joint.pw, g.rho)
+    a = np.full_like(prob.c, 1.0 / prob.c.shape[0])
+    return prob, a, *prob.evaluate(a)
+
+
+def test_mirror_phase_hands_off_at_its_first_summed_gap_below_the_threshold(monkeypatch):
+    # the certificate is the summed block gap, so the hand-off reads it too.
+    # On small games the mirror phase stops at the first iterate whose sum
+    # is at most 1e-3, where the largest gap is still far above the 1e-5 it
+    # used to wait for; at m = 16 the first iterate whose largest gap is at
+    # most 1e-3 still sums to about 0.16, and the phase runs on past it
+    assert privsig.solve._POLISH_AT == 1e-3
+    gaps, block_gaps = [], privsig.solve._block_gaps
+
+    def recording(*args):
+        out = block_gaps(*args)
+        gaps.append((float(out.max()), float(out.sum())))
+        return out
+
+    monkeypatch.setattr(privsig.solve, "_block_gaps", recording)
+    for g, beta in stochastic_decoder_draws(7, 5):
+        gaps.clear()
+        out = privsig.solve._mirror_phase(*uniform_start(g, beta), DEFAULT_SETTINGS, 600, 1e-3, 0.0)
+        assert not out[5] and out[6] is not None and len(gaps) == out[4] + 1 < 600
+        assert gaps[-1][1] == out[7] <= 1e-3 < min(total for _, total in gaps[:-1])
+        assert out[3] > 1e-5
+    g = shifted_circulant_game(16, 0.2)
+    gaps.clear()
+    out = privsig.solve._mirror_phase(
+        *uniform_start(g, ReceiverPolicy.identity(16)), DEFAULT_SETTINGS, 600,
+        privsig.solve._POLISH_AT, privsig.solve._CRAWL_AT,
+    )
+    monkeypatch.undo()
+    first = next(i for i, (largest, _) in enumerate(gaps) if largest <= 1e-3)
+    assert gaps[first][1] > 0.1 and out[4] > first and out[7] <= 1e-3
+
+
+def test_newton_damping_starts_at_the_entry_gaps_rung(monkeypatch):
+    # a Newton phase's first damping value is the highest rung of 1e-10 x
+    # 100^k at or below its entry iterate's largest block gap. The rung
+    # below it, which the climb from 1e-10 would have passed through, gives
+    # a direction the phase refuses as overlong, or skips unsolved
+    problems = [stochastic_decoder_draw(7, i) for i in range(20)]
+    problems += [(circulant_game(rho), ReceiverPolicy.identity(5)) for rho in (0.1, 0.2, 0.38, 0.6, 0.9)]
+    phases, polish, direction = [], privsig.solve._newton_polish, privsig.solve._newton_direction
+
+    def recording_polish(prob, a, cost, logratio, *rest):
+        phases.append([float(_block_gaps(a, prob.gradient(logratio)).max())])
+        return polish(prob, a, cost, logratio, *rest)
+
+    def recording_direction(*args):
+        inner = direction(*args)
+
+        def first_checked(lam, limit=np.inf):
+            if len(phases[-1]) == 1:
+                below = inner(lam / 100.0, limit)
+                phases[-1] += [lam, below is None or float(np.abs(below).max()) > limit]
+            return inner(lam, limit)
+
+        return first_checked
+
+    monkeypatch.setattr(privsig.solve, "_newton_polish", recording_polish)
+    monkeypatch.setattr(privsig.solve, "_newton_direction", recording_direction)
+    for g, beta in problems:
+        assert sender_best_response(g, beta).converged
+    monkeypatch.undo()
+    climbed = [p for p in phases if len(p) == 3 and p[1] > 1e-10]
+    assert len(climbed) >= 20
+    for gap, lam, refused in climbed:
+        assert lam <= gap < 100.0 * lam and refused
 
 
 @pytest.mark.parametrize("rho", [1e-4, 0.01, 0.1])
@@ -1031,9 +1107,11 @@ def test_sender_br_converges_against_hard_stochastic_decoders(seed, index):
 @pytest.mark.parametrize("seed, count, budget", [(7, 200, 30_000), (8, 1000, 130_000)])
 def test_sender_br_converges_on_every_stream_draw(seed, count, budget):
     # a seeded stream's first draws, each certified: the summed block gap
-    # <= grad_tol. The mirror phase hands a crawling gap to the Newton phase,
-    # which keeps the seed-7 replay near 18,000 iterations and the seed-8 one
-    # near 100,000 (about 70,000 and 357,000 when it waited for 1e-5)
+    # <= grad_tol. The mirror phase hands a summed gap of 1e-3 or a crawling
+    # largest gap to the Newton phase, which keeps the seed-7 replay near
+    # 14,600 iterations and the seed-8 one near 79,000 (18,163 and 99,274
+    # when the largest gap had to reach 1e-5, about 70,000 and 357,000 when
+    # a crawling gap did too)
     total = 0
     for g, beta in stochastic_decoder_draws(seed, count):
         res = sender_best_response(g, beta)

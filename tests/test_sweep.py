@@ -204,7 +204,7 @@ def test_warm_sweep_takes_fewer_iterations(circulant5_sweeps):
     def total(run):
         return sum(res.iterations for _, _, _, res in run["solves"])
 
-    # 613 against 4340 when measured; the cold sweep also solves the points
+    # 415 against 3330 when measured; the cold sweep also solves the points
     # up to rho*, which the warm one returns as they start, with 0 iterations
     assert total(circulant5_sweeps["warm"]) <= 0.4 * total(circulant5_sweeps["cold"])
 
